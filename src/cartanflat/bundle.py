@@ -30,21 +30,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cartan import FrameField
 from .errors import DimensionError, StepSizeError
 from .exprlang import (
     Const,
     Expression,
     Var,
     add,
-    compile_expressions,
     differentiate,
     mul,
     sub,
     variables_of,
 )
-from .metricspace import Chart, ChartMetric, constant_curvature_tensor
-from .sasaki import connection_matrix, variant_sign
+from .metricspace import Chart, ChartMetric, ExprArray, constant_curvature_tensor
+from .sasaki import variant_sign
 
 __all__ = [
     "BundleSection",
@@ -57,37 +55,24 @@ __all__ = [
     "identity_residual",
     "bundle_pairing",
     "metric_compatibility_residual",
-    "bundle_connection_matrix",
 ]
 
 
-@dataclass(frozen=True)
-class BundleSection:
+class BundleSection(ExprArray):
     """xi + f e with xi in coordinate components: vector[a] is the d_a
-    component, scalar is f."""
+    component, scalar is f; at() gives (xi^1, .., xi^n, f) at a point."""
 
-    chart: Chart
-    vector: tuple
-    scalar: Expression
-
-    def __post_init__(self):
-        object.__setattr__(self, "vector", tuple(self.vector))
-        if len(self.vector) != self.chart.dim:
+    def __init__(self, chart: Chart, vector, scalar: Expression):
+        vector = tuple(vector)
+        if len(vector) != chart.dim:
             raise DimensionError("one vector component per coordinate required")
-        allowed = set(self.chart.names)
-        for component in (*self.vector, self.scalar):
+        super().__init__(chart, (*vector, scalar))
+        self.vector, self.scalar = vector, scalar
+        allowed = set(chart.names)
+        for component in self.comps:
             stray = variables_of(component) - allowed
             if stray:
                 raise ValueError(f"section uses undeclared variables: {sorted(stray)}")
-
-    def at(self, point: Sequence[float]) -> np.ndarray:
-        """Components (xi^1, .., xi^n, f) at a point."""
-        point = self.chart.require(point)
-        fn = getattr(self, "_fn", None)
-        if fn is None:
-            fn = compile_expressions((*self.vector, self.scalar), self.chart.names)
-            object.__setattr__(self, "_fn", fn)
-        return np.array(fn(point), dtype=float)
 
 
 def _normalized_axis(chart: Chart, axis: int) -> Expression:
@@ -320,9 +305,9 @@ def bundle_pairing(
 
 
 @functools.lru_cache(maxsize=128)
-def _compatibility_fn(variant: str, metric: ChartMetric, trials: int, seed: int):
-    """Compiled residuals d_k <s,t> - <nabla_k s, t> - <s, nabla_k t> for
-    seeded section pairs, one expression per (trial, direction)."""
+def _compatibility_residuals(variant: str, metric: ChartMetric, trials: int, seed: int) -> ExprArray:
+    """The residuals d_k <s,t> - <nabla_k s, t> - <s, nabla_k t> for seeded
+    section pairs, one entry per (trial, direction)."""
     n = metric.dim
     sections = _seeded_sections(metric.chart, 2 * trials, seed)
     residuals = []
@@ -338,7 +323,7 @@ def _compatibility_fn(variant: str, metric: ChartMetric, trials: int, seed: int)
                 _pairing_expression(variant, metric, s, dt),
             )
             residuals.append(sub(lhs, rhs))
-    return compile_expressions(residuals, metric.chart.names)
+    return ExprArray(metric.chart, residuals)
 
 
 def metric_compatibility_residual(
@@ -351,16 +336,5 @@ def metric_compatibility_residual(
     """Max violation of d_k <s,t> = <nabla_k s, t> + <s, nabla_k t> at a point
     over seeded section pairs and all directions.  Exact symbolic on both
     sides, so this should sit at rounding level."""
-    point = metric.chart.require(point)
-    fn = _compatibility_fn(variant, metric, trials, seed)
-    return float(np.max(np.abs(fn(point))))
-
-
-def bundle_connection_matrix(variant: str, frame: FrameField, point: Sequence[float] | None = None):
-    """The frame-gauge connection matrix (see sasaki.connection_matrix);
-    with a point, its stack of coefficient matrices there, shape
-    (dim, n+1, n+1)."""
-    matrix_form = connection_matrix(frame, variant)
-    if point is None:
-        return matrix_form
-    return matrix_form.at(point)
+    residuals = _compatibility_residuals(variant, metric, trials, seed)
+    return float(np.max(np.abs(residuals.at(point))))

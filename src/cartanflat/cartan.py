@@ -28,14 +28,13 @@ from .exprlang import (
     Expression,
     add,
     call,
-    compile_expressions,
     differentiate,
     div,
     mul,
     neg,
     sub,
 )
-from .metricspace import Chart, ChartMetric, symbolic_inverse
+from .metricspace import Chart, ChartMetric, ExprArray, elementwise, symbolic_inverse
 
 __all__ = [
     "ScalarOneForm",
@@ -45,93 +44,55 @@ __all__ = [
     "FrameField",
     "ConnectionForms",
     "orthonormal_frame",
-    "connection_form",
     "structural_residual",
     "gauss_curvature",
 ]
 
 
-@dataclass(frozen=True)
-class ScalarOneForm:
+class ScalarOneForm(ExprArray):
     """A 1-form sum_k comps[k] dx^k."""
 
-    chart: Chart
-    comps: tuple[Expression, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "comps", tuple(self.comps))
-        if len(self.comps) != self.chart.dim:
+    def __init__(self, chart: Chart, comps):
+        super().__init__(chart, comps)
+        if self.shape != (chart.dim,):
             raise DimensionError("one component per coordinate required")
 
-    def at(self, point: Sequence[float]) -> np.ndarray:
-        point = self.chart.require(point)
-        fn = getattr(self, "_fn", None)
-        if fn is None:
-            fn = compile_expressions(self.comps, self.chart.names)
-            object.__setattr__(self, "_fn", fn)
-        return np.array(fn(point), dtype=float)
-
     def __add__(self, other: "ScalarOneForm") -> "ScalarOneForm":
-        return ScalarOneForm(self.chart, tuple(add(a, b) for a, b in zip(self.comps, other.comps)))
+        return ScalarOneForm(self.chart, elementwise(add, self.comps, other.comps))
 
     def __sub__(self, other: "ScalarOneForm") -> "ScalarOneForm":
-        return ScalarOneForm(self.chart, tuple(sub(a, b) for a, b in zip(self.comps, other.comps)))
+        return ScalarOneForm(self.chart, elementwise(sub, self.comps, other.comps))
 
     def __neg__(self) -> "ScalarOneForm":
-        return ScalarOneForm(self.chart, tuple(neg(a) for a in self.comps))
+        return ScalarOneForm(self.chart, elementwise(neg, self.comps))
 
     def scaled(self, factor) -> "ScalarOneForm":
-        return ScalarOneForm(self.chart, tuple(mul(factor, a) for a in self.comps))
+        return ScalarOneForm(self.chart, elementwise(lambda a: mul(factor, a), self.comps))
 
 
-@dataclass(frozen=True)
-class ScalarTwoForm:
+def antisymmetric(n: int, upper: dict, zero) -> tuple:
+    """The n x n table with the given (i < j) blocks above the diagonal, their
+    negatives below it, and ``zero`` elsewhere."""
+    table = [[zero] * n for _ in range(n)]
+    for (i, j), block in upper.items():
+        table[i][j] = block
+        table[j][i] = elementwise(neg, block)
+    return tuple(tuple(row) for row in table)
+
+
+class ScalarTwoForm(ExprArray):
     """A 2-form with exactly antisymmetric coefficient matrix:
     value on (d_i, d_j) is comps[i][j]."""
 
-    chart: Chart
-    comps: tuple[tuple[Expression, ...], ...]
-
     @staticmethod
     def from_upper(chart: Chart, upper: dict[tuple[int, int], Expression]) -> "ScalarTwoForm":
-        n = chart.dim
-        table = [[Const(0.0)] * n for _ in range(n)]
-        for (i, j), entry in upper.items():
-            table[i][j] = entry
-            table[j][i] = neg(entry)
-        return ScalarTwoForm(chart, tuple(tuple(row) for row in table))
-
-    def at(self, point: Sequence[float]) -> np.ndarray:
-        point = self.chart.require(point)
-        n = self.chart.dim
-        fn = getattr(self, "_fn", None)
-        if fn is None:
-            flat = [self.comps[i][j] for i in range(n) for j in range(n)]
-            fn = compile_expressions(flat, self.chart.names)
-            object.__setattr__(self, "_fn", fn)
-        return np.array(fn(point), dtype=float).reshape(n, n)
+        return ScalarTwoForm(chart, antisymmetric(chart.dim, upper, Const(0.0)))
 
     def __add__(self, other: "ScalarTwoForm") -> "ScalarTwoForm":
-        n = self.chart.dim
-        return ScalarTwoForm.from_upper(
-            self.chart,
-            {
-                (i, j): add(self.comps[i][j], other.comps[i][j])
-                for i in range(n)
-                for j in range(i + 1, n)
-            },
-        )
+        return ScalarTwoForm(self.chart, elementwise(add, self.comps, other.comps))
 
     def __sub__(self, other: "ScalarTwoForm") -> "ScalarTwoForm":
-        n = self.chart.dim
-        return ScalarTwoForm.from_upper(
-            self.chart,
-            {
-                (i, j): sub(self.comps[i][j], other.comps[i][j])
-                for i in range(n)
-                for j in range(i + 1, n)
-            },
-        )
+        return ScalarTwoForm(self.chart, elementwise(sub, self.comps, other.comps))
 
 
 def exterior_derivative(form: ScalarOneForm) -> ScalarTwoForm:
@@ -192,29 +153,21 @@ class FrameField:
         return self.metric.dim
 
     @cached_property
-    def _frame_fn(self):
-        n = self.dim
-        flat = [self.frame_entries[a][j] for a in range(n) for j in range(n)]
-        return compile_expressions(flat, self.chart.names)
+    def _frame(self) -> ExprArray:
+        return ExprArray(self.chart, self.frame_entries)
 
     @cached_property
-    def _coframe_fn(self):
+    def _coframe(self) -> ExprArray | None:
         if self.coframe_entries is None:
             return None
-        n = self.dim
-        flat = [self.coframe_entries[i][k] for i in range(n) for k in range(n)]
-        return compile_expressions(flat, self.chart.names)
+        return ExprArray(self.chart, self.coframe_entries)
 
     def frame_at(self, point: Sequence[float]) -> np.ndarray:
-        point = self.chart.require(point)
-        n = self.dim
-        return np.array(self._frame_fn(point), dtype=float).reshape(n, n)
+        return self._frame.at(point)
 
     def coframe_at(self, point: Sequence[float]) -> np.ndarray:
-        if self._coframe_fn is not None:
-            point = self.chart.require(point)
-            n = self.dim
-            return np.array(self._coframe_fn(point), dtype=float).reshape(n, n)
+        if self._coframe is not None:
+            return self._coframe.at(point)
         return np.linalg.inv(self.frame_at(point))
 
     def coframe_form(self, i: int) -> ScalarOneForm:
@@ -229,7 +182,7 @@ class FrameField:
     # -- cached n=2 structure data -----------------------------------------
 
     @cached_property
-    def _structure_fn(self):
+    def _structure(self) -> ExprArray:
         if self.dim != 2:
             raise DimensionError("structure equations in this form are 2D-only")
         omega1 = self.coframe_form(0)
@@ -237,16 +190,16 @@ class FrameField:
         phi = self.connection.omega[1][0]
         r1 = exterior_derivative(omega1) - wedge(omega2, phi)
         r2 = exterior_derivative(omega2) + wedge(omega1, phi)
-        return compile_expressions([r1.comps[0][1], r2.comps[0][1]], self.chart.names)
+        return ExprArray(self.chart, (r1.comps[0][1], r2.comps[0][1]))
 
     @cached_property
-    def _gauss_fn(self):
+    def _gauss(self) -> ExprArray:
         if self.dim != 2:
             raise DimensionError("gauss_curvature is 2D-only")
         phi = self.connection.omega[1][0]
         dphi = exterior_derivative(phi)
         volume = wedge(self.coframe_form(0), self.coframe_form(1))
-        return compile_expressions([dphi.comps[0][1], volume.comps[0][1]], self.chart.names)
+        return ExprArray(self.chart, (dphi.comps[0][1], volume.comps[0][1]))
 
 
 @dataclass(frozen=True)
@@ -313,23 +266,17 @@ def _build_connection(f: FrameField) -> ConnectionForms:
     return ConnectionForms(f, tuple(table))
 
 
-def connection_form(f: FrameField) -> ConnectionForms:
-    return f.connection
-
-
 def structural_residual(f: FrameField, point: Sequence[float]) -> float:
     """Max violation of d omega^1 = omega^2 /\\ phi and d omega^2 = -omega^1 /\\ phi
     at a point (dx/\\dy coefficient)."""
-    point = f.chart.require(point)
-    r1, r2 = f._structure_fn(point)
+    r1, r2 = f._structure.at(point).tolist()
     return max(abs(r1), abs(r2))
 
 
 def gauss_curvature(f: FrameField, point: Sequence[float]) -> float:
     """K from d phi = K omega^1 /\\ omega^2 (the frame route, independent of the
     Riemann-tensor route)."""
-    point = f.chart.require(point)
-    numerator, volume = f._gauss_fn(point)
+    numerator, volume = f._gauss.at(point).tolist()
     if abs(volume) < 1e-14:
-        raise SingularMetricError("degenerate volume form", point=point)
+        raise SingularMetricError("degenerate volume form", point=f.chart.require(point))
     return numerator / volume

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -119,8 +120,9 @@ def _check_box(value, field: str) -> tuple:
     return tuple(box)
 
 
-def _build_metric(cfg: dict) -> tuple[ChartMetric, dict]:
-    """The metric named by the config plus a JSON-ready echo of the source."""
+def _build_metric(cfg: dict, min_dim: int = 1) -> tuple[ChartMetric, dict]:
+    """The metric named by the config plus a JSON-ready echo of the source;
+    inline metrics need at least ``min_dim`` coordinates."""
     has_preset = "preset" in cfg
     has_metric = "metric" in cfg
     if has_preset == has_metric:
@@ -141,6 +143,8 @@ def _build_metric(cfg: dict) -> tuple[ChartMetric, dict]:
         or any(not isinstance(n, str) for n in names)
     ):
         raise ConfigError("$.metric.names", "must be a list of coordinate names")
+    if len(names) < min_dim:
+        raise ConfigError("$.metric", f"needs at least {min_dim} coordinates for this check")
     box = _check_box(spec.get("box"), "$.metric.box")
     if len(box) != len(names):
         raise ConfigError("$.metric.box", "needs one [lo, hi] pair per coordinate")
@@ -211,10 +215,6 @@ def _build_path(cfg: dict, chart: Chart, steps_per_unit: int) -> tuple[tuple, li
     return tuple(segments), echo
 
 
-def _grid_points(chart: Chart, resolution: int) -> list:
-    return list(chart.grid(resolution))
-
-
 # ---------------------------------------------------------------------------
 # the jobs; each returns (payload, passed, csv_rows)
 # ---------------------------------------------------------------------------
@@ -224,7 +224,7 @@ _METRIC_KEYS = {"preset", "metric"}
 
 def _job_curvature(cfg: dict):
     _check_keys(cfg, _METRIC_KEYS | {"grid", "tol", "expected"})
-    metric, source = _build_metric(cfg)
+    metric, source = _build_metric(cfg, min_dim=2)
     grid = _get_int(cfg, "grid", default=12, minimum=2)
     tol = _get_number(cfg, "tol", default=1e-6, positive=True)
     expected = _get_number(cfg, "expected")
@@ -233,7 +233,7 @@ def _job_curvature(cfg: dict):
     planes = [(i, j) for i in range(metric.dim) for j in range(i + 1, metric.dim)]
     values = [
         metric.sectional_curvature(point, plane)
-        for point in _grid_points(metric.chart, grid)
+        for point in metric.chart.grid(grid)
         for plane in planes
     ]
     payload = {
@@ -255,7 +255,7 @@ def _job_curvature(cfg: dict):
 
 def _job_flatness(cfg: dict):
     _check_keys(cfg, _METRIC_KEYS | {"variant", "grid", "tol"})
-    metric, source = _build_metric(cfg)
+    metric, source = _build_metric(cfg, min_dim=2)
     variant = _get_string(cfg, "variant", choices=("h", "s"))
     if variant is None:
         raise ConfigError("$.variant", "is required ('h' or 's')")
@@ -266,23 +266,24 @@ def _job_flatness(cfg: dict):
     return payload, report.max_residual <= tol, None
 
 
-def _job_identity(cfg: dict):
+def _job_section_scan(cfg: dict, residual, grid: int, trials: int, tol: float, min_dim: int):
+    """The worst of residual(variant, metric, point, trials=, seed=) over the grid."""
     _check_keys(cfg, _METRIC_KEYS | {"variant", "grid", "trials", "seed", "tol"})
-    metric, source = _build_metric(cfg)
+    metric, source = _build_metric(cfg, min_dim=min_dim)
     variant = _get_string(cfg, "variant", choices=("h", "s"))
     if variant is None:
         raise ConfigError("$.variant", "is required ('h' or 's')")
-    grid = _get_int(cfg, "grid", default=4, minimum=2)
-    trials = _get_int(cfg, "trials", default=5, minimum=1)
+    grid = _get_int(cfg, "grid", default=grid, minimum=2)
+    trials = _get_int(cfg, "trials", default=trials, minimum=1)
     seed = _get_int(cfg, "seed", default=0)
-    tol = _get_number(cfg, "tol", default=1e-4, positive=True)
+    tol = _get_number(cfg, "tol", default=tol, positive=True)
     worst = -1.0
     argmax = None
-    points = _grid_points(metric.chart, grid)
+    points = list(metric.chart.grid(grid))
     for point in points:
-        residual = identity_residual(variant, metric, point, trials=trials, seed=seed).worst
-        if residual > worst:
-            worst, argmax = residual, point
+        value = residual(variant, metric, point, trials=trials, seed=seed)
+        if value > worst:
+            worst, argmax = value, point
     payload = {
         **source,
         "variant": variant,
@@ -297,37 +298,8 @@ def _job_identity(cfg: dict):
     return payload, worst <= tol, None
 
 
-def _job_compat(cfg: dict):
-    _check_keys(cfg, _METRIC_KEYS | {"variant", "grid", "trials", "seed", "tol"})
-    metric, source = _build_metric(cfg)
-    variant = _get_string(cfg, "variant", choices=("h", "s"))
-    if variant is None:
-        raise ConfigError("$.variant", "is required ('h' or 's')")
-    grid = _get_int(cfg, "grid", default=6, minimum=2)
-    trials = _get_int(cfg, "trials", default=10, minimum=1)
-    seed = _get_int(cfg, "seed", default=0)
-    tol = _get_number(cfg, "tol", default=1e-8, positive=True)
-    worst = -1.0
-    argmax = None
-    points = _grid_points(metric.chart, grid)
-    for point in points:
-        residual = metric_compatibility_residual(
-            variant, metric, point, trials=trials, seed=seed
-        )
-        if residual > worst:
-            worst, argmax = residual, point
-    payload = {
-        **source,
-        "variant": variant,
-        "grid": grid,
-        "points": len(points),
-        "trials": trials,
-        "seed": seed,
-        "max_residual": worst,
-        "argmax_point": list(argmax),
-        "tol": tol,
-    }
-    return payload, worst <= tol, None
+def _identity_worst(variant, metric, point, trials, seed) -> float:
+    return identity_residual(variant, metric, point, trials=trials, seed=seed).worst
 
 
 def _job_transport(cfg: dict):
@@ -418,8 +390,18 @@ def _job_presets(cfg: dict):
 _JOBS = {
     "curvature": _job_curvature,
     "flatness": _job_flatness,
-    "identity": _job_identity,
-    "compat": _job_compat,
+    # identity has nothing to check below two dimensions; compat does
+    "identity": functools.partial(
+        _job_section_scan, residual=_identity_worst, grid=4, trials=5, tol=1e-4, min_dim=2
+    ),
+    "compat": functools.partial(
+        _job_section_scan,
+        residual=metric_compatibility_residual,
+        grid=6,
+        trials=10,
+        tol=1e-8,
+        min_dim=1,
+    ),
     "transport": _job_transport,
     "develop": _job_develop,
     "zcr": _job_zcr,

@@ -44,7 +44,6 @@ __all__ = [
     "substitute",
     "variables_of",
     "compile_expressions",
-    "compile_expression",
     "add",
     "sub",
     "mul",
@@ -839,17 +838,5 @@ def compile_expressions(
             if not isfinite(value):
                 raise ExpressionDomainError("expression value is not finite")
         return out
-
-    return compiled
-
-
-def compile_expression(
-    expression: Expression, variables: Sequence[str]
-) -> Callable[[Sequence[float]], float]:
-    """Single-expression convenience wrapper around compile_expressions."""
-    batch = compile_expressions([expression], variables)
-
-    def compiled(p: Sequence[float]) -> float:
-        return batch(p)[0]
 
     return compiled

@@ -1,10 +1,11 @@
 """Riemannian metrics on coordinate charts.
 
-A :class:`Chart` is a box of coordinates; a :class:`ChartMetric` is a
-symmetric positive-definite matrix of expressions over it.  Christoffel
-symbols and the Riemann tensor are assembled symbolically (the inverse metric
-enters as adjugate/determinant, so derivatives are exact), then compiled once
-per metric for numeric evaluation.  Index conventions:
+A :class:`Chart` is a box of coordinates; an :class:`ExprArray` is a fixed
+array of expressions over one, compiled once for numeric evaluation; a
+:class:`ChartMetric` is a symmetric positive-definite matrix of expressions
+over a chart.  Christoffel symbols and the Riemann tensor are assembled
+symbolically (the inverse metric enters as adjugate/determinant, so
+derivatives are exact), then compiled once per metric.  Index conventions:
 
     christoffel(p)[k, i, j] = Gamma^k_ij
     riemann(p)[l, k, i, j]  = R^l_kij,  meaning  R(d_i, d_j) d_k = R^l_kij d_l
@@ -38,6 +39,8 @@ from .exprlang import (
 
 __all__ = [
     "Chart",
+    "ExprArray",
+    "elementwise",
     "ChartMetric",
     "constant_curvature_tensor",
     "symbolic_determinant",
@@ -114,6 +117,57 @@ class Chart:
         return [
             tuple(float(rng.uniform(lo, hi)) for lo, hi in inner) for _ in range(count)
         ]
+
+
+def _nest(entries) -> tuple:
+    """(entries as nested tuples, their shape); ragged nesting raises."""
+    if isinstance(entries, Expression):
+        return entries, ()
+    if not isinstance(entries, (tuple, list)):
+        raise TypeError(f"array entries must be expressions, got {type(entries).__name__}")
+    parts = [_nest(item) for item in entries]
+    shapes = {shape for _, shape in parts}
+    if len(shapes) > 1:
+        raise DimensionError(f"ragged expression array: sub-arrays of shapes {sorted(shapes)}")
+    inner = shapes.pop() if shapes else ()
+    return tuple(item for item, _ in parts), (len(parts), *inner)
+
+
+def _leaves(entries) -> Iterator[Expression]:
+    if isinstance(entries, Expression):
+        yield entries
+    else:
+        for item in entries:
+            yield from _leaves(item)
+
+
+def elementwise(fn, *arrays):
+    """``fn`` applied entry by entry across equally nested arrays of expressions."""
+    if isinstance(arrays[0], Expression):
+        return fn(*arrays)
+    return tuple(elementwise(fn, *items) for items in zip(*arrays))
+
+
+class ExprArray:
+    """A fixed array of expressions over a chart.
+
+    ``comps`` holds the entries as nested tuples (``comps[k][a][b]``) and
+    ``shape`` their nesting.  All entries compile together, once, on first
+    evaluation.  Arrays compare and hash by identity: a structural hash walks
+    the whole expression DAG on every cache lookup."""
+
+    def __init__(self, chart: Chart, entries):
+        self.chart = chart
+        self.comps, self.shape = _nest(entries)
+
+    @cached_property
+    def _fn(self):
+        return compile_expressions(list(_leaves(self.comps)), self.chart.names)
+
+    def at(self, point: Sequence[float]) -> np.ndarray:
+        """Every entry at a point, as an array of ``shape``."""
+        point = self.chart.require(point)
+        return np.array(self._fn(point), dtype=float).reshape(self.shape)
 
 
 def _as_expression(entry, names: tuple[str, ...]) -> Expression:
@@ -194,9 +248,7 @@ class ChartMetric:
 
     def _check_positive_definite(self, resolution: int):
         for point in self.chart.grid(resolution):
-            g = self._g_fn(point)
-            matrix = np.array(g, dtype=float).reshape(self.dim, self.dim)
-            eigenvalues = np.linalg.eigvalsh(matrix)
+            eigenvalues = np.linalg.eigvalsh(self._g.at(point))
             if eigenvalues.min() <= _PD_MIN_EIGENVALUE:
                 raise SingularMetricError(
                     f"metric is not positive definite (min eigenvalue {eigenvalues.min():.3e})",
@@ -272,39 +324,21 @@ class ChartMetric:
     # -- compiled evaluators --------------------------------------------------
 
     @cached_property
-    def _g_fn(self):
-        flat = [self.entries[i][j] for i in range(self.dim) for j in range(self.dim)]
-        return compile_expressions(flat, self.chart.names)
+    def _g(self) -> ExprArray:
+        return ExprArray(self.chart, self.entries)
 
     @cached_property
-    def _gamma_fn(self):
-        n = self.dim
-        flat = [
-            self.christoffel_entries[k][i][j]
-            for k in range(n)
-            for i in range(n)
-            for j in range(n)
-        ]
-        return compile_expressions(flat, self.chart.names)
+    def _gamma(self) -> ExprArray:
+        return ExprArray(self.chart, self.christoffel_entries)
 
     @cached_property
-    def _riemann_fn(self):
-        n = self.dim
-        flat = [
-            self.riemann_entries[l][k][i][j]
-            for l in range(n)
-            for k in range(n)
-            for i in range(n)
-            for j in range(n)
-        ]
-        return compile_expressions(flat, self.chart.names)
+    def _riemann(self) -> ExprArray:
+        return ExprArray(self.chart, self.riemann_entries)
 
     # -- numeric API -----------------------------------------------------------
 
     def metric_at(self, point: Sequence[float]) -> np.ndarray:
-        point = self.chart.require(point)
-        n = self.dim
-        return np.array(self._g_fn(point), dtype=float).reshape(n, n)
+        return self._g.at(point)
 
     def inverse_at(self, point: Sequence[float]) -> np.ndarray:
         g = self.metric_at(point)
@@ -315,17 +349,14 @@ class ChartMetric:
         return np.linalg.inv(g)
 
     def christoffel(self, point: Sequence[float]) -> np.ndarray:
-        point = self.chart.require(point)
-        # the symbolic route divides by det(g); fail loudly where that is ill-posed
+        # the symbolic route divides by det(g); fail loudly where that is
+        # ill-posed (inverse_at checks the point against the chart first)
         self.inverse_at(point)
-        n = self.dim
-        return np.array(self._gamma_fn(point), dtype=float).reshape(n, n, n)
+        return self._gamma.at(point)
 
     def riemann(self, point: Sequence[float]) -> np.ndarray:
-        point = self.chart.require(point)
         self.inverse_at(point)
-        n = self.dim
-        return np.array(self._riemann_fn(point), dtype=float).reshape(n, n, n, n)
+        return self._riemann.at(point)
 
     def sectional_curvature(self, point: Sequence[float], plane: tuple[int, int] = (0, 1)) -> float:
         i, j = plane

@@ -12,8 +12,7 @@ E_{n+1} the distinguished unit section):
 
 The "h" matrix is so(n,1)-valued (A^T eta + eta A = 0 with
 eta = diag(1,..,1,-1)); the "s" matrix is so(n+1)-valued (antisymmetric).
-Curvature is Omega = dA + A ^ A, equivalently dA + (1/2)[A, A]; both
-routes are implemented and kept separate so they can check each other.
+Curvature is Omega = dA + A ^ A.
 
 For n = 2 the same connections can be written in a three-generator basis,
 
@@ -43,10 +42,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .cartan import FrameField, ScalarOneForm, orthonormal_frame
+from .cartan import FrameField, ScalarOneForm, antisymmetric, orthonormal_frame
 from .errors import DimensionError
-from .exprlang import Const, Expression, add, compile_expressions, differentiate, mul, neg, sub
-from .metricspace import Chart, ChartMetric
+from .exprlang import Const, Expression, add, differentiate, mul, sub
+from .metricspace import Chart, ChartMetric, ExprArray
 
 __all__ = [
     "LieBasis",
@@ -58,6 +57,7 @@ __all__ = [
     "commutator",
     "MatrixOneForm",
     "MatrixTwoForm",
+    "basis_form",
     "sasaki_form",
     "connection_matrix",
     "curvature_form",
@@ -165,39 +165,21 @@ def basis_coefficients(value: np.ndarray, basis: LieBasis) -> tuple[np.ndarray, 
     return coeffs, residual
 
 
-def _as_matrix_comps(comps) -> tuple:
-    return tuple(tuple(tuple(entry for entry in row) for row in mat) for mat in comps)
+class MatrixOneForm(ExprArray):
+    """A matrix-valued 1-form: comps[k] is the coefficient matrix of dx^k;
+    at() gives all of them at a point, shape (dim, size, size)."""
 
-
-@dataclass(frozen=True)
-class MatrixOneForm:
-    """A matrix-valued 1-form: comps[k] is the coefficient matrix of dx^k."""
-
-    chart: Chart
-    comps: tuple  # comps[k][row][col] -> Expression
-
-    def __post_init__(self):
-        object.__setattr__(self, "comps", _as_matrix_comps(self.comps))
-        if len(self.comps) != self.chart.dim:
+    def __init__(self, chart: Chart, comps):
+        super().__init__(chart, comps)
+        if self.shape[:1] != (chart.dim,):
             raise DimensionError("one coefficient matrix per coordinate required")
 
     @property
     def size(self) -> int:
-        return len(self.comps[0])
+        return self.shape[1]
 
     def entry_form(self, row: int, col: int) -> ScalarOneForm:
         return ScalarOneForm(self.chart, tuple(m[row][col] for m in self.comps))
-
-    def at(self, point: Sequence[float]) -> np.ndarray:
-        """All coefficient matrices at a point, shape (dim, size, size)."""
-        point = self.chart.require(point)
-        fn = getattr(self, "_fn", None)
-        if fn is None:
-            flat = [entry for mat in self.comps for row in mat for entry in row]
-            fn = compile_expressions(flat, self.chart.names)
-            object.__setattr__(self, "_fn", fn)
-        n, m = self.chart.dim, self.size
-        return np.array(fn(point), dtype=float).reshape(n, m, m)
 
     def value(self, point: Sequence[float], velocity: Sequence[float]) -> np.ndarray:
         """The matrix A(X) for the tangent vector X = velocity at the point."""
@@ -207,49 +189,19 @@ class MatrixOneForm:
         return np.tensordot(v, self.at(point), axes=(0, 0))
 
 
-@dataclass(frozen=True)
-class MatrixTwoForm:
+class MatrixTwoForm(ExprArray):
     """A matrix-valued 2-form; comps[i][j] (antisymmetric in i, j) is the
-    coefficient matrix of dx^i ^ dx^j evaluated on (d_i, d_j)."""
-
-    chart: Chart
-    comps: tuple  # comps[i][j][row][col] -> Expression
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "comps", tuple(_as_matrix_comps(row) for row in self.comps)
-        )
+    coefficient matrix of dx^i ^ dx^j evaluated on (d_i, d_j); at() gives
+    all of them at a point, shape (dim, dim, size, size)."""
 
     @staticmethod
     def from_upper(chart: Chart, size: int, upper: dict) -> "MatrixTwoForm":
-        n = chart.dim
         zero = tuple(tuple(Const(0.0) for _ in range(size)) for _ in range(size))
-        table = [[zero] * n for _ in range(n)]
-        for (i, j), mat in upper.items():
-            table[i][j] = tuple(tuple(row) for row in mat)
-            table[j][i] = tuple(tuple(neg(entry) for entry in row) for row in mat)
-        return MatrixTwoForm(chart, tuple(tuple(row) for row in table))
+        return MatrixTwoForm(chart, antisymmetric(chart.dim, upper, zero))
 
     @property
     def size(self) -> int:
-        return len(self.comps[0][0])
-
-    def at(self, point: Sequence[float]) -> np.ndarray:
-        """All coefficient matrices at a point, shape (dim, dim, size, size)."""
-        point = self.chart.require(point)
-        fn = getattr(self, "_fn", None)
-        if fn is None:
-            flat = [
-                entry
-                for row_i in self.comps
-                for mat in row_i
-                for row in mat
-                for entry in row
-            ]
-            fn = compile_expressions(flat, self.chart.names)
-            object.__setattr__(self, "_fn", fn)
-        n, m = self.chart.dim, self.size
-        return np.array(fn(point), dtype=float).reshape(n, n, m, m)
+        return self.shape[2]
 
     def value(self, point: Sequence[float], u: Sequence[float], v: Sequence[float]) -> np.ndarray:
         """The matrix Omega(X, Y) for tangent vectors X = u, Y = v."""
@@ -270,19 +222,11 @@ def variant_sign(variant: str) -> float:
     raise ValueError(f"unknown variant {variant!r}; expected 'h' or 's'")
 
 
-def sasaki_form(frame: FrameField, basis: LieBasis) -> MatrixOneForm:
-    """The n=2 connection written in a three-generator basis:
-    A = m_1 omega^1 + m_2 omega^2 + m_3 phi."""
-    if frame.dim != 2:
-        raise DimensionError("the three-generator form of the connection is 2D-only")
-    forms = (
-        frame.coframe_form(0),
-        frame.coframe_form(1),
-        frame.connection.omega[1][0],
-    )
+def basis_form(chart: Chart, forms: Sequence[ScalarOneForm], basis: LieBasis) -> MatrixOneForm:
+    """The matrix one-form sum_m basis.matrices[m] forms[m]."""
     size = basis.size
     comps = []
-    for k in range(frame.chart.dim):
+    for k in range(chart.dim):
         mat = []
         for a in range(size):
             row = []
@@ -293,7 +237,20 @@ def sasaki_form(frame: FrameField, basis: LieBasis) -> MatrixOneForm:
                 row.append(total)
             mat.append(tuple(row))
         comps.append(tuple(mat))
-    return MatrixOneForm(frame.chart, tuple(comps))
+    return MatrixOneForm(chart, tuple(comps))
+
+
+def sasaki_form(frame: FrameField, basis: LieBasis) -> MatrixOneForm:
+    """The n=2 connection written in a three-generator basis:
+    A = m_1 omega^1 + m_2 omega^2 + m_3 phi."""
+    if frame.dim != 2:
+        raise DimensionError("the three-generator form of the connection is 2D-only")
+    forms = (
+        frame.coframe_form(0),
+        frame.coframe_form(1),
+        frame.connection.omega[1][0],
+    )
+    return basis_form(frame.chart, forms, basis)
 
 
 def connection_matrix(frame: FrameField, variant: str) -> MatrixOneForm:
@@ -329,14 +286,8 @@ def _matrix_product(m1, m2, size: int):
     return out
 
 
-def curvature_form(a_form: MatrixOneForm, method: str = "wedge") -> MatrixTwoForm:
-    """Omega = dA + A ^ A ("wedge") or dA + (1/2)[A, A] ("bracket").
-
-    The two methods are algebraically identical; keeping both gives a
-    structural cross-check on the quadratic term.
-    """
-    if method not in ("wedge", "bracket"):
-        raise ValueError(f"unknown method {method!r}; expected 'wedge' or 'bracket'")
+def curvature_form(a_form: MatrixOneForm) -> MatrixTwoForm:
+    """Omega = dA + A ^ A."""
     chart = a_form.chart
     names = chart.names
     n = chart.dim
@@ -355,17 +306,7 @@ def curvature_form(a_form: MatrixOneForm, method: str = "wedge") -> MatrixTwoFor
                         differentiate(a_j[a][b], names[i]),
                         differentiate(a_i[a][b], names[j]),
                     )
-                    if method == "wedge":
-                        quad = sub(forward[a][b], backward[a][b])
-                    else:
-                        quad = mul(
-                            Const(0.5),
-                            sub(
-                                sub(forward[a][b], backward[a][b]),
-                                sub(backward[a][b], forward[a][b]),
-                            ),
-                        )
-                    row.append(add(d_entry, quad))
+                    row.append(add(d_entry, sub(forward[a][b], backward[a][b])))
                 mat.append(tuple(row))
             upper[(i, j)] = tuple(mat)
     return MatrixTwoForm.from_upper(chart, size, upper)

@@ -294,8 +294,7 @@ def develop(
 ) -> DevelopedPath:
     """Develop a path (a ChartCurve or a joined sequence of them) into the
     ambient space of the quadric, starting at (0,..,0,1) for the path start."""
-    sign = variant_sign(variant)
-    del sign  # validation only
+    variant_sign(variant)
     segments = _as_segments(path)
     if frame is None:
         frame = orthonormal_frame(metric)

@@ -54,9 +54,7 @@ from .errors import DimensionError
 from .exprlang import (
     Const,
     Expression,
-    add,
     call,
-    compile_expressions,
     differentiate,
     mul,
     neg,
@@ -65,19 +63,14 @@ from .exprlang import (
     sub,
     variables_of,
 )
-from .metricspace import Chart, ChartMetric
-from .sasaki import MatrixOneForm, MatrixTwoForm, curvature_form, so21_basis
+from .metricspace import Chart, ChartMetric, ExprArray
+from .sasaki import MatrixOneForm, MatrixTwoForm, basis_form, curvature_form, so21_basis
 
 __all__ = [
     "DEFAULT_BOX",
     "default_chart",
     "SineGordonRep",
     "representation",
-    "pseudospherical_triple",
-    "zcr_form",
-    "zcr_residual",
-    "pde_residual",
-    "structure_residual",
     "induced_metric",
     "EquivalenceReport",
     "equivalence_scan",
@@ -133,24 +126,7 @@ class SineGordonRep:
 
     @cached_property
     def connection(self) -> MatrixOneForm:
-        basis = so21_basis()
-        omega1, omega2, phi = self.triple
-        comps = []
-        for k in range(2):
-            coeffs = (omega1.comps[k], omega2.comps[k], phi.comps[k])
-            mat = []
-            for a in range(3):
-                row = []
-                for b in range(3):
-                    total: Expression = Const(0.0)
-                    for m in range(3):
-                        weight = float(basis.matrices[m][a][b])
-                        if weight != 0.0:
-                            total = add(total, mul(Const(weight), coeffs[m]))
-                    row.append(simplify(total))
-                mat.append(tuple(row))
-            comps.append(tuple(mat))
-        return MatrixOneForm(self.chart, tuple(comps))
+        return basis_form(self.chart, self.triple, so21_basis())
 
     @cached_property
     def curvature(self) -> MatrixTwoForm:
@@ -167,15 +143,14 @@ class SineGordonRep:
         return first, second
 
     @cached_property
-    def _pde_fn(self):
+    def _pde_fn(self) -> ExprArray:
         x1, x2 = self.chart.names
         mixed = differentiate(differentiate(self.u, x1), x2)
-        return compile_expressions([sub(mixed, call("sin", self.u))], self.chart.names)
+        return ExprArray(self.chart, sub(mixed, call("sin", self.u)))
 
     def pde_residual(self, point: Sequence[float]) -> float:
         """d1 d2 u - sin u at the point, with sign."""
-        point = self.chart.require(point)
-        return float(self._pde_fn(point)[0])
+        return float(self._pde_fn.at(point))
 
     def zcr_residual(self, point: Sequence[float]) -> float:
         """max |(dA + A^A)(d_1, d_2)| at the point (coordinate gauge)."""
@@ -200,26 +175,6 @@ def representation(u, chart: Chart | None = None) -> SineGordonRep:
     if isinstance(u, str):
         return _text_rep(u, chart)
     return SineGordonRep(chart, u)
-
-
-def pseudospherical_triple(u, chart: Chart | None = None):
-    return representation(u, chart).triple
-
-
-def zcr_form(u, chart: Chart | None = None) -> MatrixOneForm:
-    return representation(u, chart).connection
-
-
-def zcr_residual(u, point: Sequence[float], chart: Chart | None = None) -> float:
-    return representation(u, chart).zcr_residual(point)
-
-
-def pde_residual(u, point: Sequence[float], chart: Chart | None = None) -> float:
-    return representation(u, chart).pde_residual(point)
-
-
-def structure_residual(u, point: Sequence[float], chart: Chart | None = None) -> float:
-    return representation(u, chart).structure_residual(point)
 
 
 def induced_metric(u, chart: Chart) -> ChartMetric:

@@ -6,7 +6,6 @@ import pytest
 
 from cartanflat.bundle import (
     BundleSection,
-    bundle_connection_matrix,
     bundle_curvature,
     bundle_pairing,
     covariant_derivative,
@@ -19,7 +18,7 @@ from cartanflat.cartan import orthonormal_frame
 from cartanflat.errors import DimensionError, StepSizeError
 from cartanflat.exprlang import Const, Var, add, differentiate, evaluate, mul, parse
 from cartanflat.presets import preset_metric, random_metric
-from cartanflat.sasaki import MatrixOneForm
+from cartanflat.sasaki import MatrixOneForm, connection_matrix
 
 
 def _constant_section(chart, vector, scalar):
@@ -276,9 +275,9 @@ def test_mismatched_connection_breaks_compatibility():
 
 def test_connection_matrix_helper_passthrough():
     frame = orthonormal_frame(preset_metric("half_plane"))
-    form = bundle_connection_matrix("h", frame)
+    form = connection_matrix(frame, "h")
     assert isinstance(form, MatrixOneForm)
-    stack = bundle_connection_matrix("h", frame, (0.0, 1.0))
+    stack = form.at((0.0, 1.0))
     assert stack.shape == (2, 3, 3)
     assert np.allclose(stack[0], [[0.0, -1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], atol=1e-12)
 
@@ -303,7 +302,7 @@ def test_coordinate_route_matches_frame_route(variant):
     for point in m.chart.random_points(rng, 4):
         env = dict(zip(m.chart.names, point))
         theta = frame.coframe_at(point)
-        stack = bundle_connection_matrix(variant, frame, point)
+        stack = connection_matrix(frame, variant).at(point)
         hat_values = np.array([evaluate(h, env) for h in hat])
         for k in range(2):
             derivative = covariant_derivative(variant, m, s, k).at(point)

@@ -136,6 +136,30 @@ def test_config_errors_name_the_field(tmp_path, capsys, config, path_fragment):
     assert path_fragment in err
 
 
+_ONE_D_METRIC = {"names": ["x"], "box": [[0.5, 2.0]], "entries": [["1/x^2"]]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["curvature"], ["flatness", "--variant", "h"], ["identity", "--variant", "h"]],
+)
+def test_checks_needing_a_plane_refuse_one_dimensional_metrics(tmp_path, capsys, argv):
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"metric": _ONE_D_METRIC}))
+    code, report, err = _run(capsys, *argv, "--config", str(config))
+    assert code == 2
+    assert report is None
+    assert "$.metric" in err
+
+
+def test_compat_checks_one_dimensional_metrics(tmp_path, capsys):
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"metric": _ONE_D_METRIC}))
+    code, report, _ = _run(capsys, "compat", "--variant", "h", "--config", str(config))
+    assert code == 0
+    assert report["pass"] is True
+
+
 def test_unreadable_and_malformed_config(tmp_path, capsys):
     code, _, err = _run(capsys, "flatness", "--config", str(tmp_path / "missing.json"))
     assert code == 2 and "cannot read config file" in err

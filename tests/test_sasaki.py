@@ -204,25 +204,8 @@ def test_variant_sign_values_and_error():
 
 
 # ---------------------------------------------------------------------------
-# curvature: two routes, decomposition, coefficient equivalence
+# curvature: decomposition, coefficient equivalence
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("name", ["half_plane", "conformal_bump"])
-@pytest.mark.parametrize("variant", ["h", "s"])
-def test_wedge_and_bracket_curvature_routes_agree_bitwise(name, variant):
-    frame = _frame(name)
-    a_form = connection_matrix(frame, variant)
-    by_wedge = curvature_form(a_form, "wedge")
-    by_bracket = curvature_form(a_form, "bracket")
-    for point in frame.chart.grid(5):
-        assert np.array_equal(by_wedge.at(point), by_bracket.at(point))
-
-
-def test_curvature_form_rejects_unknown_method():
-    a_form = connection_matrix(_frame("half_plane"), "h")
-    with pytest.raises(ValueError, match="expected 'wedge' or 'bracket'"):
-        curvature_form(a_form, "direct")
 
 
 def test_curvature_decomposition_against_gauss_route():

@@ -16,12 +16,7 @@ from cartanflat.zcr import (
     default_chart,
     equivalence_scan,
     induced_metric,
-    pde_residual,
-    pseudospherical_triple,
     representation,
-    structure_residual,
-    zcr_form,
-    zcr_residual,
 )
 
 ETA = np.diag([1.0, 1.0, -1.0])
@@ -43,7 +38,7 @@ def test_default_chart_box():
 
 
 def test_triple_closed_form():
-    omega1, omega2, phi = pseudospherical_triple("x1 + 2 * x2")
+    omega1, omega2, phi = representation("x1 + 2 * x2").triple
     point = (0.3, 0.4)
     u = 1.1
     assert np.allclose(omega1.at(point), (math.cos(u / 2), math.cos(u / 2)), atol=1e-15)
@@ -102,9 +97,10 @@ def test_curvature_residual_equals_pde_residual_pointwise(u_text):
 
 
 def test_pde_residual_closed_form():
-    got = pde_residual("x1 * x2", (0.5, 0.5))
+    rep = representation("x1 * x2")
+    got = rep.pde_residual((0.5, 0.5))
     assert abs(got - (1.0 - math.sin(0.25))) <= 1e-15
-    assert abs(zcr_residual("x1 * x2", (0.5, 0.5)) - abs(got)) <= 1e-15
+    assert abs(rep.zcr_residual((0.5, 0.5)) - abs(got)) <= 1e-15
 
 
 def test_kink_solves_the_equation_everywhere():
@@ -142,8 +138,6 @@ def test_scan_is_deterministic():
 
 def test_text_representations_are_cached():
     assert representation(KINK_TEXT) is representation(KINK_TEXT)
-    assert zcr_form(KINK_TEXT) is representation(KINK_TEXT).connection
-    assert pseudospherical_triple(KINK_TEXT) is representation(KINK_TEXT).triple
 
 
 def test_induced_metric_entries():
@@ -178,9 +172,3 @@ def test_gauss_curvature_matches_the_pde_combination_off_shell():
     for point in chart.grid(4):
         u = 1.2 + 0.4 * point[0] * point[1]
         assert abs(gauss_curvature(frame, point) + 0.4 / math.sin(u)) <= 1e-10
-
-
-def test_structure_residual_wrapper_matches_method():
-    point = (0.25, -0.75)
-    rep = representation("sin(x1) * x2")
-    assert structure_residual("sin(x1) * x2", point) == rep.structure_residual(point)
