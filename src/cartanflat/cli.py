@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .bundle import identity_residual, metric_compatibility_residual
 from .errors import CartanflatError, ConfigError
-from .metricspace import Chart, ChartMetric
+from .metricspace import Chart, ChartMetric, grid_scan
 from .presets import KINK_TEXT, PRESET_NAMES, catalog, get_preset
 from .sasaki import flatness_scan
 from .transport import (
@@ -90,6 +90,21 @@ def _get_number(cfg: dict, name: str, default=None, positive=False, path: str = 
     if positive and not value > 0:
         raise ConfigError(field, "must be positive")
     return float(value)
+
+
+#: Largest number of points a grid scan may visit (grid ** dim).
+_GRID_POINT_BUDGET = 1_000_000
+
+
+def _get_grid(cfg: dict, default: int, dim: int) -> int:
+    grid = _get_int(cfg, "grid", default=default, minimum=2)
+    if grid**dim > _GRID_POINT_BUDGET:
+        raise ConfigError(
+            "$.grid",
+            f"{grid}^{dim} = {grid**dim} points exceeds the budget of "
+            f"{_GRID_POINT_BUDGET:,} grid points",
+        )
+    return grid
 
 
 def _check_point(value, dim: int, field: str) -> tuple:
@@ -225,31 +240,39 @@ _METRIC_KEYS = {"preset", "metric"}
 def _job_curvature(cfg: dict):
     _check_keys(cfg, _METRIC_KEYS | {"grid", "tol", "expected"})
     metric, source = _build_metric(cfg, min_dim=2)
-    grid = _get_int(cfg, "grid", default=12, minimum=2)
+    grid = _get_grid(cfg, 12, metric.dim)
     tol = _get_number(cfg, "tol", default=1e-6, positive=True)
     expected = _get_number(cfg, "expected")
     if expected is None and "preset" in source:
         expected = get_preset(source["preset"]).expected_curvature
     planes = [(i, j) for i in range(metric.dim) for j in range(i + 1, metric.dim)]
-    values = [
-        metric.sectional_curvature(point, plane)
-        for point in metric.chart.grid(grid)
-        for plane in planes
-    ]
+    curvatures = functools.partial(metric.sectional_curvatures, planes=planes)
+    points = 0
+    low = high = worst = None
+    for chunk, values in grid_scan(metric.chart, grid, curvatures):
+        # min() and max() of every value, compared as they would, in point order
+        for value in values.ravel().tolist():
+            if low is None or value < low:
+                low = value
+            if high is None or value > high:
+                high = value
+            if expected is not None and (worst is None or abs(value - expected) > worst):
+                worst = abs(value - expected)
+        points += len(chunk)
     payload = {
         **source,
         "grid": grid,
-        "points": len(values) // len(planes),
+        "points": points,
         "planes": len(planes),
-        "min_curvature": float(min(values)),
-        "max_curvature": float(max(values)),
+        "min_curvature": float(low),
+        "max_curvature": float(high),
         "expected": expected,
         "tol": tol,
     }
     if expected is None:
         payload["max_residual"] = None
         return payload, None, None
-    payload["max_residual"] = float(max(abs(v - expected) for v in values))
+    payload["max_residual"] = float(worst)
     return payload, payload["max_residual"] <= tol, None
 
 
@@ -259,7 +282,7 @@ def _job_flatness(cfg: dict):
     variant = _get_string(cfg, "variant", choices=("h", "s"))
     if variant is None:
         raise ConfigError("$.variant", "is required ('h' or 's')")
-    grid = _get_int(cfg, "grid", default=20, minimum=2)
+    grid = _get_grid(cfg, 20, metric.dim)
     tol = _get_number(cfg, "tol", default=1e-6, positive=True)
     report = flatness_scan(metric, variant, resolution=grid)
     payload = {**source, **report.as_dict(), "tol": tol}
@@ -273,7 +296,7 @@ def _job_section_scan(cfg: dict, residual, grid: int, trials: int, tol: float, m
     variant = _get_string(cfg, "variant", choices=("h", "s"))
     if variant is None:
         raise ConfigError("$.variant", "is required ('h' or 's')")
-    grid = _get_int(cfg, "grid", default=grid, minimum=2)
+    grid = _get_grid(cfg, grid, metric.dim)
     trials = _get_int(cfg, "trials", default=trials, minimum=1)
     seed = _get_int(cfg, "seed", default=0)
     tol = _get_number(cfg, "tol", default=tol, positive=True)
@@ -374,7 +397,7 @@ def _job_zcr(cfg: dict):
     box = _check_box(cfg.get("box"), "$.box") if "box" in cfg else ((-2.0, 2.0), (-2.0, 2.0))
     if len(box) != 2:
         raise ConfigError("$.box", "the sine-Gordon chart is two-dimensional")
-    grid = _get_int(cfg, "grid", default=21, minimum=2)
+    grid = _get_grid(cfg, 21, 2)
     tol = _get_number(cfg, "tol", default=1e-8, positive=True)
     chart = Chart(("x1", "x2"), box)
     report = equivalence_scan(u_text, chart, resolution=grid)

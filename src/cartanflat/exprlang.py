@@ -14,18 +14,43 @@ Evaluation is pure and deterministic.  Out-of-domain input (log of a
 non-positive value, division by zero, overflow) raises
 :class:`~cartanflat.errors.ExpressionDomainError` instead of returning NaN.
 
-Two evaluation routes exist and are kept bit-identical: :func:`evaluate`
-(memoized tree walk, the reference) and :func:`compile_expressions` (generates
-one straight-line Python function for a batch of expressions, one assignment
-per unique node).  Grid scans and integrators use the compiled route.
+Three evaluation routes exist and are kept bit-identical:
+
+- :func:`evaluate`, a memoized tree walk over Python floats: the reference;
+- :func:`compile_expressions`, which generates one straight-line Python
+  function for a batch of expressions (one assignment per unique node) and
+  calls it on one point: integrators and small scans use it;
+- the same compiled function called on an ``(m, dim)`` stack of points: the
+  same generated code object runs once over columns of the stack, one numpy
+  array per node.  Grid scans use it.
+
+Bit identity of the stacked route rests on which operations it hands to
+numpy.  Only the correctly rounded IEEE operations go there: ``+ - *``,
+negation, ``/`` once no divisor is zero, and ``sqrt`` once no argument is
+negative.  numpy's transcendental ufuncs are vectorized approximations:
+``exp``, ``log``, ``tan``, ``atan``, the hyperbolic functions and ``power``
+differ from the C library's in the last bits on a sizable share of inputs
+(even ``x * x``, numpy's ``x ** 2``, differs from C's ``pow(x, 2.0)``), and
+nothing promises that ``sin`` and ``cos`` agree.  So every other function,
+and ``^``, maps the ``math`` function the scalar route calls over the
+elements.
+
+Failures stay the scalar route's too: when anything goes wrong in a stacked
+call (a guard trips, a ``math`` function raises, an output is not finite),
+the scalar function runs over the stack's points in order and raises what
+it meets first.  Stacks of fewer than :data:`STACK_MIN_POINTS` points run
+point by point, which is faster below that size.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import types
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ExpressionDomainError, ParseError, UnknownIdentifierError
 
@@ -44,6 +69,7 @@ __all__ = [
     "substitute",
     "variables_of",
     "compile_expressions",
+    "STACK_MIN_POINTS",
     "add",
     "sub",
     "mul",
@@ -785,6 +811,10 @@ def compile_expressions(
     subtrees are emitted once (dedup by node identity), so DAG-shaped inputs
     such as a symbolic inverse metric evaluate each common factor a single
     time.  Raises KeyError at compile time for variables not in the list.
+
+    Called on an ``(m, len(variables))`` array of points, the function
+    returns an ``(m, len(expressions))`` array whose row ``k`` is
+    bit-identical to the tuple for point ``k`` (see the module docstring).
     """
     index = {name: i for i, name in enumerate(variables)}
     lines: list[str] = []
@@ -830,9 +860,35 @@ def compile_expressions(
     namespace = dict(_COMPILE_NAMESPACE)
     exec(source, namespace)  # noqa: S102 - generated from our own AST only
     inner = namespace["_compiled"]
+    # the same code object, run with numpy columns for p: no second codegen
+    inner_stack = types.FunctionType(inner.__code__, dict(_STACK_NAMESPACE))
     isfinite = math.isfinite
+    count = len(roots)
 
-    def compiled(p: Sequence[float]) -> tuple[float, ...]:
+    def point_by_point(points: np.ndarray) -> np.ndarray:
+        values = [compiled(row) for row in points.tolist()]
+        return np.array(values, dtype=float).reshape(len(values), count)
+
+    def stacked(points: np.ndarray) -> np.ndarray:
+        points = points.astype(float, copy=False)
+        if len(points) < STACK_MIN_POINTS:
+            return point_by_point(points)
+        out = np.empty((len(points), count))
+        try:
+            with np.errstate(all="ignore"):
+                for j, column in enumerate(inner_stack([c.copy() for c in points.T])):
+                    out[:, j] = column
+            # abs and max rather than isfinite: kernels a process has used
+            # already, and each new one adds to its resident memory
+            if not np.abs(out).max() < math.inf:
+                raise ExpressionDomainError("expression value is not finite")
+        except _STACK_ERRORS:
+            return point_by_point(points)  # raises the scalar route's error
+        return out
+
+    def compiled(p):
+        if isinstance(p, np.ndarray) and p.ndim == 2:
+            return stacked(p)
         out = inner(p)
         for value in out:
             if not isfinite(value):
@@ -840,3 +896,54 @@ def compile_expressions(
         return out
 
     return compiled
+
+
+#: Stacks with fewer points run point by point: per generated line, a numpy
+#: call costs about as much as 32 to 64 scalar evaluations of that line.
+STACK_MIN_POINTS = 32
+
+_STACK_ERRORS = (ExpressionDomainError, ArithmeticError, ValueError)
+
+
+def _stack_map(fn: Callable[[float], float]):
+    """``fn`` over every element of a column, or on a constant operand."""
+
+    def apply(x):
+        if isinstance(x, np.ndarray):
+            return np.fromiter(map(fn, x.tolist()), float, len(x))
+        return fn(x)
+
+    return apply
+
+
+def _stack_sqrt(x):
+    if not isinstance(x, np.ndarray):
+        return _guard_sqrt(x)
+    if (x < 0.0).any():
+        raise ExpressionDomainError("sqrt of negative value")
+    return np.sqrt(x)  # correctly rounded, like math.sqrt
+
+
+def _stack_div(a, b):
+    if np.any(b == 0.0):
+        raise ExpressionDomainError("division by zero")
+    return a / b
+
+
+def _stack_pow(a, b):
+    if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
+        return _guard_pow(a, b)
+    m = len(a) if isinstance(a, np.ndarray) else len(b)
+    a, b = (x.tolist() if isinstance(x, np.ndarray) else itertools.repeat(x) for x in (a, b))
+    return np.fromiter(map(math.pow, a, b), float, m)
+
+
+# The scalar guards only translate the math functions' own exceptions, and
+# any exception sends a stack back to the scalar route, so the stacked
+# functions map the math functions directly.
+_STACK_NAMESPACE = {
+    "_dv": _stack_div,
+    "_pw": _stack_pow,
+    **{f"_fn_{name}": _stack_map(getattr(math, name)) for name in _FUNCTION_IMPL},
+    "_fn_sqrt": _stack_sqrt,
+}

@@ -5,7 +5,13 @@ array of expressions over one, compiled once for numeric evaluation; a
 :class:`ChartMetric` is a symmetric positive-definite matrix of expressions
 over a chart.  Christoffel symbols and the Riemann tensor are assembled
 symbolically (the inverse metric enters as adjugate/determinant, so
-derivatives are exact), then compiled once per metric.  Index conventions:
+derivatives are exact), then compiled once per metric.
+
+Point queries take one point, or an ``(m, dim)`` array ("a stack") of points
+and then return arrays with a leading axis of length m, bit-identical to m
+single-point queries.  Grid scans evaluate chunks of at most
+:data:`GRID_CHUNK` grid points at a time (:func:`grid_scan`).  Index
+conventions:
 
     christoffel(p)[k, i, j] = Gamma^k_ij
     riemann(p)[l, k, i, j]  = R^l_kij,  meaning  R(d_i, d_j) d_k = R^l_kij d_l
@@ -23,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ChartDomainError, DimensionError, SingularMetricError
+from .errors import CartanflatError, ChartDomainError, DimensionError, SingularMetricError
 from .exprlang import (
     Const,
     Expression,
@@ -38,7 +44,9 @@ from .exprlang import (
 )
 
 __all__ = [
+    "GRID_CHUNK",
     "Chart",
+    "grid_scan",
     "ExprArray",
     "elementwise",
     "ChartMetric",
@@ -49,6 +57,21 @@ __all__ = [
 
 _DET_RTOL = 1e-12  # relative determinant threshold for "singular here"
 _PD_MIN_EIGENVALUE = 1e-10
+
+#: Grid points per chunk of a grid scan.  A scan reduces each chunk before it
+#: takes the next, so its memory stays that of one chunk's arrays.
+GRID_CHUNK = 512
+
+# what a point query raises when its input or its geometry is bad there
+_POINT_ERRORS = (CartanflatError, ArithmeticError, ValueError)
+
+
+def _nth_point(points, k: int):
+    """Point k of a stack as Python floats (numpy 2 would print them as
+    ``np.float64(...)`` in messages), or a single point as given."""
+    if isinstance(points, np.ndarray) and points.ndim == 2:
+        return tuple(points[k].tolist())
+    return points
 
 
 @dataclass(frozen=True)
@@ -93,6 +116,22 @@ class Chart:
             raise ChartDomainError(f"point {point} outside chart box {self.box}")
         return point
 
+    def require_stack(self, points: np.ndarray) -> np.ndarray:
+        """An ``(m, dim)`` stack of points as a float array; raises
+        ChartDomainError naming the first point outside the box."""
+        points = np.asarray(points, dtype=float)
+        if len(points) and not self._contains_stack(points):
+            for row in points.tolist():
+                self.require(row)  # raises at the first point outside
+        return points
+
+    def _contains_stack(self, points: np.ndarray) -> bool:
+        """Whether every point of a stack lies in the box (False on NaN)."""
+        if points.ndim != 2 or points.shape[1] != self.dim:
+            return False
+        lows, highs = points.min(axis=0).tolist(), points.max(axis=0).tolist()
+        return all(lo <= a and b <= hi for (lo, hi), a, b in zip(self.box, lows, highs))
+
     def inner_box(self) -> tuple[tuple[float, float], ...]:
         out = []
         for lo, hi in self.box:
@@ -108,15 +147,41 @@ class Chart:
     def grid(self, resolution: int) -> Iterator[tuple[float, ...]]:
         """Row-major sweep (last coordinate fastest), the order argmax
         tie-breaking is defined against."""
+        return itertools.product(*(axis.tolist() for axis in self.axes(resolution)))
+
+    def grid_chunks(self, resolution: int) -> Iterator[np.ndarray]:
+        """``grid`` as stacks of at most GRID_CHUNK points, one at a time."""
+        points = self.grid(resolution)
+        while chunk := list(itertools.islice(points, GRID_CHUNK)):
+            yield np.array(chunk)
+
+    def grid_point(self, resolution: int, index: int) -> tuple[float, ...]:
+        """Point number ``index`` of ``grid(resolution)``."""
         axes = self.axes(resolution)
-        for idx in itertools.product(*(range(len(a)) for a in axes)):
-            yield tuple(float(axes[d][i]) for d, i in enumerate(idx))
+        position = np.unravel_index(index, (resolution,) * self.dim)
+        return tuple(float(axis[i]) for axis, i in zip(axes, position))
 
     def random_points(self, rng: np.random.Generator, count: int) -> list[tuple[float, ...]]:
         inner = self.inner_box()
         return [
             tuple(float(rng.uniform(lo, hi)) for lo, hi in inner) for _ in range(count)
         ]
+
+
+def grid_scan(chart: Chart, resolution: int, evaluate) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(points, evaluate(points))`` for each chunk of the chart's grid.
+
+    ``evaluate`` maps a stack of points to an array with one leading row per
+    point.  A stack evaluates each array at every point before the next
+    array, so where a chunk raises, its points are evaluated again one at a
+    time, in order: the error that escapes is the one a point-by-point scan
+    meets first."""
+    for points in chart.grid_chunks(resolution):
+        try:
+            values = evaluate(points)
+        except _POINT_ERRORS:
+            values = np.concatenate([evaluate(points[k : k + 1]) for k in range(len(points))])
+        yield points, values
 
 
 def _nest(entries) -> tuple:
@@ -164,8 +229,12 @@ class ExprArray:
     def _fn(self):
         return compile_expressions(list(_leaves(self.comps)), self.chart.names)
 
-    def at(self, point: Sequence[float]) -> np.ndarray:
-        """Every entry at a point, as an array of ``shape``."""
+    def at(self, point) -> np.ndarray:
+        """Every entry at a point, as an array of ``shape``; at a stack of m
+        points, an array of ``(m, *shape)``."""
+        if isinstance(point, np.ndarray) and point.ndim == 2:
+            points = self.chart.require_stack(point)
+            return self._fn(points).reshape(len(points), *self.shape)
         point = self.chart.require(point)
         return np.array(self._fn(point), dtype=float).reshape(self.shape)
 
@@ -247,13 +316,8 @@ class ChartMetric:
     # -- construction-time sanity ------------------------------------------
 
     def _check_positive_definite(self, resolution: int):
-        for point in self.chart.grid(resolution):
-            eigenvalues = np.linalg.eigvalsh(self._g.at(point))
-            if eigenvalues.min() <= _PD_MIN_EIGENVALUE:
-                raise SingularMetricError(
-                    f"metric is not positive definite (min eigenvalue {eigenvalues.min():.3e})",
-                    point=point,
-                )
+        for _ in grid_scan(self.chart, resolution, self.definite_metric_at):
+            pass
 
     # -- symbolic layers ----------------------------------------------------
 
@@ -337,38 +401,82 @@ class ChartMetric:
 
     # -- numeric API -----------------------------------------------------------
 
-    def metric_at(self, point: Sequence[float]) -> np.ndarray:
+    def metric_at(self, point) -> np.ndarray:
         return self._g.at(point)
 
-    def inverse_at(self, point: Sequence[float]) -> np.ndarray:
+    def definite_metric_at(self, point) -> np.ndarray:
+        """metric_at, checked positive definite at the point (at every point
+        of a stack); raises SingularMetricError at the first where it is not."""
         g = self.metric_at(point)
-        scale = max(float(np.abs(g).max()), 1e-300)
-        det = float(np.linalg.det(g))
-        if abs(det) < _DET_RTOL * scale**self.dim:
-            raise SingularMetricError("metric is singular to tolerance", point=point)
+        lowest = np.linalg.eigvalsh(g).min(axis=-1).reshape(-1).tolist()
+        for k, value in enumerate(lowest):
+            if value <= _PD_MIN_EIGENVALUE:
+                raise SingularMetricError(
+                    f"metric is not positive definite (min eigenvalue {value:.3e})",
+                    point=_nth_point(point, k),
+                )
+        return g
+
+    def inverse_at(self, point) -> np.ndarray:
+        g = self.metric_at(point)
+        if g.ndim == 2:  # one point: once per RK4 slope, so no more work than this
+            scale = max(float(np.abs(g).max()), 1e-300)
+            det = float(np.linalg.det(g))
+            if abs(det) < _DET_RTOL * scale**self.dim:
+                raise SingularMetricError("metric is singular to tolerance", point=point)
+        else:
+            scales, dets = np.abs(g).max(axis=(1, 2)).tolist(), np.linalg.det(g).tolist()
+            for k, (scale, det) in enumerate(zip(scales, dets)):
+                if abs(det) < _DET_RTOL * max(scale, 1e-300) ** self.dim:
+                    raise SingularMetricError(
+                        "metric is singular to tolerance", point=_nth_point(point, k)
+                    )
         return np.linalg.inv(g)
 
-    def christoffel(self, point: Sequence[float]) -> np.ndarray:
+    def christoffel(self, point) -> np.ndarray:
         # the symbolic route divides by det(g); fail loudly where that is
         # ill-posed (inverse_at checks the point against the chart first)
         self.inverse_at(point)
         return self._gamma.at(point)
 
-    def riemann(self, point: Sequence[float]) -> np.ndarray:
+    def riemann(self, point) -> np.ndarray:
         self.inverse_at(point)
         return self._riemann.at(point)
 
     def sectional_curvature(self, point: Sequence[float], plane: tuple[int, int] = (0, 1)) -> float:
-        i, j = plane
-        if i == j:
-            raise ValueError("a plane needs two distinct coordinate directions")
-        g = self.metric_at(point)
-        riemann = self.riemann(point)
-        numerator = float(np.dot(g[:, i], riemann[:, j, i, j]))
-        denominator = g[i, i] * g[j, j] - g[i, j] ** 2
-        if abs(denominator) < 1e-14 * max(1.0, abs(g[i, i] * g[j, j])):
-            raise SingularMetricError("degenerate coordinate plane", point=point)
-        return numerator / denominator
+        _check_plane(plane)
+        return _sectional(self.metric_at(point), self.riemann(point), plane, point)
+
+    def sectional_curvatures(self, points: np.ndarray, planes) -> np.ndarray:
+        """Sectional curvature in each coordinate plane (columns) at each point
+        of a stack (rows), g checked positive definite at every point first.
+        Each value comes from the arithmetic of ``sectional_curvature``, one
+        ``np.dot`` per value: a summation over the stack would round
+        differently."""
+        for plane in planes:
+            _check_plane(plane)
+        g = self.definite_metric_at(points)
+        riemann = self.riemann(points)
+        values = [
+            _sectional(g[k], riemann[k], plane, point)
+            for k, point in enumerate(points.tolist())
+            for plane in planes
+        ]
+        return np.array(values, dtype=float).reshape(len(points), len(planes))
+
+
+def _check_plane(plane: tuple[int, int]):
+    if plane[0] == plane[1]:
+        raise ValueError("a plane needs two distinct coordinate directions")
+
+
+def _sectional(g: np.ndarray, riemann: np.ndarray, plane: tuple[int, int], point) -> float:
+    i, j = plane
+    numerator = float(np.dot(g[:, i], riemann[:, j, i, j]))
+    denominator = g[i, i] * g[j, j] - g[i, j] ** 2
+    if abs(denominator) < 1e-14 * max(1.0, abs(g[i, i] * g[j, j])):
+        raise SingularMetricError("degenerate coordinate plane", point=point)
+    return numerator / denominator
 
 
 def constant_curvature_tensor(

@@ -45,7 +45,7 @@ import numpy as np
 from .cartan import FrameField, ScalarOneForm, antisymmetric, orthonormal_frame
 from .errors import DimensionError
 from .exprlang import Const, Expression, add, differentiate, mul, sub
-from .metricspace import Chart, ChartMetric, ExprArray
+from .metricspace import Chart, ChartMetric, ExprArray, grid_scan
 
 __all__ = [
     "LieBasis",
@@ -340,26 +340,35 @@ def flatness_scan(
     the chosen connection, measured on orthonormal frame pairs.
 
     The scan order is row-major over the grid (last coordinate fastest) and
-    ties keep the first point, so the argmax is deterministic.
+    ties keep the first point, so the argmax is deterministic.  The metric
+    must be positive definite at every grid point; SingularMetricError names
+    the first where it is not.
     """
     if frame is None:
         frame = orthonormal_frame(metric)
     a_form = connection_matrix(frame, variant)
     omega_form = curvature_form(a_form)
     n = metric.dim
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+
+    def residuals(points: np.ndarray) -> np.ndarray:
+        metric.definite_metric_at(points)
+        frame_matrix = frame.frame_at(points)
+        coefficient = omega_form.at(points)
+        on_frame = np.einsum("mklij,mka,mlb->mabij", coefficient, frame_matrix, frame_matrix)
+        worst = np.zeros(len(points))
+        for a, b in pairs:
+            block = np.abs(on_frame[:, a, b]).max(axis=(1, 2))
+            worst = np.where(block > worst, block, worst)  # as max(): NaN loses
+        return worst
+
     best = -1.0
     best_point: tuple[float, ...] = ()
     count = 0
-    for point in metric.chart.grid(resolution):
-        frame_matrix = frame.frame_at(point)
-        coefficient = omega_form.at(point)
-        on_frame = np.einsum("klij,ka,lb->abij", coefficient, frame_matrix, frame_matrix)
-        residual = 0.0
-        for a in range(n):
-            for b in range(a + 1, n):
-                residual = max(residual, float(np.max(np.abs(on_frame[a, b]))))
-        count += 1
-        if residual > best:
-            best = residual
-            best_point = point
+    for points, values in grid_scan(metric.chart, resolution, residuals):
+        k = int(np.argmax(values))
+        if values[k] > best:
+            best = float(values[k])
+            best_point = tuple(points[k].tolist())
+        count += len(points)
     return FlatnessReport(variant, resolution, count, best, best_point)

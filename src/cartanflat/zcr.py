@@ -63,7 +63,7 @@ from .exprlang import (
     sub,
     variables_of,
 )
-from .metricspace import Chart, ChartMetric, ExprArray
+from .metricspace import Chart, ChartMetric, ExprArray, grid_scan
 from .sasaki import MatrixOneForm, MatrixTwoForm, basis_form, curvature_form, so21_basis
 
 __all__ = [
@@ -225,9 +225,14 @@ def equivalence_scan(u, chart: Chart | None = None, resolution: int = 21) -> Equ
     the correlation is Pearson's, or None when either residual is flat
     across the grid."""
     rep = representation(u, chart)
-    points = list(rep.chart.grid(resolution))
-    zcr_values = np.array([rep.zcr_residual(p) for p in points])
-    pde_values = np.array([abs(rep.pde_residual(p)) for p in points])
+    chart = rep.chart
+
+    def over_grid(evaluate) -> np.ndarray:
+        return np.concatenate([values for _, values in grid_scan(chart, resolution, evaluate)])
+
+    # as zcr_residual and pde_residual, one chunk of points at a time
+    zcr_values = over_grid(lambda p: np.abs(rep.curvature.at(p)[:, 0, 1]).max(axis=(1, 2)))
+    pde_values = over_grid(lambda p: np.abs(rep._pde_fn.at(p)))
     i_zcr = int(np.argmax(zcr_values))
     i_pde = int(np.argmax(pde_values))
     correlation = None
@@ -241,11 +246,11 @@ def equivalence_scan(u, chart: Chart | None = None, resolution: int = 21) -> Equ
         ratio_high = float(ratios.max())
     return EquivalenceReport(
         resolution=resolution,
-        points=len(points),
+        points=len(zcr_values),
         max_zcr=float(zcr_values[i_zcr]),
-        argmax_zcr=points[i_zcr],
+        argmax_zcr=chart.grid_point(resolution, i_zcr),
         max_pde=float(pde_values[i_pde]),
-        argmax_pde=points[i_pde],
+        argmax_pde=chart.grid_point(resolution, i_pde),
         correlation=correlation,
         ratio_low=ratio_low,
         ratio_high=ratio_high,

@@ -2,12 +2,15 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
+import time
 
 import pytest
 
-from cartanflat.cli import main
+from cartanflat.cli import _get_grid, main
+from cartanflat.errors import ConfigError
 from cartanflat.presets import PRESET_NAMES
 
 
@@ -158,6 +161,69 @@ def test_compat_checks_one_dimensional_metrics(tmp_path, capsys):
     code, report, _ = _run(capsys, "compat", "--variant", "h", "--config", str(config))
     assert code == 0
     assert report["pass"] is True
+
+
+# passes the 4 x 4 construction sample; g_yy dips below zero near (0.6, 0.6)
+_DIPPING_METRIC = {
+    "names": ["x", "y"],
+    "box": [[-1, 1], [-1, 1]],
+    "entries": [["1", "0"], ["0", "1.2 - 2*exp(-100*((x-0.6)^2 + (y-0.6)^2))"]],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", [["curvature"], ["flatness", "--variant", "h"], ["flatness", "--variant", "s"]]
+)
+def test_scans_refuse_metrics_indefinite_at_a_grid_point(tmp_path, capsys, argv):
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"metric": _DIPPING_METRIC, "grid": 21}))
+    code, report, err = _run(capsys, *argv, "--config", str(config))
+    assert code == 2
+    assert report is None
+    # the first grid point in row-major order where g_yy (the smaller
+    # eigenvalue) is not positive, found by plain arithmetic
+    axis = [-0.9 + 1.8 * k / 20 for k in range(21)]
+    first = next(
+        (x, y)
+        for x in axis
+        for y in axis
+        if 1.2 - 2 * math.exp(-100 * ((x - 0.6) ** 2 + (y - 0.6) ** 2)) <= 1e-10
+    )
+    assert "not positive definite" in err
+    found = err.split("at point (")[1].split(")")[0]
+    assert tuple(float(v) for v in found.split(", ")) == pytest.approx(first, abs=1e-12)
+
+
+def test_flatness_over_the_grid_point_budget_exits_2_at_once(capsys):
+    started = time.perf_counter()
+    code, report, err = _run(
+        capsys, "flatness", "--preset", "sphere3", "--variant", "s", "--grid", "3000"
+    )
+    assert code == 2 and report is None
+    assert "$.grid" in err and "budget" in err
+    assert time.perf_counter() - started < 10.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curvature", "--preset", "sphere3", "--grid", "101"],
+        ["identity", "--preset", "sphere3", "--variant", "s", "--grid", "101"],
+        ["compat", "--preset", "sphere3", "--variant", "s", "--grid", "101"],
+        ["zcr", "--grid", "1001"],
+    ],
+)
+def test_grid_point_budget_applies_to_every_scan(capsys, argv):
+    code, report, err = _run(capsys, *argv)
+    assert code == 2 and report is None
+    assert "$.grid" in err and "1,000,000" in err
+
+
+def test_grid_point_budget_is_inclusive():
+    assert _get_grid({"grid": 100}, 20, 3) == 100
+    assert _get_grid({"grid": 1000}, 20, 2) == 1000
+    with pytest.raises(ConfigError):
+        _get_grid({"grid": 1001}, 20, 2)
 
 
 def test_unreadable_and_malformed_config(tmp_path, capsys):

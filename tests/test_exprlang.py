@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cartanflat.errors import ExpressionDomainError, ParseError, UnknownIdentifierError
 from cartanflat.exprlang import (
+    STACK_MIN_POINTS,
     Binary,
     Const,
     Unary,
@@ -257,13 +258,45 @@ def test_substitute_composes():
 # ---------------------------------------------------------------------------
 
 
+def _bits(values) -> list[int]:
+    return np.ascontiguousarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _check_stacked_route(fn, expressions, stack) -> bool:
+    """One call on a stack against the interpreter, point by point: every
+    column bit for bit, or, where the scalar compiled route raises at some
+    point, the same exception class and message.  True if values compared."""
+    try:
+        for row in stack.tolist():
+            fn(tuple(row))
+    except Exception as scalar_error:  # noqa: BLE001 - any class must match
+        with pytest.raises(Exception) as stacked_error:
+            fn(stack)
+        assert type(stacked_error.value) is type(scalar_error)
+        assert str(stacked_error.value) == str(scalar_error)
+        return False
+    out = fn(stack)
+    assert out.shape == (len(stack), len(expressions))
+    for j, e in enumerate(expressions):
+        expected = [evaluate(e, {"x": x, "y": y}) for x, y in stack.tolist()]
+        assert _bits(out[:, j]) == _bits(expected)
+    return True
+
+
 def test_compiled_matches_interpreter_bitwise():
     checked = 0
+    outcomes = []
     for seed in range(120):
         rng = np.random.default_rng(seed)
         e = random_expression(rng, XY, depth=4)
         fn = compile_expressions([e], XY)
         p = (float(rng.uniform(0.3, 1.7)), float(rng.uniform(0.3, 1.7)))
+        # the stacked route: stacks below and above the point-by-point cutoff
+        exprs = [e, random_expression(rng, XY, depth=4), random_expression(rng, XY, depth=3)]
+        stacked = compile_expressions(exprs, XY)
+        for size in (STACK_MIN_POINTS - 5, 3 * STACK_MIN_POINTS):
+            stack = rng.uniform(0.3, 1.7, (size, 2))
+            outcomes.append(_check_stacked_route(stacked, exprs, stack))
         try:
             expected = evaluate(e, {"x": p[0], "y": p[1]})
         except ExpressionDomainError:
@@ -273,6 +306,7 @@ def test_compiled_matches_interpreter_bitwise():
         assert fn(p)[0] == expected  # bit-identical, not approx
         checked += 1
     assert checked > 40
+    assert outcomes.count(True) > 40 and outcomes.count(False) > 20
 
 
 def test_compiled_batch_and_shared_subtrees():

@@ -10,9 +10,20 @@ import math
 import numpy as np
 import pytest
 
-from cartanflat.errors import ChartDomainError, DimensionError, SingularMetricError
+from cartanflat.errors import (
+    ChartDomainError,
+    DimensionError,
+    SingularMetricError,
+    StepSizeError,
+)
 from cartanflat.exprlang import differentiate, evaluate
-from cartanflat.metricspace import Chart, ChartMetric, constant_curvature_tensor
+from cartanflat.metricspace import (
+    GRID_CHUNK,
+    Chart,
+    ChartMetric,
+    constant_curvature_tensor,
+    grid_scan,
+)
 from cartanflat.presets import preset_metric, random_metric
 
 RANDOM_SEEDS = (0, 1, 2, 3, 4)
@@ -243,3 +254,64 @@ def test_grid_is_row_major_and_respects_margin():
     assert points[0] == (0.1, 0.2)
     assert points[1][0] == 0.1 and points[1][1] > 0.2  # last coordinate fastest
     assert points[-1] == (0.9, 1.8)
+
+
+def test_grid_chunks_are_the_grid_in_order():
+    chart = Chart(("a", "b", "c"), ((0.0, 1.0), (-2.0, 2.0), (1.0, 3.0)))
+    chunks = list(chart.grid_chunks(9))
+    assert [len(c) for c in chunks] == [GRID_CHUNK, 9**3 - GRID_CHUNK]
+    points = [tuple(row) for chunk in chunks for row in chunk.tolist()]
+    assert points == list(chart.grid(9))  # same floats, same order
+    assert chart.grid_point(9, 600) == points[600]
+
+
+def test_stack_with_a_point_outside_the_box_names_that_point():
+    m = preset_metric("half_plane")
+    stack = np.array([(0.0, 1.0)] * 40 + [(0.5, -1.0)] + [(0.0, 2.0)] * 5)
+    with pytest.raises(ChartDomainError, match=r"point \(0\.5, -1\.0\) outside"):
+        m.metric_at(stack)
+    with pytest.raises(ChartDomainError, match=r"point \(0\.5, -1\.0\) outside"):
+        m.riemann(stack)
+
+
+@pytest.mark.parametrize("name", ["hyperbolic3", "sphere3", "conformal_bump"])
+def test_stack_queries_match_point_queries_bitwise(name):
+    m = preset_metric(name)
+    stack = np.array(m.chart.random_points(np.random.default_rng(5), 40))
+    planes = [(i, j) for i in range(m.dim) for j in range(i + 1, m.dim)]
+    curvatures = m.sectional_curvatures(stack, planes)
+    for k, point in enumerate(map(tuple, stack.tolist())):
+        for query in (m.metric_at, m.inverse_at, m.christoffel, m.riemann):
+            assert np.array_equal(query(stack)[k], query(point))
+        for column, plane in enumerate(planes):
+            assert curvatures[k, column] == m.sectional_curvature(point, plane)
+
+
+def test_stacked_positive_definiteness_names_the_first_failing_point():
+    chart = Chart(("x1", "x2"), ((-1.0, 1.0), (-1.0, 1.0)))
+    # positive definite at the 4 x 4 construction sample, not near the corners
+    m = ChartMetric(chart, (("1", "0"), ("0", "1.7 - x1^2 - x2^2")))
+    stack = np.array([(0.025 * k, 0.95) for k in range(40)])
+    with pytest.raises(SingularMetricError) as err:
+        m.definite_metric_at(stack)
+    first = next(p for p in stack.tolist() if 1.7 - p[0] ** 2 - p[1] ** 2 <= 1e-10)
+    assert 0 < stack.tolist().index(first) < len(stack) - 1
+    assert err.value.point == tuple(first)
+
+
+def test_grid_scan_raises_the_error_a_point_by_point_scan_meets_first():
+    chart = Chart(("x",), ((0.0, 1.0),), margin=0.0)
+
+    def evaluate(points):
+        # one stage at every point, then the next: a later point fails the
+        # first stage, an earlier one the second
+        x = points[:, 0]
+        if (x > 0.85).any():
+            raise StepSizeError(f"first stage at {x[x > 0.85][0]}")
+        if (x > 0.35).any():
+            raise ChartDomainError(f"second stage at {x[x > 0.35][0]}")
+        return x
+
+    with pytest.raises(ChartDomainError, match="second stage at 0.4"):
+        for _ in grid_scan(chart, 11, evaluate):
+            pass

@@ -328,6 +328,36 @@ def test_flatness_scan_is_deterministic():
     assert first == second
 
 
+def _flatness_point_by_point(metric, variant, resolution, frame):
+    """The scan one grid point at a time: the reference for the chunked scan."""
+    omega = curvature_form(connection_matrix(frame, variant))
+    best, best_point = -1.0, ()
+    for point in metric.chart.grid(resolution):
+        e = frame.frame_at(point)
+        on_frame = np.einsum("klij,ka,lb->abij", omega.at(point), e, e)
+        residual = 0.0
+        for a in range(metric.dim):
+            for b in range(a + 1, metric.dim):
+                residual = max(residual, float(np.max(np.abs(on_frame[a, b]))))
+        if residual > best:
+            best, best_point = residual, point
+    return best, best_point
+
+
+@pytest.mark.parametrize(
+    "name, variant, resolution",
+    [("sphere3", "h", 9), ("hyperbolic3", "s", 9), ("conformal_bump", "h", 30)],
+)
+def test_chunked_flatness_scan_matches_point_by_point(name, variant, resolution):
+    # 729 and 900 points: two chunks, each past the point-by-point cutoff
+    m = preset_metric(name)
+    frame = _frame(name)
+    report = flatness_scan(m, variant, resolution, frame=frame)
+    best, best_point = _flatness_point_by_point(m, variant, resolution, frame)
+    assert report.max_residual == best  # bit-identical
+    assert report.argmax_point == best_point
+
+
 def test_flatness_scan_random_metric_h_vs_s_spread():
     # a generic small perturbation of the flat metric stays near K = 0,
     # so both variants sit near residual 1 and far from 0

@@ -130,6 +130,19 @@ def test_perturbed_kink_scan_tracks_the_pde():
     assert abs(report.ratio_high - 1.0) <= 1e-6
 
 
+def test_chunked_scan_matches_pointwise_residuals():
+    text = "sin(x1) * x2 + 0.3 * x1^2"
+    report = equivalence_scan(text, resolution=25)  # 625 points: two chunks
+    rep = representation(text)
+    points = list(rep.chart.grid(25))
+    zcr = [rep.zcr_residual(p) for p in points]
+    pde = [abs(rep.pde_residual(p)) for p in points]
+    assert report.points == len(points)
+    assert report.max_zcr == max(zcr) and report.argmax_zcr == points[zcr.index(max(zcr))]
+    assert report.max_pde == max(pde) and report.argmax_pde == points[pde.index(max(pde))]
+    assert report.correlation == float(np.corrcoef(zcr, pde)[0, 1])
+
+
 def test_scan_is_deterministic():
     first = equivalence_scan("x1 * x2", resolution=7).as_dict()
     second = equivalence_scan("x1 * x2", resolution=7).as_dict()
