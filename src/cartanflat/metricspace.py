@@ -149,18 +149,6 @@ class Chart:
         tie-breaking is defined against."""
         return itertools.product(*(axis.tolist() for axis in self.axes(resolution)))
 
-    def grid_chunks(self, resolution: int) -> Iterator[np.ndarray]:
-        """``grid`` as stacks of at most GRID_CHUNK points, one at a time."""
-        points = self.grid(resolution)
-        while chunk := list(itertools.islice(points, GRID_CHUNK)):
-            yield np.array(chunk)
-
-    def grid_point(self, resolution: int, index: int) -> tuple[float, ...]:
-        """Point number ``index`` of ``grid(resolution)``."""
-        axes = self.axes(resolution)
-        position = np.unravel_index(index, (resolution,) * self.dim)
-        return tuple(float(axis[i]) for axis, i in zip(axes, position))
-
     def random_points(self, rng: np.random.Generator, count: int) -> list[tuple[float, ...]]:
         inner = self.inner_box()
         return [
@@ -176,7 +164,9 @@ def grid_scan(chart: Chart, resolution: int, evaluate) -> Iterator[tuple[np.ndar
     array, so where a chunk raises, its points are evaluated again one at a
     time, in order: the error that escapes is the one a point-by-point scan
     meets first."""
-    for points in chart.grid_chunks(resolution):
+    grid = chart.grid(resolution)
+    while chunk := list(itertools.islice(grid, GRID_CHUNK)):
+        points = np.array(chunk)
         try:
             values = evaluate(points)
         except _POINT_ERRORS:
@@ -419,18 +409,13 @@ class ChartMetric:
 
     def inverse_at(self, point) -> np.ndarray:
         g = self.metric_at(point)
-        if g.ndim == 2:  # one point: once per RK4 slope, so no more work than this
-            scale = max(float(np.abs(g).max()), 1e-300)
-            det = float(np.linalg.det(g))
-            if abs(det) < _DET_RTOL * scale**self.dim:
-                raise SingularMetricError("metric is singular to tolerance", point=point)
-        else:
-            scales, dets = np.abs(g).max(axis=(1, 2)).tolist(), np.linalg.det(g).tolist()
-            for k, (scale, det) in enumerate(zip(scales, dets)):
-                if abs(det) < _DET_RTOL * max(scale, 1e-300) ** self.dim:
-                    raise SingularMetricError(
-                        "metric is singular to tolerance", point=_nth_point(point, k)
-                    )
+        stack = g.reshape(-1, self.dim, self.dim)
+        scales, dets = np.abs(stack).max(axis=(1, 2)).tolist(), np.linalg.det(stack).tolist()
+        for k, (scale, det) in enumerate(zip(scales, dets)):
+            if abs(det) < _DET_RTOL * max(scale, 1e-300) ** self.dim:
+                raise SingularMetricError(
+                    "metric is singular to tolerance", point=_nth_point(point, k)
+                )
         return np.linalg.inv(g)
 
     def christoffel(self, point) -> np.ndarray:

@@ -92,6 +92,11 @@ def _as_field(u, chart: Chart) -> Expression:
     return u
 
 
+def _one_or_stack(values: np.ndarray) -> float | np.ndarray:
+    """One point's value as a float; a stack's values as they are."""
+    return values if values.ndim else float(values)
+
+
 @dataclass(frozen=True)
 class SineGordonRep:
     """Everything derived from one scalar field u: the one-form triple,
@@ -148,13 +153,16 @@ class SineGordonRep:
         mixed = differentiate(differentiate(self.u, x1), x2)
         return ExprArray(self.chart, sub(mixed, call("sin", self.u)))
 
-    def pde_residual(self, point: Sequence[float]) -> float:
-        """d1 d2 u - sin u at the point, with sign."""
-        return float(self._pde_fn.at(point))
+    def pde_residual(self, point) -> float | np.ndarray:
+        """d1 d2 u - sin u at the point, with sign; at a stack of points, one
+        value per point."""
+        return _one_or_stack(self._pde_fn.at(point))
 
-    def zcr_residual(self, point: Sequence[float]) -> float:
-        """max |(dA + A^A)(d_1, d_2)| at the point (coordinate gauge)."""
-        return float(np.max(np.abs(self.curvature.at(point)[0, 1])))
+    def zcr_residual(self, point) -> float | np.ndarray:
+        """max |(dA + A^A)(d_1, d_2)| at the point (coordinate gauge); at a
+        stack of points, one value per point."""
+        entries = np.abs(self.curvature.at(point)[..., 0, 1, :, :])
+        return _one_or_stack(entries.max(axis=(-2, -1)))
 
     def structure_residual(self, point: Sequence[float]) -> float:
         first, second = self.structure_forms
@@ -227,12 +235,17 @@ def equivalence_scan(u, chart: Chart | None = None, resolution: int = 21) -> Equ
     rep = representation(u, chart)
     chart = rep.chart
 
+    axes = [axis.tolist() for axis in chart.axes(resolution)]  # the floats of chart.grid
+
     def over_grid(evaluate) -> np.ndarray:
         return np.concatenate([values for _, values in grid_scan(chart, resolution, evaluate)])
 
-    # as zcr_residual and pde_residual, one chunk of points at a time
-    zcr_values = over_grid(lambda p: np.abs(rep.curvature.at(p)[:, 0, 1]).max(axis=(1, 2)))
-    pde_values = over_grid(lambda p: np.abs(rep._pde_fn.at(p)))
+    def grid_point(index: int) -> tuple[float, ...]:
+        position = np.unravel_index(index, (resolution,) * chart.dim)
+        return tuple(axis[i] for axis, i in zip(axes, position))
+
+    zcr_values = over_grid(rep.zcr_residual)
+    pde_values = np.abs(over_grid(rep.pde_residual))
     i_zcr = int(np.argmax(zcr_values))
     i_pde = int(np.argmax(pde_values))
     correlation = None
@@ -248,9 +261,9 @@ def equivalence_scan(u, chart: Chart | None = None, resolution: int = 21) -> Equ
         resolution=resolution,
         points=len(zcr_values),
         max_zcr=float(zcr_values[i_zcr]),
-        argmax_zcr=chart.grid_point(resolution, i_zcr),
+        argmax_zcr=grid_point(i_zcr),
         max_pde=float(pde_values[i_pde]),
-        argmax_pde=chart.grid_point(resolution, i_pde),
+        argmax_pde=grid_point(i_pde),
         correlation=correlation,
         ratio_low=ratio_low,
         ratio_high=ratio_high,

@@ -256,13 +256,12 @@ def test_grid_is_row_major_and_respects_margin():
     assert points[-1] == (0.9, 1.8)
 
 
-def test_grid_chunks_are_the_grid_in_order():
+def test_grid_scan_chunks_are_the_grid_in_order():
     chart = Chart(("a", "b", "c"), ((0.0, 1.0), (-2.0, 2.0), (1.0, 3.0)))
-    chunks = list(chart.grid_chunks(9))
+    chunks = [points for points, _ in grid_scan(chart, 9, lambda points: points)]
     assert [len(c) for c in chunks] == [GRID_CHUNK, 9**3 - GRID_CHUNK]
     points = [tuple(row) for chunk in chunks for row in chunk.tolist()]
     assert points == list(chart.grid(9))  # same floats, same order
-    assert chart.grid_point(9, 600) == points[600]
 
 
 def test_stack_with_a_point_outside_the_box_names_that_point():
