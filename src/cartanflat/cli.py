@@ -290,7 +290,8 @@ def _job_flatness(cfg: dict):
 
 
 def _job_section_scan(cfg: dict, residual, grid: int, trials: int, tol: float, min_dim: int):
-    """The worst of residual(variant, metric, point, trials=, seed=) over the grid."""
+    """The worst of residual(variant, metric, point, trials=, seed=) over the
+    grid, g checked positive definite at each chunk's points first."""
     _check_keys(cfg, _METRIC_KEYS | {"variant", "grid", "trials", "seed", "tol"})
     metric, source = _build_metric(cfg, min_dim=min_dim)
     variant = _get_string(cfg, "variant", choices=("h", "s"))
@@ -302,16 +303,18 @@ def _job_section_scan(cfg: dict, residual, grid: int, trials: int, tol: float, m
     tol = _get_number(cfg, "tol", default=tol, positive=True)
     worst = -1.0
     argmax = None
-    points = list(metric.chart.grid(grid))
-    for point in points:
-        value = residual(variant, metric, point, trials=trials, seed=seed)
-        if value > worst:
-            worst, argmax = value, point
+    points = 0
+    for chunk, _ in grid_scan(metric.chart, grid, metric.definite_metric_at):
+        for point in map(tuple, chunk.tolist()):
+            value = residual(variant, metric, point, trials=trials, seed=seed)
+            if value > worst:
+                worst, argmax = value, point
+        points += len(chunk)
     payload = {
         **source,
         "variant": variant,
         "grid": grid,
-        "points": len(points),
+        "points": points,
         "trials": trials,
         "seed": seed,
         "max_residual": worst,

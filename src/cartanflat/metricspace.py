@@ -223,10 +223,13 @@ class ExprArray:
         """Every entry at a point, as an array of ``shape``; at a stack of m
         points, an array of ``(m, *shape)``."""
         if isinstance(point, np.ndarray) and point.ndim == 2:
-            points = self.chart.require_stack(point)
-            return self._fn(points).reshape(len(points), *self.shape)
+            return self.at_checked(self.chart.require_stack(point))
         point = self.chart.require(point)
         return np.array(self._fn(point), dtype=float).reshape(self.shape)
+
+    def at_checked(self, points: np.ndarray) -> np.ndarray:
+        """``at`` for a float stack the chart has already accepted."""
+        return self._fn(points).reshape(len(points), *self.shape)
 
 
 def _as_expression(entry, names: tuple[str, ...]) -> Expression:
@@ -386,6 +389,12 @@ class ChartMetric:
         return ExprArray(self.chart, self.christoffel_entries)
 
     @cached_property
+    def _g_and_gamma(self) -> ExprArray:
+        """g's entries, then Gamma's, flat: the two share subexpressions."""
+        entries = (*_leaves(self.entries), *_leaves(self.christoffel_entries))
+        return ExprArray(self.chart, entries)
+
+    @cached_property
     def _riemann(self) -> ExprArray:
         return ExprArray(self.chart, self.riemann_entries)
 
@@ -398,35 +407,43 @@ class ChartMetric:
         """metric_at, checked positive definite at the point (at every point
         of a stack); raises SingularMetricError at the first where it is not."""
         g = self.metric_at(point)
-        lowest = np.linalg.eigvalsh(g).min(axis=-1).reshape(-1).tolist()
-        for k, value in enumerate(lowest):
-            if value <= _PD_MIN_EIGENVALUE:
-                raise SingularMetricError(
-                    f"metric is not positive definite (min eigenvalue {value:.3e})",
-                    point=_nth_point(point, k),
-                )
+        _check_definite(g, point)
         return g
 
     def inverse_at(self, point) -> np.ndarray:
         g = self.metric_at(point)
-        stack = g.reshape(-1, self.dim, self.dim)
-        scales, dets = np.abs(stack).max(axis=(1, 2)).tolist(), np.linalg.det(stack).tolist()
-        for k, (scale, det) in enumerate(zip(scales, dets)):
-            if abs(det) < _DET_RTOL * max(scale, 1e-300) ** self.dim:
-                raise SingularMetricError(
-                    "metric is singular to tolerance", point=_nth_point(point, k)
-                )
+        _check_nonsingular(g, point)
         return np.linalg.inv(g)
 
     def christoffel(self, point) -> np.ndarray:
         # the symbolic route divides by det(g); fail loudly where that is
-        # ill-posed (inverse_at checks the point against the chart first)
-        self.inverse_at(point)
+        # ill-posed (metric_at checks the point against the chart first)
+        _check_nonsingular(self.metric_at(point), point)
         return self._gamma.at(point)
 
     def riemann(self, point) -> np.ndarray:
-        self.inverse_at(point)
+        _check_nonsingular(self.metric_at(point), point)
         return self._riemann.at(point)
+
+    def metric_and_christoffel(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(metric_at(points), christoffel(points))`` at a stack of points,
+        with g also checked positive definite at each: one chart check, then
+        one compiled evaluation of g and Gamma together.  A failure raises
+        what evaluating g, checking it and then evaluating Gamma raises."""
+        points = self.chart.require_stack(points)
+        try:
+            values = self._g_and_gamma.at_checked(points)
+        except _POINT_ERRORS:
+            g = self._g.at_checked(points)
+            _check_nonsingular(g, points)
+            _check_definite(g, points)
+            self._gamma.at_checked(points)
+            raise
+        n = self.dim
+        g = values[:, : n * n].reshape(-1, n, n)
+        _check_nonsingular(g, points)
+        _check_definite(g, points)
+        return g, values[:, n * n :].reshape(-1, n, n, n)
 
     def sectional_curvature(self, point: Sequence[float], plane: tuple[int, int] = (0, 1)) -> float:
         _check_plane(plane)
@@ -448,6 +465,31 @@ class ChartMetric:
             for plane in planes
         ]
         return np.array(values, dtype=float).reshape(len(points), len(planes))
+
+
+def _check_nonsingular(g: np.ndarray, points):
+    """Raise SingularMetricError at the first point where g, one matrix or a
+    stack of them, is singular relative to its largest entry."""
+    n = g.shape[-1]
+    stack = g.reshape(-1, n, n)
+    scales, dets = np.abs(stack).max(axis=(1, 2)).tolist(), np.linalg.det(stack).tolist()
+    for k, (scale, det) in enumerate(zip(scales, dets)):
+        if abs(det) < _DET_RTOL * max(scale, 1e-300) ** n:
+            raise SingularMetricError(
+                "metric is singular to tolerance", point=_nth_point(points, k)
+            )
+
+
+def _check_definite(g: np.ndarray, points):
+    """Raise SingularMetricError at the first point where g, one matrix or a
+    stack of them, is not positive definite."""
+    lowest = np.linalg.eigvalsh(g).min(axis=-1).reshape(-1).tolist()
+    for k, value in enumerate(lowest):
+        if value <= _PD_MIN_EIGENVALUE:
+            raise SingularMetricError(
+                f"metric is not positive definite (min eigenvalue {value:.3e})",
+                point=_nth_point(points, k),
+            )
 
 
 def _check_plane(plane: tuple[int, int]):

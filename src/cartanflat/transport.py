@@ -15,10 +15,24 @@ becomes exactly diag(1,..,1,-1) ("h") or the Euclidean dot ("s").  Where the
 chosen connection is flat, Phi lands on the quadric <v,v> = -1 (hyperboloid
 upper sheet) or <v,v> = +1 (sphere) and is independent of the path; the
 quadric residual and path_dependence() quantify both claims numerically.
+
+There is one integrator, and it integrates a stack of m curves that share
+t0, t1 and the step count at once, with state ``(m, size, size)``:
+transport, holonomy and develop pass one curve, develop_cloud the segments
+of up to GRID_CHUNK targets.  Each slope evaluates all curves in one call
+(positions from the curves' own expressions, never recomputed as a + d t),
+then g and Gamma at all slope points together
+(ChartMetric.metric_and_christoffel), which checks every point against the
+chart box and g for singularity and positive definiteness, raising at the
+first point that fails.  Every stacked product is the per-curve product at
+each row, so results are bit-identical to integrating the curves one at a
+time; where a cloud's chunk raises, its targets are developed again one at
+a time, so the error is the one the first failing target meets.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,7 +52,7 @@ from .exprlang import (
     mul,
     variables_of,
 )
-from .metricspace import Chart, ChartMetric
+from .metricspace import _POINT_ERRORS, GRID_CHUNK, Chart, ChartMetric
 from .sasaki import variant_sign
 
 __all__ = [
@@ -130,19 +144,47 @@ def circle_curve(chart: Chart, center, radius: float, steps_per_unit: int = 256)
     return ChartCurve(chart, comps, 0.0, 1.0, steps_per_unit)
 
 
-def _action_matrix(
-    connection: str, metric: ChartMetric, point, velocity: np.ndarray
+class _CurveStack:
+    """Chart curves over one parameter interval with one step count,
+    evaluated together: the integrator's view of one curve or of a cloud's
+    segments."""
+
+    def __init__(self, curves: Sequence[ChartCurve]):
+        self.curves = tuple(curves)
+        first = self.curves[0]
+        self.chart, self.t0, self.t1, self.steps = first.chart, first.t0, first.t1, first.steps
+
+    @cached_property
+    def _fn(self):
+        if len(self.curves) == 1:
+            return self.curves[0]._fn
+        comps = [c for curve in self.curves for c in curve.comps]
+        velocity = [differentiate(c, _PARAM) for c in comps]
+        return compile_expressions((*comps, *velocity), (_PARAM,))
+
+    def at(self, t: float) -> np.ndarray:
+        """Positions (row 0) and velocities (row 1) of every curve at t, shape
+        ``(2, m, dim)``, from the curves' own arithmetic; positions are not
+        yet checked against the chart."""
+        values = np.array(self._fn((float(t),)), dtype=float)
+        return values.reshape(2, len(self.curves), self.chart.dim)
+
+
+def _action_matrices(
+    connection: str, metric: ChartMetric, points: np.ndarray, velocities: np.ndarray
 ) -> np.ndarray:
-    n = metric.dim
-    gamma = metric.christoffel(point)
-    tangent_block = np.tensordot(velocity, gamma, axes=(0, 1))
+    m, n = velocities.shape
+    g, gamma = metric.metric_and_christoffel(points)
+    # tensordot(velocity, gamma, axes=(0, 1)) at each point, as one product
+    by_velocity = gamma.transpose(0, 2, 1, 3).reshape(m, n, n * n)
+    tangent_block = np.matmul(velocities[:, None, :], by_velocity).reshape(m, n, n)
     if connection == "lc":
         return tangent_block
     sign = variant_sign(connection)
-    out = np.zeros((n + 1, n + 1))
-    out[:n, :n] = tangent_block
-    out[:n, n] = velocity
-    out[n, :n] = sign * (metric.metric_at(point) @ velocity)
+    out = np.zeros((m, n + 1, n + 1))
+    out[:, :n, :n] = tangent_block
+    out[:, :n, n] = velocities
+    out[:, n, :n] = sign * np.matmul(g, velocities[:, :, None])[:, :, 0]
     return out
 
 
@@ -156,25 +198,28 @@ def _fiber_size(connection: str, dim: int) -> int:
 def _rk4_transport(
     connection: str,
     metric: ChartMetric,
-    curve: ChartCurve,
+    curves: _CurveStack,
     initial: np.ndarray,
     forward: bool,
     record: list | None = None,
 ) -> np.ndarray:
     """Integrate Y' = -M(t) Y (forward=True, transport) or Y' = +Y M(t)
-    (forward=False, inverse transport used by the developing map)."""
+    (forward=False, inverse transport used by the developing map) along
+    every curve of the stack at once; ``initial``, the result and each
+    recorded node have one leading row per curve."""
 
     def slope(t: float, y: np.ndarray) -> np.ndarray:
-        m = _action_matrix(connection, metric, curve.point_at(t), curve.velocity_at(t))
-        return -(m @ y) if forward else y @ m
+        points, velocities = curves.at(t)
+        m = _action_matrices(connection, metric, points, velocities)
+        return -np.matmul(m, y) if forward else np.matmul(y, m)
 
-    steps = curve.steps
-    h = (curve.t1 - curve.t0) / steps
+    steps = curves.steps
+    h = (curves.t1 - curves.t0) / steps
     y = np.array(initial, dtype=float)
     if record is not None:
         record.append(y.copy())
     for k in range(steps):
-        t = curve.t0 + k * h
+        t = curves.t0 + k * h
         k1 = slope(t, y)
         k2 = slope(t + 0.5 * h, y + 0.5 * h * k1)
         k3 = slope(t + 0.5 * h, y + 0.5 * h * k2)
@@ -189,7 +234,7 @@ def transport_matrix(connection: str, metric: ChartMetric, curve: ChartCurve) ->
     """Columns are the transported fiber basis vectors, in coordinate
     components at the curve end (the tangent block) plus the e coefficient."""
     size = _fiber_size(connection, metric.dim)
-    return _rk4_transport(connection, metric, curve, np.eye(size), forward=True)
+    return _rk4_transport(connection, metric, _CurveStack((curve,)), np.eye(size)[None], True)[0]
 
 
 def transport_trace(
@@ -199,9 +244,9 @@ def transport_trace(
     node, shapes (steps+1,) and (steps+1, size, size)."""
     size = _fiber_size(connection, metric.dim)
     record: list = []
-    _rk4_transport(connection, metric, curve, np.eye(size), forward=True, record=record)
+    _rk4_transport(connection, metric, _CurveStack((curve,)), np.eye(size)[None], True, record)
     times = np.linspace(curve.t0, curve.t1, curve.steps + 1)
-    return times, np.array(record)
+    return times, np.array(record)[:, 0]
 
 
 def parallel_transport(
@@ -211,7 +256,8 @@ def parallel_transport(
     vector = np.asarray(initial, dtype=float)
     if vector.shape != (size,):
         raise DimensionError(f"initial vector must have {size} components for {connection!r}")
-    return _rk4_transport(connection, metric, curve, vector, forward=True)
+    column = vector[None, :, None]
+    return _rk4_transport(connection, metric, _CurveStack((curve,)), column, True)[0, :, 0]
 
 
 def holonomy(
@@ -303,13 +349,13 @@ def develop(
     normalizer = np.eye(n + 1)
     normalizer[:n, :n] = frame.coframe_at(base)
     rows: list[np.ndarray] = []
-    u = np.eye(n + 1)
+    u = np.eye(n + 1)[None]
     for index, segment in enumerate(segments):
         record: list = []
-        u = _rk4_transport(variant, metric, segment, u, forward=False, record=record)
+        u = _rk4_transport(variant, metric, _CurveStack((segment,)), u, False, record)
         if index > 0:
             record = record[1:]  # the join node is already recorded
-        rows.extend(normalizer @ step[:, n] for step in record)
+        rows.extend(normalizer @ step[0][:, n] for step in record)
     return DevelopedPath(variant, np.array(rows))
 
 
@@ -322,15 +368,42 @@ def develop_cloud(
     steps_per_unit: int = 256,
 ) -> np.ndarray:
     """Developed images of many chart points, each reached from the base
-    along the straight chart segment; one row per target."""
+    along the straight chart segment; one row per target, each equal to
+    ``develop(variant, metric, segment, frame).end``.  The segments of up to
+    GRID_CHUNK targets are integrated together; where a chunk raises, its
+    targets are developed again one at a time, in order, so the error that
+    escapes is the one developing the targets in turn meets first."""
     if frame is None:
         frame = orthonormal_frame(metric)
-    base = metric.chart.require(base)
-    rows = []
-    for target in targets:
-        segment = line_curve(metric.chart, base, target, steps_per_unit)
-        rows.append(develop(variant, metric, segment, frame=frame).end)
+    chart = metric.chart
+    base = chart.require(base)
+    rows: list[np.ndarray] = []
+    remaining = iter(targets)
+    while chunk := list(itertools.islice(remaining, GRID_CHUNK)):
+        try:
+            segments = [line_curve(chart, base, target, steps_per_unit) for target in chunk]
+            rows.extend(_developed_ends(variant, metric, segments, frame))
+        except _POINT_ERRORS:
+            for target in chunk:
+                segment = line_curve(chart, base, target, steps_per_unit)
+                rows.append(develop(variant, metric, segment, frame=frame).end)
     return np.array(rows)
+
+
+def _developed_ends(variant: str, metric: ChartMetric, segments, frame: FrameField) -> list:
+    """``develop(...).end`` of each single-segment path, the segments
+    sharing one parameter interval and step count, integrated as one stack."""
+    variant_sign(variant)
+    n = metric.dim
+    curves = _CurveStack(segments)
+    # each segment's own start point, as develop takes it: 0 + d*t folds to
+    # d*t, so a zero base coordinate starts at -0.0 where d < 0
+    starts = metric.chart.require_stack(curves.at(curves.t0)[0])
+    identities = np.tile(np.eye(n + 1), (len(segments), 1, 1))
+    normalizers = identities.copy()
+    normalizers[:, :n, :n] = frame.coframe_at(starts)
+    ends = _rk4_transport(variant, metric, curves, identities, False)
+    return [normalizer @ u[:, n] for normalizer, u in zip(normalizers, ends)]
 
 
 def path_dependence(

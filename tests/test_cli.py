@@ -172,7 +172,14 @@ _DIPPING_METRIC = {
 
 
 @pytest.mark.parametrize(
-    "argv", [["curvature"], ["flatness", "--variant", "h"], ["flatness", "--variant", "s"]]
+    "argv",
+    [
+        ["curvature"],
+        ["flatness", "--variant", "h"],
+        ["flatness", "--variant", "s"],
+        ["identity", "--variant", "h"],
+        ["compat", "--variant", "h"],
+    ],
 )
 def test_scans_refuse_metrics_indefinite_at_a_grid_point(tmp_path, capsys, argv):
     config = tmp_path / "job.json"
@@ -192,6 +199,21 @@ def test_scans_refuse_metrics_indefinite_at_a_grid_point(tmp_path, capsys, argv)
     assert "not positive definite" in err
     found = err.split("at point (")[1].split(")")[0]
     assert tuple(float(v) for v in found.split(", ")) == pytest.approx(first, abs=1e-12)
+
+
+def test_develop_refuses_a_path_through_an_indefinite_dip(tmp_path, capsys):
+    config = tmp_path / "job.json"
+    path = [{"start": [0.3, 0.3], "end": [0.9, 0.9]}]
+    job = {"metric": _DIPPING_METRIC, "variant": "h", "steps_per_unit": 64, "path": path}
+    config.write_text(json.dumps(job))
+    code, report, err = _run(capsys, "develop", "--config", str(config))
+    assert code == 2
+    assert report is None
+    assert "not positive definite" in err
+    # the point named lies on the diagonal, inside the dip
+    x, y = (float(v) for v in err.split("at point (")[1].split(")")[0].split(", "))
+    assert x == y
+    assert 1.2 - 2 * math.exp(-100 * ((x - 0.6) ** 2 + (y - 0.6) ** 2)) <= 1e-10
 
 
 def test_flatness_over_the_grid_point_budget_exits_2_at_once(capsys):

@@ -279,9 +279,12 @@ def test_stack_queries_match_point_queries_bitwise(name):
     stack = np.array(m.chart.random_points(np.random.default_rng(5), 40))
     planes = [(i, j) for i in range(m.dim) for j in range(i + 1, m.dim)]
     curvatures = m.sectional_curvatures(stack, planes)
+    g, gamma = m.metric_and_christoffel(stack)
     for k, point in enumerate(map(tuple, stack.tolist())):
         for query in (m.metric_at, m.inverse_at, m.christoffel, m.riemann):
             assert np.array_equal(query(stack)[k], query(point))
+        assert np.array_equal(g[k], m.metric_at(point))
+        assert np.array_equal(gamma[k], m.christoffel(point))
         for column, plane in enumerate(planes):
             assert curvatures[k, column] == m.sectional_curvature(point, plane)
 
@@ -296,6 +299,17 @@ def test_stacked_positive_definiteness_names_the_first_failing_point():
     first = next(p for p in stack.tolist() if 1.7 - p[0] ** 2 - p[1] ** 2 <= 1e-10)
     assert 0 < stack.tolist().index(first) < len(stack) - 1
     assert err.value.point == tuple(first)
+
+
+def test_metric_and_christoffel_raises_what_christoffel_raises():
+    # g is singular on x = 0, where Gamma also divides by det g = 0: the
+    # singularity check on g comes first
+    m = ChartMetric(Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0))), (("1", "0"), ("0", "x^2")))
+    with pytest.raises(SingularMetricError) as alone:
+        m.christoffel((0.0, 0.5))
+    with pytest.raises(SingularMetricError) as stacked:
+        m.metric_and_christoffel(np.array([(0.5, 0.5), (0.0, 0.5), (0.25, 0.0)]))
+    assert str(stacked.value) == str(alone.value)
 
 
 def test_grid_scan_raises_the_error_a_point_by_point_scan_meets_first():

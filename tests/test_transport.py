@@ -4,13 +4,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cartanflat import transport
 from cartanflat.bundle import bundle_pairing
 from cartanflat.cartan import orthonormal_frame
-from cartanflat.errors import ChartDomainError, DimensionError, NonClosedLoopError
-from cartanflat.exprlang import parse
+from cartanflat.errors import (
+    CartanflatError,
+    ChartDomainError,
+    DimensionError,
+    NonClosedLoopError,
+    SingularMetricError,
+)
+from cartanflat.exprlang import STACK_MIN_POINTS, parse
+from cartanflat.metricspace import Chart, ChartMetric
 from cartanflat.presets import preset_metric
+from cartanflat.sasaki import variant_sign
 from cartanflat.transport import (
+    CONNECTIONS,
     ChartCurve,
     circle_curve,
     develop,
@@ -274,3 +286,180 @@ def test_develop_rejects_the_levi_civita_mode():
     m = preset_metric("half_plane")
     with pytest.raises(ValueError, match="expected 'h' or 's'"):
         develop("lc", m, line_curve(m.chart, (0.0, 1.0), (1.0, 2.0)))
+
+
+# ---------------------------------------------------------------------------
+# the stacked integrator against the one-curve reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_action(connection, metric, point, velocity):
+    """The action matrix of one slope, from one point query at a time."""
+    n = metric.dim
+    gamma = metric.christoffel(point)
+    tangent_block = np.tensordot(velocity, gamma, axes=(0, 1))
+    if connection == "lc":
+        return tangent_block
+    sign = variant_sign(connection)
+    out = np.zeros((n + 1, n + 1))
+    out[:n, :n] = tangent_block
+    out[:n, n] = velocity
+    out[n, :n] = sign * (metric.metric_at(point) @ velocity)
+    return out
+
+
+def _reference_rk4(connection, metric, curve, initial, forward, record=None):
+    """RK4 along one curve, one point query per slope: the reference for
+    the stacked integrator."""
+
+    def slope(t, y):
+        m = _reference_action(connection, metric, curve.point_at(t), curve.velocity_at(t))
+        return -(m @ y) if forward else y @ m
+
+    steps = curve.steps
+    h = (curve.t1 - curve.t0) / steps
+    y = np.array(initial, dtype=float)
+    if record is not None:
+        record.append(y.copy())
+    for k in range(steps):
+        t = curve.t0 + k * h
+        k1 = slope(t, y)
+        k2 = slope(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = slope(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = slope(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if record is not None:
+            record.append(y.copy())
+    return y
+
+
+def _reference_develop(variant, metric, segments, frame):
+    n = metric.dim
+    normalizer = np.eye(n + 1)
+    normalizer[:n, :n] = frame.coframe_at(segments[0].point_at(segments[0].t0))
+    rows = []
+    u = np.eye(n + 1)
+    for index, segment in enumerate(segments):
+        record = []
+        u = _reference_rk4(variant, metric, segment, u, False, record)
+        rows.extend(normalizer @ step[:, n] for step in (record[1:] if index else record))
+    return np.array(rows)
+
+
+_TWO_PI = repr(2.0 * math.pi)
+
+# per preset: a path of chart points and a closed loop (center, radius; in
+# the first two coordinates)
+_PATHS = {
+    "half_plane": ([(0.0, 1.0), (1.0, 2.0), (-0.5, 3.0)], ((0.0, 2.0), 1.0)),
+    "conformal_bump": ([(-0.5, -0.5), (0.5, 0.4), (0.0, 0.8)], ((0.1, 0.0), 0.5)),
+    "hyperbolic3": ([(0.0, 0.0, 1.0), (-0.5, 0.3, 2.0), (1.0, -1.0, 0.5)], ((0.2, 0.1), 0.3)),
+    "sphere3": ([(1.0, 1.0, 2.0), (1.5, 1.2, 3.0), (2.0, 0.8, 2.0)], ((1.5, 1.5), 0.3)),
+}
+
+
+def _loop(chart, center, radius, steps_per_unit):
+    names = ("t",)
+    comps = [
+        parse(f"{center[0]!r} + {radius!r} * cos({_TWO_PI} * t)", names),
+        parse(f"{center[1]!r} + {radius!r} * sin({_TWO_PI} * t)", names),
+    ]
+    mid = [0.5 * (lo + hi) for lo, hi in chart.box[2:]]
+    comps += [parse(repr(value), names) for value in mid]
+    return ChartCurve(chart, comps, 0.0, 1.0, steps_per_unit)
+
+
+@pytest.mark.parametrize("name", sorted(_PATHS))
+def test_stacked_integrator_matches_the_reference_bit_for_bit(name):
+    m = preset_metric(name)
+    corners, (center, radius) = _PATHS[name]
+    segments = [line_curve(m.chart, a, b, 16) for a, b in zip(corners, corners[1:])]
+    for connection in CONNECTIONS:
+        size = m.dim if connection == "lc" else m.dim + 1
+        record = []
+        _reference_rk4(connection, m, segments[0], np.eye(size), True, record)
+        times, matrices = transport_trace(connection, m, segments[0])
+        assert np.array_equal(matrices, np.array(record))
+        vector = np.linspace(0.5, -0.25, size)
+        want = _reference_rk4(connection, m, segments[1], vector, True)
+        assert np.array_equal(parallel_transport(connection, m, segments[1], vector), want)
+        loop = _loop(m.chart, center, radius, 16)
+        want = _reference_rk4(connection, m, loop, np.eye(size), True)
+        assert np.array_equal(holonomy(connection, m, loop), want)
+    frame = orthonormal_frame(m)
+    for variant in ("h", "s"):
+        got = develop(variant, m, segments, frame=frame).points
+        assert np.array_equal(got, _reference_develop(variant, m, segments, frame))
+
+
+_CLOUDS = {
+    "hyperbolic3": ("h", (0.0, 0.0, 1.0)),
+    "half_plane": ("s", (0.0, 1.0)),
+}
+
+
+def _cloud_targets(name):
+    m = preset_metric(name)
+    point = st.tuples(*(st.floats(lo, hi) for lo, hi in m.chart.inner_box()))
+    return st.lists(point, max_size=5)
+
+
+def _assert_cloud_is_develop_ends(name, targets, steps_per_unit=8):
+    m = preset_metric(name)
+    variant, base = _CLOUDS[name]
+    frame = orthonormal_frame(m)
+    cloud = develop_cloud(variant, m, base, targets, frame=frame, steps_per_unit=steps_per_unit)
+    ends = [
+        develop(variant, m, line_curve(m.chart, base, t, steps_per_unit), frame=frame).end
+        for t in targets
+    ]
+    assert np.array_equal(cloud, np.array(ends))
+    # equal as numbers, and zero for zero with the same sign
+    assert np.array_equal(np.signbit(cloud), np.signbit(np.array(ends)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_cloud_targets("hyperbolic3"))
+@example([])
+@example([(-0.5, 0.3, 2.0)])  # starts at (-0.0, 0.0, 1.0): 0 + d*t folds to d*t
+def test_develop_cloud_rows_are_develop_ends_hyperbolic3(targets):
+    _assert_cloud_is_develop_ends("hyperbolic3", targets)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_cloud_targets("half_plane"))
+@example([(-1.5, 4.0)])
+def test_develop_cloud_rows_are_develop_ends_half_plane(targets):
+    _assert_cloud_is_develop_ends("half_plane", targets)
+
+
+@pytest.mark.parametrize("name", sorted(_CLOUDS))
+def test_develop_cloud_chunks_are_develop_ends(monkeypatch, name):
+    # chunks of 33 and 7 targets: slopes past the point-by-point cutoff
+    # of compiled evaluation, then below it
+    monkeypatch.setattr(transport, "GRID_CHUNK", STACK_MIN_POINTS + 1)
+    targets = preset_metric(name).chart.random_points(np.random.default_rng(3), 40)
+    _assert_cloud_is_develop_ends(name, targets, steps_per_unit=2)
+
+
+_DIPPING = (("1", "0"), ("0", "1.2 - 2*exp(-100*((x-0.6)^2 + (y-0.6)^2))"))
+
+
+def test_develop_cloud_raises_the_first_error_of_developing_in_turn():
+    # the 3rd and the 5th segment cross the dip where g stops being positive
+    # definite; the 5th, being longer, reaches it at a smaller t, so the
+    # stacked integration meets its error first
+    m = ChartMetric(Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0))), _DIPPING)
+    frame = orthonormal_frame(m)
+    base = (0.3, 0.3)
+    targets = [(0.3, -0.5), (-0.5, 0.3), (0.9, 0.9), (0.0, 0.8), (1.0, 1.0)]
+    with pytest.raises(CartanflatError) as in_turn:
+        for target in targets:
+            develop("h", m, line_curve(m.chart, base, target, 64), frame=frame)
+    with pytest.raises(CartanflatError) as cloud:
+        develop_cloud("h", m, base, targets, frame=frame, steps_per_unit=64)
+    assert type(cloud.value) is type(in_turn.value) is SingularMetricError
+    assert str(cloud.value) == str(in_turn.value)
+    assert cloud.value.point == in_turn.value.point
+    x, y = in_turn.value.point
+    assert x == y  # on the third segment, the diagonal
