@@ -389,12 +389,6 @@ class ChartMetric:
         return ExprArray(self.chart, self.christoffel_entries)
 
     @cached_property
-    def _g_and_gamma(self) -> ExprArray:
-        """g's entries, then Gamma's, flat: the two share subexpressions."""
-        entries = (*_leaves(self.entries), *_leaves(self.christoffel_entries))
-        return ExprArray(self.chart, entries)
-
-    @cached_property
     def _riemann(self) -> ExprArray:
         return ExprArray(self.chart, self.riemann_entries)
 
@@ -427,23 +421,13 @@ class ChartMetric:
 
     def metric_and_christoffel(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(metric_at(points), christoffel(points))`` at a stack of points,
-        with g also checked positive definite at each: one chart check, then
-        one compiled evaluation of g and Gamma together.  A failure raises
-        what evaluating g, checking it and then evaluating Gamma raises."""
+        with g also checked positive definite at each: one chart check, g,
+        its guards, then Gamma, so a failure is the one christoffel meets."""
         points = self.chart.require_stack(points)
-        try:
-            values = self._g_and_gamma.at_checked(points)
-        except _POINT_ERRORS:
-            g = self._g.at_checked(points)
-            _check_nonsingular(g, points)
-            _check_definite(g, points)
-            self._gamma.at_checked(points)
-            raise
-        n = self.dim
-        g = values[:, : n * n].reshape(-1, n, n)
+        g = self._g.at_checked(points)
         _check_nonsingular(g, points)
         _check_definite(g, points)
-        return g, values[:, n * n :].reshape(-1, n, n, n)
+        return g, self._gamma.at_checked(points)
 
     def sectional_curvature(self, point: Sequence[float], plane: tuple[int, int] = (0, 1)) -> float:
         _check_plane(plane)

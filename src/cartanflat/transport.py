@@ -21,10 +21,10 @@ t0, t1 and the step count at once, with state ``(m, size, size)``:
 transport, holonomy and develop pass one curve, develop_cloud the segments
 of up to GRID_CHUNK targets.  Each slope evaluates all curves in one call
 (positions from the curves' own expressions, never recomputed as a + d t),
-then g and Gamma at all slope points together
-(ChartMetric.metric_and_christoffel), which checks every point against the
-chart box and g for singularity and positive definiteness, raising at the
-first point that fails.  Every stacked product is the per-curve product at
+then g and Gamma at all slope points (ChartMetric.metric_and_christoffel),
+which checks every point against the chart box and g for singularity and
+positive definiteness, raising at the first point that fails, before it
+evaluates Gamma.  Every stacked product is the per-curve product at
 each row, so results are bit-identical to integrating the curves one at a
 time; where a cloud's chunk raises, its targets are developed again one at
 a time, so the error is the one the first failing target meets.
