@@ -7,10 +7,11 @@ and exits 0 when the checked tolerance holds, 1 when it does not, and
 additionally write a per-node CSV trace when --out is given; for the
 other commands --out stores the JSON report.
 
-The config file fields are documented in docs/config-schema.json; the
-short version is that a metric comes either from `"preset": "<name>"`
-or from an inline `"metric": {"names", "box", "entries"}` object, and
-everything else has a sensible default.
+`_FIELDS` (each scalar field's type, flag help, choices and bounds) and
+`_COMMANDS` (each subcommand's job, metric, structured fields and
+defaults) are the single source of the flags, the config-key checks and
+the defaults.  docs/config-schema.json documents the fields, and
+tests/test_cli.py pins it to these two tables.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,11 +47,47 @@ __all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
-# config checking; every failure names the JSON path of the offending field
+# the scalar fields; every failure names the JSON path of the offending field
 # ---------------------------------------------------------------------------
 
 
-def _check_keys(cfg: dict, allowed: set, path: str = "$"):
+class _Field(NamedTuple):
+    kind: type  # str, int or float
+    help: str | None  # flag help; None = config file only
+    choices: tuple | None = None
+    minimum: int | None = None
+    maximum: int | None = None
+    positive: bool = False
+
+
+#: Largest number of points a grid scan may visit (grid ** dim).
+_GRID_POINT_BUDGET = 1_000_000
+#: Largest RK4 node density and random-section count a job may ask for.
+_MAX_STEPS_PER_UNIT = 16_384
+_MAX_TRIALS = 100
+
+#: In the order their flags are listed.
+_FIELDS = {
+    "preset": _Field(str, "bundled metric name"),
+    "u": _Field(str, "scalar field expression in x1, x2"),
+    "grid": _Field(int, "scan resolution per axis", minimum=2),
+    "tol": _Field(float, "pass/fail threshold", positive=True),
+    "expected": _Field(float, "constant curvature to check against"),
+    "variant": _Field(str, "bundle connection, flat iff curvature -1 (h) or +1 (s)", ("h", "s")),
+    "seed": _Field(int, "seed for the random sections", minimum=0),
+    "trials": _Field(int, "random sections per scan point", minimum=1, maximum=_MAX_TRIALS),
+    "connection": _Field(str, "connection to transport with", CONNECTIONS),
+    "steps_per_unit": _Field(int, None, minimum=1, maximum=_MAX_STEPS_PER_UNIT),
+    # inside "curve"
+    "kind": _Field(str, None, ("line", "circle")),
+    "radius": _Field(float, None, positive=True),
+}
+
+#: Default of a field the job cannot run without.
+_REQUIRED = object()
+
+
+def _check_keys(cfg: dict, allowed, path: str = "$"):
     if not isinstance(cfg, dict):
         raise ConfigError(path, "must be a JSON object")
     for key in cfg:
@@ -56,48 +95,52 @@ def _check_keys(cfg: dict, allowed: set, path: str = "$"):
             raise ConfigError(f"{path}.{key}", "unknown field")
 
 
-def _get_string(cfg: dict, name: str, default=None, choices=None, path: str = "$"):
+def _finite(value, field: str) -> float:
+    """A JSON number (int or float) as a finite float."""
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(field, "must be a finite number")
+    return number
+
+
+def _read(cfg: dict, name: str, default=None, path: str = "$"):
+    """Field ``name`` of ``cfg`` checked against ``_FIELDS``, or ``default``
+    when absent (an error when the default is ``_REQUIRED``)."""
+    spec = _FIELDS[name]
+    field = f"{path}.{name}"
     if name not in cfg:
+        if default is _REQUIRED:
+            options = f" ({' or '.join(map(repr, spec.choices))})" if spec.choices else ""
+            raise ConfigError(field, f"is required{options}")
         return default
     value = cfg[name]
-    field = f"{path}.{name}"
-    if not isinstance(value, str):
-        raise ConfigError(field, "must be a string")
-    if choices is not None and value not in choices:
-        raise ConfigError(field, f"must be one of {', '.join(repr(c) for c in choices)}")
-    return value
-
-
-def _get_int(cfg: dict, name: str, default=None, minimum=0, path: str = "$"):
-    if name not in cfg:
-        return default
-    value = cfg[name]
-    field = f"{path}.{name}"
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(field, "must be an integer")
-    if value < minimum:
-        raise ConfigError(field, f"must be at least {minimum}")
-    return value
-
-
-def _get_number(cfg: dict, name: str, default=None, positive=False, path: str = "$"):
-    if name not in cfg:
-        return default
-    value = cfg[name]
-    field = f"{path}.{name}"
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if spec.kind is str:
+        if not isinstance(value, str):
+            raise ConfigError(field, "must be a string")
+        if spec.choices is not None and value not in spec.choices:
+            raise ConfigError(field, f"must be one of {', '.join(map(repr, spec.choices))}")
+        return value
+    if spec.kind is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(field, "must be an integer")
+    elif not _is_number(value):
         raise ConfigError(field, "must be a number")
-    if positive and not value > 0:
+    else:
+        value = _finite(value, field)
+    if spec.positive and not value > 0:
         raise ConfigError(field, "must be positive")
-    return float(value)
-
-
-#: Largest number of points a grid scan may visit (grid ** dim).
-_GRID_POINT_BUDGET = 1_000_000
+    if spec.minimum is not None and value < spec.minimum:
+        raise ConfigError(field, f"must be at least {spec.minimum}")
+    if spec.maximum is not None and value > spec.maximum:
+        raise ConfigError(field, f"must be at most {spec.maximum:,}")
+    return value
 
 
 def _get_grid(cfg: dict, default: int, dim: int) -> int:
-    grid = _get_int(cfg, "grid", default=default, minimum=2)
+    grid = _read(cfg, "grid", default)
     if grid**dim > _GRID_POINT_BUDGET:
         raise ConfigError(
             "$.grid",
@@ -107,14 +150,14 @@ def _get_grid(cfg: dict, default: int, dim: int) -> int:
     return grid
 
 
+def _is_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
 def _check_point(value, dim: int, field: str) -> tuple:
-    if (
-        not isinstance(value, list)
-        or len(value) != dim
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
-    ):
+    if not isinstance(value, list) or len(value) != dim or not all(map(_is_number, value)):
         raise ConfigError(field, f"must be a list of {dim} numbers")
-    return tuple(float(v) for v in value)
+    return tuple(_finite(v, f"{field}[{k}]") for k, v in enumerate(value))
 
 
 def _check_box(value, field: str) -> tuple:
@@ -122,20 +165,16 @@ def _check_box(value, field: str) -> tuple:
         raise ConfigError(field, "must be a non-empty list of [lo, hi] pairs")
     box = []
     for k, pair in enumerate(value):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in pair)
-        ):
+        if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
             raise ConfigError(f"{field}[{k}]", "must be a [lo, hi] pair of numbers")
-        lo, hi = float(pair[0]), float(pair[1])
+        lo, hi = (_finite(v, f"{field}[{k}]") for v in pair)
         if not lo < hi:
             raise ConfigError(f"{field}[{k}]", "needs lo < hi")
         box.append((lo, hi))
     return tuple(box)
 
 
-def _build_metric(cfg: dict, min_dim: int = 1) -> tuple[ChartMetric, dict]:
+def _build_metric(cfg: dict, min_dim: int) -> tuple[ChartMetric, dict]:
     """The metric named by the config plus a JSON-ready echo of the source;
     inline metrics need at least ``min_dim`` coordinates."""
     has_preset = "preset" in cfg
@@ -143,7 +182,7 @@ def _build_metric(cfg: dict, min_dim: int = 1) -> tuple[ChartMetric, dict]:
     if has_preset == has_metric:
         raise ConfigError("$.preset", "exactly one of 'preset' or 'metric' is required")
     if has_preset:
-        name = _get_string(cfg, "preset")
+        name = _read(cfg, "preset")
         if name not in PRESET_NAMES:
             raise ConfigError(
                 "$.preset", f"unknown preset {name!r}; run 'cartanflat presets' for the list"
@@ -158,6 +197,8 @@ def _build_metric(cfg: dict, min_dim: int = 1) -> tuple[ChartMetric, dict]:
         or any(not isinstance(n, str) for n in names)
     ):
         raise ConfigError("$.metric.names", "must be a list of coordinate names")
+    if len(set(names)) != len(names):
+        raise ConfigError("$.metric.names", "coordinate names must be distinct")
     if len(names) < min_dim:
         raise ConfigError("$.metric", f"needs at least {min_dim} coordinates for this check")
     box = _check_box(spec.get("box"), "$.metric.box")
@@ -184,14 +225,11 @@ def _build_metric(cfg: dict, min_dim: int = 1) -> tuple[ChartMetric, dict]:
     return metric, {"metric": {"names": names, "box": [list(b) for b in box], "entries": entries}}
 
 
-def _build_curve(cfg: dict, chart: Chart, steps_per_unit: int) -> tuple[ChartCurve, dict]:
-    spec = cfg.get("curve")
+def _build_curve(spec, chart: Chart, steps_per_unit: int) -> tuple[ChartCurve, dict]:
     if spec is None:
         raise ConfigError("$.curve", "is required")
     _check_keys(spec, {"kind", "start", "end", "center", "radius"}, path="$.curve")
-    kind = _get_string(spec, "kind", choices=("line", "circle"), path="$.curve")
-    if kind is None:
-        raise ConfigError("$.curve.kind", "is required ('line' or 'circle')")
+    kind = _read(spec, "kind", _REQUIRED, path="$.curve")
     try:
         if kind == "line":
             start = _check_point(spec.get("start"), chart.dim, "$.curve.start")
@@ -200,7 +238,7 @@ def _build_curve(cfg: dict, chart: Chart, steps_per_unit: int) -> tuple[ChartCur
             echo = {"kind": "line", "start": list(start), "end": list(end)}
         else:
             center = _check_point(spec.get("center"), chart.dim, "$.curve.center")
-            radius = _get_number(spec, "radius", positive=True, path="$.curve")
+            radius = _read(spec, "radius", path="$.curve")
             if radius is None:
                 raise ConfigError("$.curve.radius", "is required for circles")
             curve = circle_curve(chart, center, radius, steps_per_unit)
@@ -212,8 +250,7 @@ def _build_curve(cfg: dict, chart: Chart, steps_per_unit: int) -> tuple[ChartCur
     return curve, echo
 
 
-def _build_path(cfg: dict, chart: Chart, steps_per_unit: int) -> tuple[tuple, list]:
-    spec = cfg.get("path")
+def _build_path(spec, chart: Chart, steps_per_unit: int) -> tuple[tuple, list]:
     if not isinstance(spec, list) or not spec:
         raise ConfigError("$.path", "must be a non-empty list of {start, end} segments")
     segments = []
@@ -231,20 +268,15 @@ def _build_path(cfg: dict, chart: Chart, steps_per_unit: int) -> tuple[tuple, li
 
 
 # ---------------------------------------------------------------------------
-# the jobs; each returns (payload, passed, csv_rows)
+# the jobs; each takes the settings `_settings` read and returns
+# (payload, passed, csv_rows)
 # ---------------------------------------------------------------------------
 
-_METRIC_KEYS = {"preset", "metric"}
 
-
-def _job_curvature(cfg: dict):
-    _check_keys(cfg, _METRIC_KEYS | {"grid", "tol", "expected"})
-    metric, source = _build_metric(cfg, min_dim=2)
-    grid = _get_grid(cfg, 12, metric.dim)
-    tol = _get_number(cfg, "tol", default=1e-6, positive=True)
-    expected = _get_number(cfg, "expected")
-    if expected is None and "preset" in source:
-        expected = get_preset(source["preset"]).expected_curvature
+def _job_curvature(s: dict):
+    metric, grid, tol, expected = s["metric"], s["grid"], s["tol"], s["expected"]
+    if expected is None and "preset" in s["source"]:
+        expected = get_preset(s["source"]["preset"]).expected_curvature
     planes = [(i, j) for i in range(metric.dim) for j in range(i + 1, metric.dim)]
     curvatures = functools.partial(metric.sectional_curvatures, planes=planes)
     points = 0
@@ -260,7 +292,7 @@ def _job_curvature(cfg: dict):
                 worst = abs(value - expected)
         points += len(chunk)
     payload = {
-        **source,
+        **s["source"],
         "grid": grid,
         "points": points,
         "planes": len(planes),
@@ -276,65 +308,46 @@ def _job_curvature(cfg: dict):
     return payload, payload["max_residual"] <= tol, None
 
 
-def _job_flatness(cfg: dict):
-    _check_keys(cfg, _METRIC_KEYS | {"variant", "grid", "tol"})
-    metric, source = _build_metric(cfg, min_dim=2)
-    variant = _get_string(cfg, "variant", choices=("h", "s"))
-    if variant is None:
-        raise ConfigError("$.variant", "is required ('h' or 's')")
-    grid = _get_grid(cfg, 20, metric.dim)
-    tol = _get_number(cfg, "tol", default=1e-6, positive=True)
-    report = flatness_scan(metric, variant, resolution=grid)
-    payload = {**source, **report.as_dict(), "tol": tol}
-    return payload, report.max_residual <= tol, None
+def _job_flatness(s: dict):
+    report = flatness_scan(s["metric"], s["variant"], resolution=s["grid"])
+    payload = {**s["source"], **report.as_dict(), "tol": s["tol"]}
+    return payload, report.max_residual <= s["tol"], None
 
 
-def _job_section_scan(cfg: dict, residual, grid: int, trials: int, tol: float, min_dim: int):
+def _job_section_scan(residual, s: dict):
     """The worst of residual(variant, metric, point, trials=, seed=) over the
     grid, g checked positive definite at each chunk's points first."""
-    _check_keys(cfg, _METRIC_KEYS | {"variant", "grid", "trials", "seed", "tol"})
-    metric, source = _build_metric(cfg, min_dim=min_dim)
-    variant = _get_string(cfg, "variant", choices=("h", "s"))
-    if variant is None:
-        raise ConfigError("$.variant", "is required ('h' or 's')")
-    grid = _get_grid(cfg, grid, metric.dim)
-    trials = _get_int(cfg, "trials", default=trials, minimum=1)
-    seed = _get_int(cfg, "seed", default=0)
-    tol = _get_number(cfg, "tol", default=tol, positive=True)
+    metric, variant, trials, seed = s["metric"], s["variant"], s["trials"], s["seed"]
     worst = -1.0
     argmax = None
     points = 0
-    for chunk, _ in grid_scan(metric.chart, grid, metric.definite_metric_at):
+    for chunk, _ in grid_scan(metric.chart, s["grid"], metric.definite_metric_at):
         for point in map(tuple, chunk.tolist()):
             value = residual(variant, metric, point, trials=trials, seed=seed)
             if value > worst:
                 worst, argmax = value, point
         points += len(chunk)
     payload = {
-        **source,
+        **s["source"],
         "variant": variant,
-        "grid": grid,
+        "grid": s["grid"],
         "points": points,
         "trials": trials,
         "seed": seed,
         "max_residual": worst,
         "argmax_point": list(argmax),
-        "tol": tol,
+        "tol": s["tol"],
     }
-    return payload, worst <= tol, None
+    return payload, worst <= s["tol"], None
 
 
 def _identity_worst(variant, metric, point, trials, seed) -> float:
     return identity_residual(variant, metric, point, trials=trials, seed=seed).worst
 
 
-def _job_transport(cfg: dict):
-    _check_keys(cfg, _METRIC_KEYS | {"connection", "curve", "steps_per_unit", "tol"})
-    metric, source = _build_metric(cfg)
-    connection = _get_string(cfg, "connection", default="lc", choices=CONNECTIONS)
-    steps_per_unit = _get_int(cfg, "steps_per_unit", default=256, minimum=1)
-    tol = _get_number(cfg, "tol", default=1e-6, positive=True)
-    curve, curve_echo = _build_curve(cfg, metric.chart, steps_per_unit)
+def _job_transport(s: dict):
+    metric, connection, tol = s["metric"], s["connection"], s["tol"]
+    curve, curve_echo = _build_curve(s.get("curve"), metric.chart, s["steps_per_unit"])
     times, matrices = transport_trace(connection, metric, curve)
     start = np.array(curve.point_at(curve.t0))
     end = np.array(curve.point_at(curve.t1))
@@ -343,7 +356,7 @@ def _job_transport(cfg: dict):
         float(np.max(np.abs(matrices[-1] - np.eye(matrices.shape[1])))) if closed else None
     )
     payload = {
-        **source,
+        **s["source"],
         "connection": connection,
         "curve": curve_echo,
         "steps": int(curve.steps),
@@ -363,22 +376,16 @@ def _job_transport(cfg: dict):
     return payload, passed, rows
 
 
-def _job_develop(cfg: dict):
-    _check_keys(cfg, _METRIC_KEYS | {"variant", "path", "steps_per_unit", "tol"})
-    metric, source = _build_metric(cfg)
-    variant = _get_string(cfg, "variant", choices=("h", "s"))
-    if variant is None:
-        raise ConfigError("$.variant", "is required ('h' or 's')")
-    steps_per_unit = _get_int(cfg, "steps_per_unit", default=256, minimum=1)
-    tol = _get_number(cfg, "tol", default=1e-6, positive=True)
-    segments, path_echo = _build_path(cfg, metric.chart, steps_per_unit)
+def _job_develop(s: dict):
+    metric, variant, tol = s["metric"], s["variant"], s["tol"]
+    segments, path_echo = _build_path(s.get("path"), metric.chart, s["steps_per_unit"])
     try:
         developed = develop(variant, metric, segments)
     except ValueError as exc:
         raise ConfigError("$.path", str(exc)) from exc
     residual = developed.quadric_residual
     payload = {
-        **source,
+        **s["source"],
         "variant": variant,
         "path": path_echo,
         "nodes": int(developed.points.shape[0]),
@@ -394,50 +401,89 @@ def _job_develop(cfg: dict):
     return payload, residual <= tol, rows
 
 
-def _job_zcr(cfg: dict):
-    _check_keys(cfg, {"u", "box", "grid", "tol"})
-    u_text = _get_string(cfg, "u", default=KINK_TEXT)
-    box = _check_box(cfg.get("box"), "$.box") if "box" in cfg else ((-2.0, 2.0), (-2.0, 2.0))
+def _job_zcr(s: dict):
+    box = _check_box(s["box"], "$.box") if "box" in s else ((-2.0, 2.0), (-2.0, 2.0))
     if len(box) != 2:
         raise ConfigError("$.box", "the sine-Gordon chart is two-dimensional")
-    grid = _get_grid(cfg, 21, 2)
-    tol = _get_number(cfg, "tol", default=1e-8, positive=True)
     chart = Chart(("x1", "x2"), box)
-    report = equivalence_scan(u_text, chart, resolution=grid)
-    payload = {"u": u_text, "box": [list(b) for b in box], **report.as_dict(), "tol": tol}
-    return payload, report.max_zcr <= tol, None
+    report = equivalence_scan(s["u"], chart, resolution=s["grid"])
+    payload = {"u": s["u"], "box": [list(b) for b in box], **report.as_dict(), "tol": s["tol"]}
+    return payload, report.max_zcr <= s["tol"], None
 
 
-def _job_presets(cfg: dict):
-    _check_keys(cfg, set())
+def _job_presets(s: dict):
     return {"presets": catalog()}, None, None
 
 
-_JOBS = {
-    "curvature": _job_curvature,
-    "flatness": _job_flatness,
+# ---------------------------------------------------------------------------
+# the command table and its wiring
+# ---------------------------------------------------------------------------
+
+
+class _Command(NamedTuple):
+    job: Callable
+    summary: str
+    min_dim: int  # smallest inline metric dimension; 0 = takes no metric
+    structured: tuple  # fields the job reads itself
+    scalars: dict  # field -> default (or _REQUIRED), in the order they are read
+
+    @property
+    def fields(self) -> set:
+        """Every top-level config field the command accepts."""
+        return {*(("preset", "metric") if self.min_dim else ()), *self.structured, *self.scalars}
+
+
+_COMMANDS = {
+    "curvature": _Command(
+        _job_curvature, "sectional curvature scan", 2, (),
+        {"grid": 12, "tol": 1e-6, "expected": None},
+    ),
+    "flatness": _Command(
+        _job_flatness, "flatness residual scan", 2, (),
+        {"variant": _REQUIRED, "grid": 20, "tol": 1e-6},
+    ),
     # identity has nothing to check below two dimensions; compat does
-    "identity": functools.partial(
-        _job_section_scan, residual=_identity_worst, grid=4, trials=5, tol=1e-4, min_dim=2
+    "identity": _Command(
+        functools.partial(_job_section_scan, _identity_worst), "identity residual scan", 2, (),
+        {"variant": _REQUIRED, "grid": 4, "trials": 5, "seed": 0, "tol": 1e-4},
     ),
-    "compat": functools.partial(
-        _job_section_scan,
-        residual=metric_compatibility_residual,
-        grid=6,
-        trials=10,
-        tol=1e-8,
-        min_dim=1,
+    "compat": _Command(
+        functools.partial(_job_section_scan, metric_compatibility_residual),
+        "compat residual scan", 1, (),
+        {"variant": _REQUIRED, "grid": 6, "trials": 10, "seed": 0, "tol": 1e-8},
     ),
-    "transport": _job_transport,
-    "develop": _job_develop,
-    "zcr": _job_zcr,
-    "presets": _job_presets,
+    "transport": _Command(
+        _job_transport, "parallel transport along a curve", 1, ("curve",),
+        {"connection": "lc", "steps_per_unit": 256, "tol": 1e-6},
+    ),
+    "develop": _Command(
+        _job_develop, "develop a path into the model quadric", 1, ("path",),
+        {"variant": _REQUIRED, "steps_per_unit": 256, "tol": 1e-6},
+    ),
+    "zcr": _Command(
+        _job_zcr, "sine-Gordon zero-curvature scan", 0, ("box",),
+        {"u": KINK_TEXT, "grid": 21, "tol": 1e-8},
+    ),
+    "presets": _Command(_job_presets, "list bundled metrics", 0, (), {}),
 }
 
 
-# ---------------------------------------------------------------------------
-# wiring
-# ---------------------------------------------------------------------------
+def _settings(cfg: dict, command: _Command) -> dict:
+    """Check the config's keys, build the metric, then read the scalar
+    fields in order (the grid within its point budget); the structured
+    fields present are passed through for the job to read."""
+    _check_keys(cfg, command.fields)
+    settings = {name: cfg[name] for name in command.structured if name in cfg}
+    dim = 2  # the sine-Gordon chart
+    if command.min_dim:
+        settings["metric"], settings["source"] = _build_metric(cfg, command.min_dim)
+        dim = settings["metric"].dim
+    for name, default in command.scalars.items():
+        if name == "grid":
+            settings[name] = _get_grid(cfg, default, dim)
+        else:
+            settings[name] = _read(cfg, name, default)
+    return settings
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -446,57 +492,15 @@ def _parser() -> argparse.ArgumentParser:
         description="flat-connection checks for constant-curvature metrics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, metric=True):
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.summary)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="write the report (or CSV trace) here")
-        if metric:
-            p.add_argument("--preset", help="bundled metric name")
-            p.add_argument("--grid", type=int, help="scan resolution per axis")
-            p.add_argument("--tol", type=float, help="pass/fail threshold")
-
-    p = sub.add_parser("curvature", help="sectional curvature scan")
-    common(p)
-    p.add_argument("--expected", type=float, help="constant curvature to check against")
-
-    for name, needs_seed in (("flatness", False), ("identity", True), ("compat", True)):
-        p = sub.add_parser(name, help=f"{name} residual scan")
-        common(p)
-        p.add_argument("--variant", choices=("h", "s"))
-        if needs_seed:
-            p.add_argument("--seed", type=int)
-            p.add_argument("--trials", type=int)
-
-    p = sub.add_parser("transport", help="parallel transport along a curve")
-    common(p)
-    p.add_argument("--connection", choices=CONNECTIONS)
-
-    p = sub.add_parser("develop", help="develop a path into the model quadric")
-    common(p)
-    p.add_argument("--variant", choices=("h", "s"))
-
-    p = sub.add_parser("zcr", help="sine-Gordon zero-curvature scan")
-    common(p, metric=False)
-    p.add_argument("--u", help="scalar field expression in x1, x2")
-    p.add_argument("--grid", type=int, help="scan resolution per axis")
-    p.add_argument("--tol", type=float, help="pass/fail threshold")
-
-    p = sub.add_parser("presets", help="list bundled metrics")
-    common(p, metric=False)
+        fields = command.fields
+        for field, spec in _FIELDS.items():
+            if field in fields and spec.help is not None:
+                p.add_argument(f"--{field}", type=spec.kind, choices=spec.choices, help=spec.help)
     return parser
-
-
-_FLAG_FIELDS = (
-    "preset",
-    "variant",
-    "connection",
-    "grid",
-    "tol",
-    "seed",
-    "trials",
-    "expected",
-    "u",
-)
 
 
 def _load_config(args) -> dict:
@@ -511,7 +515,7 @@ def _load_config(args) -> dict:
             raise ConfigError("$", f"config file is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("$", "config file must hold a JSON object")
-    for field in _FLAG_FIELDS:
+    for field in _FIELDS:
         value = getattr(args, field, None)
         if value is not None:
             cfg[field] = value
@@ -522,8 +526,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        cfg = _load_config(args)
-        payload, passed, csv_rows = _JOBS[args.command](cfg)
+        command = _COMMANDS[args.command]
+        payload, passed, csv_rows = command.job(_settings(_load_config(args), command))
     except CartanflatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -726,34 +726,7 @@ def differentiate(expression: Expression, variable: str) -> Expression:
 
 def simplify(expression: Expression) -> Expression:
     """Rebuild bottom-up through the smart constructors."""
-    memo: dict[int, Expression] = {}
-
-    def walk(node: Expression) -> Expression:
-        key = id(node)
-        found = memo.get(key)
-        if found is not None:
-            return found
-        if isinstance(node, (Const, Var)):
-            result = node
-        elif isinstance(node, Unary):
-            inner = walk(node.operand)
-            result = neg(inner) if node.op == "neg" else call(node.op, inner)
-        else:
-            left, right = walk(node.left), walk(node.right)
-            if node.op == "+":
-                result = add(left, right)
-            elif node.op == "-":
-                result = sub(left, right)
-            elif node.op == "*":
-                result = mul(left, right)
-            elif node.op == "/":
-                result = div(left, right)
-            else:
-                result = power(left, right)
-        memo[key] = result
-        return result
-
-    return walk(expression)
+    return substitute(expression, {})
 
 
 def substitute(expression: Expression, bindings: Mapping[str, Expression]) -> Expression:

@@ -1,15 +1,27 @@
 """CLI behavior: reports, exit codes, config validation."""
 
+import argparse
 import csv
 import json
 import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from cartanflat.cli import _get_grid, main
+from cartanflat.cli import (
+    _COMMANDS,
+    _FIELDS,
+    _MAX_STEPS_PER_UNIT,
+    _MAX_TRIALS,
+    _REQUIRED,
+    _get_grid,
+    _parser,
+    _read,
+    main,
+)
 from cartanflat.errors import ConfigError
 from cartanflat.presets import PRESET_NAMES
 
@@ -127,6 +139,13 @@ def test_inline_metric_config(tmp_path, capsys):
                 "variant": "h",
             },
             "$.metric.entries",
+        ),
+        (
+            {
+                "metric": {"names": ["x", "x"], "box": [[1, 2], [1, 2]], "entries": [["1", "0"], ["0", "1"]]},
+                "variant": "h",
+            },
+            "$.metric.names",
         ),
     ],
 )
@@ -246,6 +265,148 @@ def test_grid_point_budget_is_inclusive():
     assert _get_grid({"grid": 1000}, 20, 2) == 1000
     with pytest.raises(ConfigError):
         _get_grid({"grid": 1001}, 20, 2)
+
+
+def test_work_field_maxima_are_inclusive():
+    for name, bound in (("trials", _MAX_TRIALS), ("steps_per_unit", _MAX_STEPS_PER_UNIT)):
+        assert _read({name: bound}, name) == bound
+        with pytest.raises(ConfigError, match=rf"\$\.{name}: must be at most"):
+            _read({name: bound + 1}, name)
+
+
+_SEGMENT = {"start": [0.0, 1.0], "end": [1.0, 2.0]}
+
+
+@pytest.mark.parametrize(
+    "argv, config, path",
+    [
+        (
+            ["identity", "--preset", "half_plane", "--variant", "h", "--grid", "2"],
+            {"trials": _MAX_TRIALS + 1},
+            "$.trials",
+        ),
+        (
+            ["transport", "--preset", "half_plane"],
+            {"curve": {"kind": "line", **_SEGMENT}, "steps_per_unit": _MAX_STEPS_PER_UNIT + 1},
+            "$.steps_per_unit",
+        ),
+        (
+            ["develop", "--preset", "half_plane", "--variant", "h"],
+            {"path": [_SEGMENT], "steps_per_unit": _MAX_STEPS_PER_UNIT + 1},
+            "$.steps_per_unit",
+        ),
+    ],
+)
+def test_work_fields_over_their_maxima_exit_2_at_once(tmp_path, capsys, argv, config, path):
+    config_file = tmp_path / "job.json"
+    config_file.write_text(json.dumps(config))
+    started = time.perf_counter()
+    code, report, err = _run(capsys, *argv, "--config", str(config_file))
+    assert code == 2 and report is None
+    assert f"{path}: must be at most" in err
+    assert time.perf_counter() - started < 10.0
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "argv, config, path",
+    [
+        (["curvature", "--preset", "half_plane", "--grid", "3", "--expected", "nan"], None, "$.expected"),
+        (
+            ["flatness", "--preset", "half_plane", "--variant", "s", "--grid", "3", "--tol", "inf"],
+            None,
+            "$.tol",
+        ),
+        (["flatness"], {"preset": "half_plane", "variant": "h", "grid": 3, "tol": _NAN}, "$.tol"),
+        (["curvature"], {"preset": "half_plane", "grid": 3, "expected": 10**400}, "$.expected"),
+        (
+            ["transport"],
+            {"preset": "half_plane", "curve": {"kind": "circle", "center": [0.0, 2.0], "radius": _INF}},
+            "$.curve.radius",
+        ),
+        (
+            ["transport"],
+            {"preset": "half_plane", "curve": {"kind": "line", "start": [0.0, _NAN], "end": [1.0, 2.0]}},
+            "$.curve.start[1]",
+        ),
+        (
+            ["develop"],
+            {"preset": "half_plane", "variant": "h", "path": [{"start": [0.0, 1.0], "end": [-_INF, 2.0]}]},
+            "$.path[0].end[0]",
+        ),
+        (["zcr"], {"box": [[-2, 2], [-_INF, 2]], "grid": 3}, "$.box[1]"),
+        (
+            ["flatness"],
+            {
+                "metric": {"names": ["x", "y"], "box": [[0, 1], [0, _INF]], "entries": [["1", "0"], ["0", "1"]]},
+                "variant": "h",
+            },
+            "$.metric.box[1]",
+        ),
+    ],
+)
+def test_non_finite_numbers_exit_2(tmp_path, capsys, argv, config, path):
+    if config is not None:
+        config_file = tmp_path / "job.json"
+        config_file.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(config_file)]
+    code, report, err = _run(capsys, *argv)
+    assert code == 2 and report is None
+    assert f"{path}: must be a finite number" in err
+
+
+def _subcommand_flags() -> dict:
+    """Each subcommand's field flags (all but --help, --config, --out)."""
+    parser = _parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: [a for a in sub._actions if a.option_strings and a.dest not in ("help", "config", "out")]
+        for name, sub in subparsers.choices.items()
+    }
+
+
+_FLAG_VALUES = {"preset": "half_plane", "u": "x1 + x2"}
+
+
+@pytest.mark.parametrize("command", list(_subcommand_flags()))
+def test_advertised_flags_are_accepted(capsys, command):
+    for action in _subcommand_flags()[command]:
+        value = action.choices[0] if action.choices else _FLAG_VALUES.get(action.dest, "2")
+        code, _, err = _run(capsys, command, action.option_strings[0], value)
+        assert code in (0, 1, 2)
+        assert "unknown field" not in err, (action.option_strings, err)
+
+
+_SCHEMA_TYPES = {str: "string", int: "integer", float: "number"}
+
+
+def test_config_schema_matches_the_field_tables():
+    schema = json.loads((Path(__file__).parents[1] / "docs" / "config-schema.json").read_text())
+    properties = schema["properties"]
+    takers: dict = {}
+    for command, spec in _COMMANDS.items():
+        for field in sorted(spec.fields):
+            takers.setdefault(field, []).append(command)
+    assert set(properties) == set(takers)
+    for name, prop in properties.items():
+        assert prop["x-commands"] == takers[name], name
+        defaults = {c: _COMMANDS[c].scalars[name] for c in takers[name] if name in _COMMANDS[c].scalars}
+        assert prop.get("x-required", []) == [c for c, d in defaults.items() if d is _REQUIRED], name
+        assert prop.get("x-defaults", {}) == {
+            c: d for c, d in defaults.items() if d is not _REQUIRED
+        }, name
+    # scalar fields are top-level properties or, for kind and radius, curve properties
+    curve = schema["definitions"]["curve"]["properties"]
+    assert {n for c in _COMMANDS.values() for n in c.scalars} <= set(_FIELDS)
+    for name, field in _FIELDS.items():
+        prop = properties[name] if name in properties else curve[name]
+        assert prop["type"] == _SCHEMA_TYPES[field.kind], name
+        assert prop.get("enum") == (list(field.choices) if field.choices else None), name
+        assert prop.get("minimum") == field.minimum, name
+        assert prop.get("maximum") == field.maximum, name
+        assert prop.get("exclusiveMinimum") == (0 if field.positive else None), name
 
 
 def test_unreadable_and_malformed_config(tmp_path, capsys):
