@@ -29,7 +29,8 @@ import numpy as np
 
 from . import __version__
 from .bundle import identity_residual, metric_compatibility_residual
-from .errors import CartanflatError, ConfigError
+from .errors import CartanflatError, ConfigError, ParseError
+from .exprlang import parse
 from .metricspace import Chart, ChartMetric, grid_scan
 from .presets import KINK_TEXT, PRESET_NAMES, catalog, get_preset
 from .sasaki import flatness_scan
@@ -142,10 +143,9 @@ def _read(cfg: dict, name: str, default=None, path: str = "$"):
 def _get_grid(cfg: dict, default: int, dim: int) -> int:
     grid = _read(cfg, "grid", default)
     if grid**dim > _GRID_POINT_BUDGET:
+        # the power itself is not printed: past 4,300 digits str() refuses it
         raise ConfigError(
-            "$.grid",
-            f"{grid}^{dim} = {grid**dim} points exceeds the budget of "
-            f"{_GRID_POINT_BUDGET:,} grid points",
+            "$.grid", f"{grid}^{dim} points exceeds the budget of {_GRID_POINT_BUDGET:,} grid points"
         )
     return grid
 
@@ -216,8 +216,16 @@ def _build_metric(cfg: dict, min_dim: int) -> tuple[ChartMetric, dict]:
         for row in entries)
     ):
         raise ConfigError("$.metric.entries", f"must be a {n}x{n} matrix of expression strings")
+    rows = []
+    for i, row in enumerate(entries):
+        rows.append([])
+        for j, text in enumerate(row):
+            try:
+                rows[i].append(parse(text, names))
+            except ParseError as exc:
+                raise ConfigError(f"$.metric.entries[{i}][{j}]", str(exc)) from exc
     try:
-        metric = ChartMetric(Chart(tuple(names), box), entries)
+        metric = ChartMetric(Chart(tuple(names), box), rows)
     except CartanflatError as exc:
         raise ConfigError("$.metric", str(exc)) from exc
     except ValueError as exc:
@@ -513,6 +521,8 @@ def _load_config(args) -> dict:
             raise ConfigError("$", f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError("$", f"config file is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # e.g. an integer of more than 4,300 digits
+            raise ConfigError("$", f"cannot read config file: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("$", "config file must hold a JSON object")
     for field in _FIELDS:
@@ -523,14 +533,22 @@ def _load_config(args) -> dict:
 
 
 def main(argv=None) -> int:
+    """Exit 0 when the check passes, 1 when it fails, 2 on anything else."""
     args = _parser().parse_args(argv)
-    started = time.perf_counter()
     try:
-        command = _COMMANDS[args.command]
-        payload, passed, csv_rows = command.job(_settings(_load_config(args), command))
+        return _run(args)
     except CartanflatError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # noqa: BLE001 - a fault here is not a failed check
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+    return 2
+
+
+def _run(args) -> int:
+    started = time.perf_counter()
+    command = _COMMANDS[args.command]
+    payload, passed, csv_rows = command.job(_settings(_load_config(args), command))
     report = {
         "command": args.command,
         "version": f"cartanflat {__version__}",

@@ -4,11 +4,24 @@ A tiny closed-form language: constants, named variables, ``+ - * / ^`` (the
 exponent of ``^`` must be constant), unary minus, and the functions
 sin, cos, tan, sinh, cosh, tanh, exp, log, sqrt, atan.
 
-The AST is a set of frozen dataclasses with structural equality, and the
-printer/parser pair is a round trip: ``parse(to_text(e), vars) == e`` for any
-AST built by the parser or the smart constructors.  Simplification is
-deliberately conservative (constant folding plus 0/1 identities); nothing here
-reorders sums or rewrites powers, so printed formulas stay recognizable.
+AST nodes are immutable and interned (hash-consed): every constructor looks
+its node up in one weak table first, so two nodes equal in structure are one
+object, wherever and however often they were built, and ``==`` and ``hash``
+are identity.  Constants key on their value and its sign bit, so ``Const(0.0)``
+and ``Const(-0.0)`` stay two nodes, as their bits differ; variables on their
+name; operators on their op and the identities of their children.  Each node
+caches its derivatives by variable, so a derivative is taken once while the
+node lives, and the compiler, which emits one line per distinct node, emits
+each distinct subexpression once.  The table holds nodes weakly: a node goes
+when nothing else uses it.
+
+The printer/parser pair is a round trip: ``parse(to_text(e), vars) is e``
+for any AST built by the parser or the smart constructors (a negative zero
+prints as ``-0``).  :func:`parse` refuses expressions more than
+:data:`MAX_DEPTH` levels deep, since every walk over an AST recurses once
+per level.  Simplification is deliberately conservative (constant folding
+plus 0/1 identities); nothing here reorders sums or rewrites powers, so
+printed formulas stay recognizable.
 
 Evaluation is pure and deterministic.  Out-of-domain input (log of a
 non-positive value, division by zero, overflow) raises
@@ -47,7 +60,7 @@ from __future__ import annotations
 import itertools
 import math
 import types
-from dataclasses import dataclass
+import weakref
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -70,6 +83,7 @@ __all__ = [
     "variables_of",
     "compile_expressions",
     "STACK_MIN_POINTS",
+    "MAX_DEPTH",
     "add",
     "sub",
     "mul",
@@ -180,10 +194,34 @@ def _apply_binary(op: str, a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+#: Every live node, under its key: ``(class, value, sign of value)`` for a
+#: constant, ``(class, name)`` for a variable, ``(class, op, *child ids)``
+#: otherwise.  Nodes are held weakly, so one lives as long as something
+#: else uses it.  A live node keeps its children, and so their ids, alive;
+#: keys hold ids rather than the children, so a derivative cached on the
+#: node it contains (d exp(u) = exp(u) du) is a cycle gc can free.
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class Expression:
-    """Base node.  Arithmetic operators build (lightly simplified) trees, so
-    geometry code can write ``(a * b - c) / d`` with floats auto-wrapped."""
+    """Base node.  Nodes are immutable and interned: building a node equal in
+    structure to a live one returns the live one, so ``==`` and ``hash`` are
+    by identity.  ``depth`` counts the nodes on the longest path to a leaf.
+
+    Arithmetic operators build (lightly simplified) trees, so geometry code
+    can write ``(a * b - c) / d`` with floats auto-wrapped."""
+
+    __slots__ = ("depth", "_derivatives", "__weakref__")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in type(self).__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def __add__(self, other):
         return add(self, _coerce(other))
@@ -216,40 +254,72 @@ class Expression:
         return neg(self)
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+def _new_node(cls, key, depth: int, *fields) -> Expression:
+    """A node of ``cls`` with ``fields`` in its slots, entered under ``key``."""
+    node = object.__new__(cls)
+    _set(node, "depth", depth)
+    _set(node, "_derivatives", None)
+    for name, value in zip(cls.__slots__, fields):
+        _set(node, name, value)
+    _INTERNED[key] = node
+    return node
+
+
 class Const(Expression):
-    value: float
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-        if not math.isfinite(self.value):
-            raise ValueError("constants must be finite")
+    def __new__(cls, value):
+        value = float(value)
+        # 0.0 == -0.0, so the sign is part of the key: constants are equal
+        # only when their bits are
+        key = (cls, value, math.copysign(1.0, value))
+        node = _INTERNED.get(key)
+        if node is None:
+            if not math.isfinite(value):
+                raise ValueError("constants must be finite")
+            node = _new_node(cls, key, 1, value)
+        return node
 
 
-@dataclass(frozen=True)
 class Var(Expression):
-    name: str
+    __slots__ = ("name",)
+
+    def __new__(cls, name):
+        key = (cls, name)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = _new_node(cls, key, 1, name)
+        return node
 
 
-@dataclass(frozen=True)
 class Unary(Expression):
-    op: str  # "neg" or a function name
-    operand: Expression
+    __slots__ = ("op", "operand")  # op: "neg" or a function name
 
-    def __post_init__(self):
-        if self.op != "neg" and self.op not in _FUNCTION_IMPL:
-            raise ValueError(f"unknown unary op {self.op!r}")
+    def __new__(cls, op, operand):
+        key = (cls, op, id(operand))
+        node = _INTERNED.get(key)
+        if node is None:
+            if op != "neg" and op not in _FUNCTION_IMPL:
+                raise ValueError(f"unknown unary op {op!r}")
+            node = _new_node(cls, key, operand.depth + 1, op, operand)
+        return node
 
 
-@dataclass(frozen=True)
 class Binary(Expression):
-    op: str
-    left: Expression
-    right: Expression
+    __slots__ = ("op", "left", "right")
 
-    def __post_init__(self):
-        if self.op not in _BINARY_OPS:
-            raise ValueError(f"unknown binary op {self.op!r}")
+    def __new__(cls, op, left, right):
+        key = (cls, op, id(left), id(right))
+        node = _INTERNED.get(key)
+        if node is None:
+            if op not in _BINARY_OPS:
+                raise ValueError(f"unknown binary op {op!r}")
+            depth = max(left.depth, right.depth) + 1
+            node = _new_node(cls, key, depth, op, left, right)
+        return node
 
 
 def _coerce(x) -> Expression:
@@ -433,11 +503,28 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
+#: Deepest expression :func:`parse` accepts, in levels: one per operator on
+#: the longest path from the root to a leaf, and one per bracket, function
+#: call, unary minus or exponent the parser descends into.  Parsing and every
+#: walk over an expression recurse once per level, and derivatives are
+#: deeper than what they differentiate; at Python's default recursion limit
+#: the deepest metric entry that ran ``flatness``, ``curvature`` and
+#: ``identity`` was a chain of 156 divisions.
+MAX_DEPTH = 100
+_TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
+
+
 class _Parser:
     def __init__(self, tokens, variables: frozenset[str]):
         self.tokens = tokens
         self.pos = 0
         self.variables = variables
+        self.nesting = 0
+
+    def bounded(self, node: Expression, offset: int) -> Expression:
+        if node.depth > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP, offset)
+        return node
 
     def peek(self):
         return self.tokens[self.pos]
@@ -457,10 +544,10 @@ class _Parser:
     def parse_expr(self) -> Expression:
         node = self.parse_term()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                node = Binary(value, node, self.parse_term())
+                node = self.bounded(Binary(value, node, self.parse_term()), offset)
             else:
                 return node
 
@@ -468,24 +555,30 @@ class _Parser:
     def parse_term(self) -> Expression:
         node = self.parse_unary()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind == "op" and value in "*/":
                 self.advance()
-                node = Binary(value, node, self.parse_unary())
+                node = self.bounded(Binary(value, node, self.parse_unary()), offset)
             else:
                 return node
 
     # unary := '-' unary | power     (so ^ binds tighter than unary minus)
+    # (every descent passes through here, so here nesting and depth are
+    # checked before and after it)
     def parse_unary(self) -> Expression:
-        kind, value, _ = self.peek()
+        kind, value, offset = self.peek()
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP, offset)
         if kind == "op" and value == "-":
             self.advance()
             operand = self.parse_unary()
-            if isinstance(operand, Const):
-                # fold a negated literal so "-2" round-trips as Const(-2.0)
-                return Const(-operand.value)
-            return Unary("neg", operand)
-        return self.parse_power()
+            # fold a negated literal so "-2" round-trips as Const(-2.0)
+            node = Const(-operand.value) if isinstance(operand, Const) else Unary("neg", operand)
+        else:
+            node = self.parse_power()
+        self.nesting -= 1
+        return self.bounded(node, offset)
 
     # power := primary ('^' unary)?  with a constant exponent, right-assoc
     def parse_power(self) -> Expression:
@@ -530,6 +623,7 @@ def parse(text: str, variables: Iterable[str]) -> Expression:
     """Parse ``text`` against the declared variable names.
 
     Raises :class:`ParseError` with the character offset on syntax errors and
+    on expressions deeper than :data:`MAX_DEPTH`, and
     :class:`UnknownIdentifierError` for undeclared names.
     """
     parser = _Parser(_tokenize(text), frozenset(variables))
@@ -552,6 +646,8 @@ _PREC_ATOM = 100
 
 
 def _const_text(value: float) -> str:
+    if value == 0.0:  # str(int(-0.0)) would drop the sign the parser reads back
+        return "-0" if math.copysign(1.0, value) < 0 else "0"
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
     return repr(value)
@@ -559,7 +655,7 @@ def _const_text(value: float) -> str:
 
 def _fmt(node: Expression) -> tuple[str, int]:
     if isinstance(node, Const):
-        prec = _PREC_NEG if node.value < 0 else _PREC_ATOM
+        prec = _PREC_NEG if math.copysign(1.0, node.value) < 0 else _PREC_ATOM
         return _const_text(node.value), prec
     if isinstance(node, Var):
         return node.name, _PREC_ATOM
@@ -667,14 +763,18 @@ def _exponent_value(exponent: Expression) -> float:
 
 def differentiate(expression: Expression, variable: str) -> Expression:
     """Exact partial derivative, lightly simplified (constant folding and
-    0/1 identities happen as the result is built)."""
-    memo: dict[int, Expression] = {}
+    0/1 identities happen as the result is built).  Every node keeps its
+    derivatives by variable, so each is taken once while the node lives."""
 
     def walk(node: Expression) -> Expression:
-        key = id(node)
-        found = memo.get(key)
-        if found is not None:
-            return found
+        cache = node._derivatives
+        if cache is None:
+            cache = {}
+            _set(node, "_derivatives", cache)
+        else:
+            found = cache.get(variable)
+            if found is not None:
+                return found
         if isinstance(node, Const):
             result = Const(0.0)
         elif isinstance(node, Var):
@@ -718,7 +818,7 @@ def differentiate(expression: Expression, variable: str) -> Expression:
             else:
                 c = _exponent_value(b)
                 result = mul(mul(Const(c), power(a, c - 1.0)), walk(a))
-        memo[key] = result
+        cache[variable] = result
         return result
 
     return walk(expression)
@@ -780,10 +880,10 @@ def compile_expressions(
 ) -> Callable[[Sequence[float]], tuple[float, ...]]:
     """Compile a batch of expressions into one function ``p -> tuple``.
 
-    ``p`` is indexed positionally in the order of ``variables``.  Shared
-    subtrees are emitted once (dedup by node identity), so DAG-shaped inputs
-    such as a symbolic inverse metric evaluate each common factor a single
-    time.  Raises KeyError at compile time for variables not in the list.
+    ``p`` is indexed positionally in the order of ``variables``.  Each node
+    is emitted once, and nodes are interned, so every common subexpression
+    (say, a factor of a symbolic inverse metric) is evaluated a single time.
+    Raises KeyError at compile time for variables not in the list.
 
     Called on an ``(m, len(variables))`` array of points, the function
     returns an ``(m, len(expressions))`` array whose row ``k`` is

@@ -33,6 +33,8 @@ from .errors import CartanflatError, ChartDomainError, DimensionError, SingularM
 from .exprlang import (
     Const,
     Expression,
+    Unary,
+    Var,
     add,
     compile_expressions,
     differentiate,
@@ -208,8 +210,8 @@ class ExprArray:
 
     ``comps`` holds the entries as nested tuples (``comps[k][a][b]``) and
     ``shape`` their nesting.  All entries compile together, once, on first
-    evaluation.  Arrays compare and hash by identity: a structural hash walks
-    the whole expression DAG on every cache lookup."""
+    evaluation.  Arrays compare and hash by identity, like the interned
+    expressions they hold."""
 
     def __init__(self, chart: Chart, entries):
         self.chart = chart
@@ -240,6 +242,20 @@ def _as_expression(entry, names: tuple[str, ...]) -> Expression:
     if isinstance(entry, (int, float)):
         return Const(float(entry))
     raise TypeError(f"metric entries must be expressions, text, or numbers, got {type(entry)!r}")
+
+
+def _same_but_zero_signs(a: Expression, b: Expression) -> bool:
+    """Equal in structure, with constants compared by value: entries that
+    differ only in the sign of a zero count as symmetric."""
+    if a is b:
+        return True
+    if isinstance(a, Const):
+        return isinstance(b, Const) and a.value == b.value
+    if type(a) is not type(b) or isinstance(a, Var) or a.op != b.op:
+        return False
+    if isinstance(a, Unary):
+        return _same_but_zero_signs(a.operand, b.operand)
+    return _same_but_zero_signs(a.left, b.left) and _same_but_zero_signs(a.right, b.right)
 
 
 def symbolic_determinant(matrix: Sequence[Sequence[Expression]]) -> Expression:
@@ -301,7 +317,7 @@ class ChartMetric:
                     )
         for i in range(n):
             for j in range(i + 1, n):
-                if g[i][j] != g[j][i]:
+                if not _same_but_zero_signs(g[i][j], g[j][i]):
                     raise ValueError(f"metric entries ({i},{j}) and ({j},{i}) differ")
         self.entries = g
         self._check_positive_definite(pd_check_resolution)

@@ -23,6 +23,7 @@ from cartanflat.cli import (
     main,
 )
 from cartanflat.errors import ConfigError
+from cartanflat.exprlang import MAX_DEPTH
 from cartanflat.presets import PRESET_NAMES
 
 
@@ -416,6 +417,85 @@ def test_unreadable_and_malformed_config(tmp_path, capsys):
     broken.write_text("{not json")
     code, _, err = _run(capsys, "flatness", "--config", str(broken))
     assert code == 2 and "not valid JSON" in err
+
+
+def _square_metric(entry: str, other: str = "0") -> dict:
+    return {"names": ["x", "y"], "box": [[-0.5, 0.5], [-0.5, 0.5]],
+            "entries": [[entry, other], [other, entry]]}
+
+
+def test_a_negative_zero_entry_is_still_symmetric(tmp_path, capsys):
+    reports = []
+    for zero in ("0", "-0"):
+        config = tmp_path / "job.json"
+        metric = {"names": ["x", "y"], "box": [[-1, 1], [-1, 1]], "entries": [["1", "0"], [zero, "1"]]}
+        config.write_text(json.dumps({"metric": metric, "variant": "h", "grid": 3}))
+        code, report, err = _run(capsys, "flatness", "--config", str(config))
+        assert code == 1 and err == ""
+        del report["wall_time_s"], report["metric"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["max_residual"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "entry, offset",
+    [
+        # 3,000 nested brackets: refused at the one that nests too deep
+        ("(" * 3000 + "1" + ")" * 3000, MAX_DEPTH),
+        # a 1,600-term sum: "1 + x/100000" is 3 levels deep, each term adds one
+        ("1" + " + x/100000" * 1600, len("1" + " + x/100000" * (MAX_DEPTH - 2)) + 1),
+    ],
+    ids=["brackets", "sum"],
+)
+def test_deep_metric_entries_exit_2_naming_the_entry(tmp_path, capsys, entry, offset):
+    config = tmp_path / "job.json"
+    metric = _square_metric("1")
+    metric["entries"][1][0] = metric["entries"][0][1] = entry
+    config.write_text(json.dumps({"metric": metric, "variant": "h", "grid": 3}))
+    code, report, err = _run(capsys, "flatness", "--config", str(config))
+    assert code == 2 and report is None
+    assert err == (
+        f"error: $.metric.entries[0][1]: expression nested deeper than {MAX_DEPTH} levels"
+        f" (offset {offset})\n"
+    )
+
+
+def test_the_deepest_entry_parse_accepts_runs_every_check(tmp_path, capsys):
+    # a chain of divisions: its derivatives grow fastest with its depth
+    chain = "2" + " / (1 + x/100000)" * (MAX_DEPTH - 3)
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"metric": _square_metric(chain), "grid": 2}))
+    for argv in (["flatness", "--variant", "h"], ["curvature"], ["identity", "--variant", "h", "--trials", "1"]):
+        code, report, err = _run(capsys, *argv, "--config", str(config))
+        assert code in (0, 1) and report is not None and err == "", argv
+    config.write_text(json.dumps({"metric": _square_metric(chain + " / (1 + x/100000)"), "grid": 2}))
+    code, _, err = _run(capsys, "flatness", "--variant", "h", "--config", str(config))
+    assert code == 2 and "deeper than" in err
+
+
+def test_huge_json_integers_exit_2(tmp_path, capsys):
+    config = tmp_path / "job.json"
+    config.write_text('{"preset": "sphere3", "variant": "s", "grid": ' + "1" * 5000 + "}")
+    code, report, err = _run(capsys, "flatness", "--config", str(config))
+    assert code == 2 and report is None
+    assert err.startswith("error: $: cannot read config file: ") and err.count("\n") == 1
+    config.write_text('{"preset": "sphere3", "variant": "s", "grid": ' + "1" * 1501 + "}")
+    code, report, err = _run(capsys, "flatness", "--config", str(config))
+    assert code == 2 and report is None
+    assert err.startswith("error: $.grid: 1111") and err.endswith(
+        "^3 points exceeds the budget of 1,000,000 grid points\n"
+    )
+
+
+def test_an_unexpected_exception_exits_2_in_one_line(capsys, monkeypatch):
+    def broken(settings):
+        raise RuntimeError("something broke\nacross two lines")
+
+    monkeypatch.setitem(_COMMANDS, "presets", _COMMANDS["presets"]._replace(job=broken))
+    code, report, err = _run(capsys, "presets")
+    assert code == 2 and report is None
+    assert err == "internal error: RuntimeError: something broke across two lines\n"
 
 
 def test_presets_listing(capsys):

@@ -1,14 +1,18 @@
-"""Parser, printer, evaluator, and exact-derivative tests."""
+"""Parser, printer, evaluator, exact-derivative and interning tests."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cartanflat import exprlang
 from cartanflat.errors import ExpressionDomainError, ParseError, UnknownIdentifierError
 from cartanflat.exprlang import (
+    MAX_DEPTH,
     STACK_MIN_POINTS,
     Binary,
     Const,
@@ -17,12 +21,15 @@ from cartanflat.exprlang import (
     compile_expressions,
     differentiate,
     evaluate,
+    neg,
     parse,
     simplify,
     substitute,
     to_text,
     variables_of,
 )
+from cartanflat.presets import random_metric
+from cartanflat.sasaki import flatness_scan
 from genexpr import central_difference, check_derivative_against_fd, random_expression
 
 XY = ("x", "y")
@@ -94,6 +101,36 @@ def test_exponent_must_be_constant():
 def test_function_without_parentheses_rejected():
     with pytest.raises(ParseError):
         parse("sin + 1", XY)
+
+
+@pytest.mark.parametrize(
+    "deepest, text",
+    [
+        ("1" + " + x" * (MAX_DEPTH - 1), "operators in a row"),
+        ("(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1), "brackets"),
+        ("sin(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1), "function calls"),
+        ("-" * (MAX_DEPTH - 1) + "2", "unary minus"),
+        ("x" + "^2" * (MAX_DEPTH - 1), "exponents"),
+    ],
+)
+def test_parse_refuses_expressions_deeper_than_the_bound(deepest, text):
+    parse(deepest, XY)
+    one_more = {
+        "operators in a row": deepest + " + x",
+        "brackets": "(" + deepest + ")",
+        "function calls": "sin(" + deepest + ")",
+        "unary minus": "-" + deepest,
+        "exponents": deepest + "^2",
+    }[text]
+    with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels"):
+        parse(one_more, XY)
+
+
+def test_parse_refuses_deep_input_without_recursing_into_it():
+    with pytest.raises(ParseError):
+        parse("(" * 3000 + "x" + ")" * 3000, XY)
+    with pytest.raises(ParseError):
+        parse("x" + " + x" * 1600, XY)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +231,21 @@ def test_printer_exact_texts():
     assert to_text(parse("-x^2", XY)) == "-x^2"
     assert to_text(parse("(x + y) * 2", XY)) == "(x + y) * 2"
     assert to_text(Const(-2.0)) == "-2"
+
+
+def test_signed_zero_constants_print_and_parse_back_to_themselves():
+    assert to_text(neg(Const(0.0))) == "-0"
+    assert parse("-0", XY) is Const(-0.0)
+    for e in (
+        neg(Const(0.0)),
+        Const(0.0),
+        Binary("^", Const(-0.0), Const(2.0)),
+        Binary("-", Var("x"), Const(-0.0)),
+        Binary("*", Const(-0.0), Var("y")),
+        Unary("sin", Const(-0.0)),
+        Binary("^", Var("x"), Const(-0.0)),
+    ):
+        assert parse(to_text(e), XY) is e, to_text(e)
 
 
 def test_round_trip_preserves_grouping():
@@ -322,3 +374,70 @@ def test_evaluation_is_deterministic():
     point = {"x": 0.37, "y": 1.21}
     values = {evaluate(e, point) for _ in range(10)}
     assert len(values) == 1
+
+
+# ---------------------------------------------------------------------------
+# interning
+# ---------------------------------------------------------------------------
+
+
+def test_structurally_equal_trees_are_one_object():
+    built = Binary("+", Unary("sin", Var("x")), Binary("*", Const(2.0), Var("y")))
+    assert parse("sin(x) + 2*y", XY) is built
+    assert Binary("+", Unary("sin", Var("x")), Binary("*", Const(2.0), Var("y"))) is built
+    assert Const(2) is Const(2.0)
+    assert parse("sin(x) + 2*y", XY) is not parse("sin(x) + 2*x", XY)
+
+
+def test_constants_intern_by_their_bits():
+    assert Const(0.0) is not Const(-0.0)
+    assert Const(0.0) is Const(0.0) and Const(-0.0) is Const(-0.0)
+    assert math.copysign(1.0, Const(-0.0).value) == -1.0
+
+
+def test_nodes_are_immutable():
+    with pytest.raises(AttributeError):
+        Const(1.0).value = 2.0
+    with pytest.raises(AttributeError):
+        del Var("x").name
+
+
+def test_each_derivative_is_taken_once():
+    e = parse("sin(x*y)^2 / exp(x)", XY)
+    first = differentiate(e, "x")
+    assert differentiate(e, "x") is first
+    assert differentiate(parse("sin(x*y)^2 / exp(x)", XY), "x") is first
+    assert differentiate(e, "y") is not first
+
+
+def _generated_lines(fn) -> int:
+    """Assignments in the function compile_expressions generated behind ``fn``."""
+    cells = dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))
+    return sum(name.startswith("t") for name in cells["inner"].__code__.co_varnames)
+
+
+def test_compiling_two_copies_of_a_subtree_emits_it_once():
+    def copy():  # built afresh each call, never through a shared name
+        return Binary("+", Unary("sqrt", Binary("*", Var("x"), Var("x"))), Unary("exp", Var("y")))
+
+    once = compile_expressions([copy()], XY)
+    twice = compile_expressions([Binary("*", copy(), Var("x")), Binary("-", copy(), Var("y"))], XY)
+    assert _generated_lines(once) == 4
+    assert _generated_lines(twice) == 4 + 2
+    assert twice((1.5, 0.25)) == (once((1.5, 0.25))[0] * 1.5, once((1.5, 0.25))[0] - 0.25)
+
+
+def test_nodes_are_released_with_the_metrics_that_use_them():
+    gc.collect()
+    before = len(exprlang._INTERNED)
+    probe = None
+    # seeds no other test draws: an equal entry alive elsewhere would be the same node
+    for seed in range(10_000, 10_200):
+        metric = random_metric(3, seed)
+        flatness_scan(metric, "h", resolution=2)
+        if probe is None:
+            probe = weakref.ref(metric.entries[0][1])
+        del metric
+    gc.collect()
+    assert probe() is None
+    assert len(exprlang._INTERNED) - before < 50

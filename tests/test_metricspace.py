@@ -328,3 +328,13 @@ def test_grid_scan_raises_the_error_a_point_by_point_scan_meets_first():
     with pytest.raises(ChartDomainError, match="second stage at 0.4"):
         for _ in grid_scan(chart, 11, evaluate):
             pass
+
+
+def test_symmetry_check_ignores_the_sign_of_a_zero():
+    chart = Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
+    ChartMetric(chart, [["1", "0"], ["-0", "1"]])
+    ChartMetric(chart, [["2", "x*y + -0"], ["x*y + 0", "2"]])
+    with pytest.raises(ValueError, match=r"entries \(0,1\) and \(1,0\) differ"):
+        ChartMetric(chart, [["2", "x*y + 1"], ["x*y + -1", "2"]])
+    with pytest.raises(ValueError, match="differ"):
+        ChartMetric(chart, [["2", "0*x"], ["0*y", "2"]])
