@@ -25,8 +25,9 @@ with no e-component, where R_K(X, Y)Z = K (g(Y,Z) X - g(X,Z) Y).
 from __future__ import annotations
 
 import functools
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,7 +102,44 @@ def random_section(chart: Chart, rng: np.random.Generator) -> BundleSection:
     return BundleSection(chart, tuple(components[:n]), components[n])
 
 
-@functools.lru_cache(maxsize=512)
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+
+
+def _cached_on_metric(maxsize: int):
+    """Cache a function of ``(variant, metric, *args)`` in the metric's own
+    ``memo``, least recently used out first past ``maxsize`` entries per
+    metric, so each entry lives exactly as long as the metric it describes.
+    ``cache_info()`` counts hits and misses over all metrics, like
+    ``functools.lru_cache``."""
+
+    def decorate(fn):
+        hits = misses = 0
+
+        @functools.wraps(fn)
+        def cached(variant: str, metric: ChartMetric, *args):
+            nonlocal hits, misses
+            memo = metric.memo.setdefault(fn.__name__, OrderedDict())
+            key = (variant, *args)
+            if key in memo:
+                hits += 1
+                memo.move_to_end(key)
+                return memo[key]
+            misses += 1
+            value = memo[key] = fn(variant, metric, *args)
+            if len(memo) > maxsize:
+                memo.popitem(last=False)
+            return value
+
+        cached.cache_info = lambda: _CacheInfo(hits, misses, maxsize)
+        return cached
+
+    return decorate
+
+
+@_cached_on_metric(maxsize=512)
 def covariant_derivative(
     variant: str, metric: ChartMetric, section: BundleSection, direction: int
 ) -> BundleSection:
@@ -304,7 +342,7 @@ def bundle_pairing(
     return tangent - fiber if variant_sign(variant) > 0 else tangent + fiber
 
 
-@functools.lru_cache(maxsize=128)
+@_cached_on_metric(maxsize=128)
 def _compatibility_residuals(variant: str, metric: ChartMetric, trials: int, seed: int) -> ExprArray:
     """The residuals d_k <s,t> - <nabla_k s, t> - <s, nabla_k t> for seeded
     section pairs, one entry per (trial, direction)."""

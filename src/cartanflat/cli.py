@@ -557,13 +557,20 @@ def _run(args) -> int:
         **payload,
     }
     text = json.dumps(report, indent=2, sort_keys=True)
+    # open --out before printing, so a path that cannot be written prints
+    # no report whose exit code says it was not produced
+    try:
+        out = open(args.out, "w", encoding="utf-8", newline="") if args.out else None
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise CartanflatError(f"cannot write --out file {args.out!r}: {reason}") from exc
     print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+    if out is not None:
+        with out:
             if csv_rows is not None:
-                csv.writer(handle).writerows(csv_rows)
+                csv.writer(out).writerows(csv_rows)
             else:
-                handle.write(text + "\n")
+                out.write(text + "\n")
     return 1 if passed is False else 0
 
 

@@ -335,6 +335,12 @@ class ChartMetric:
         return self.chart.dim
 
     @cached_property
+    def memo(self) -> dict:
+        """Results other modules derive from this metric, one table per
+        deriving function; they live exactly as long as the metric."""
+        return {}
+
+    @cached_property
     def _dg(self) -> tuple:
         """_dg[a][i][j] = d g_ij / d x_a."""
         names = self.chart.names

@@ -19,15 +19,25 @@ quadric residual and path_dependence() quantify both claims numerically.
 There is one integrator, and it integrates a stack of m curves that share
 t0, t1 and the step count at once, with state ``(m, size, size)``:
 transport, holonomy and develop pass one curve, develop_cloud the segments
-of up to GRID_CHUNK targets.  Each slope evaluates all curves in one call
-(positions from the curves' own expressions, never recomputed as a + d t),
-then g and Gamma at all slope points (ChartMetric.metric_and_christoffel),
-which checks every point against the chart box and g for singularity and
-positive definiteness, raising at the first point that fails, before it
-evaluates Gamma.  Every stacked product is the per-curve product at
-each row, so results are bit-identical to integrating the curves one at a
-time; where a cloud's chunk raises, its targets are developed again one at
-a time, so the error is the one the first failing target meets.
+of up to GRID_CHUNK targets.  M depends on t and the curves only, never on
+the state, so the integrator runs in blocks of steps: it evaluates M at a
+block's distinct slope times first, stacked, and then steps the state
+through the block with matrix products only.  A step's distinct times are
+its node t_k, its midpoint t_k + h/2 (shared by k2 and k3) and its end
+t_k + h, which also serves as node t_{k+1} when the two floats are equal
+bit for bit.  A block of a single curve stays below STACK_MIN_POINTS slope
+points, where compiled evaluation runs point by point.  Each block
+evaluates all its times and curves in one call (positions from the curves'
+own expressions, never recomputed as a + d t), then g and Gamma at all its
+points (ChartMetric.metric_and_christoffel), which checks every point
+against the chart box and g for singularity and positive definiteness,
+raising at the first point that fails, before it evaluates Gamma.  If a
+block raises, its times are evaluated again one at a time, in first-use
+order, so the error is the one stepping slope by slope meets first.  Every
+stacked product is the per-curve product at each row, so results are
+bit-identical to integrating the curves one at a time, slope by slope;
+where a cloud's chunk raises, its targets are developed again one at a
+time, so the error is the one the first failing target meets.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ import numpy as np
 from .cartan import FrameField, orthonormal_frame
 from .errors import DimensionError, NonClosedLoopError
 from .exprlang import (
+    STACK_MIN_POINTS,
     Const,
     Var,
     add,
@@ -162,12 +173,12 @@ class _CurveStack:
         velocity = [differentiate(c, _PARAM) for c in comps]
         return compile_expressions((*comps, *velocity), (_PARAM,))
 
-    def at(self, t: float) -> np.ndarray:
-        """Positions (row 0) and velocities (row 1) of every curve at t, shape
-        ``(2, m, dim)``, from the curves' own arithmetic; positions are not
-        yet checked against the chart."""
-        values = np.array(self._fn((float(t),)), dtype=float)
-        return values.reshape(2, len(self.curves), self.chart.dim)
+    def at(self, times: Sequence[float]) -> np.ndarray:
+        """Positions (``[:, 0]``) and velocities (``[:, 1]``) of every curve
+        at each time, shape ``(T, 2, m, dim)``, from the curves' own
+        arithmetic; positions are not yet checked against the chart."""
+        values = self._fn(np.array(times, dtype=float).reshape(-1, 1))
+        return values.reshape(len(times), 2, len(self.curves), self.chart.dim)
 
 
 def _action_matrices(
@@ -206,27 +217,57 @@ def _rk4_transport(
     """Integrate Y' = -M(t) Y (forward=True, transport) or Y' = +Y M(t)
     (forward=False, inverse transport used by the developing map) along
     every curve of the stack at once; ``initial``, the result and each
-    recorded node have one leading row per curve."""
+    recorded node have one leading row per curve.  The steps run in blocks
+    (see the module docstring)."""
+    m = len(curves.curves)
 
-    def slope(t: float, y: np.ndarray) -> np.ndarray:
-        points, velocities = curves.at(t)
-        m = _action_matrices(connection, metric, points, velocities)
-        return -np.matmul(m, y) if forward else np.matmul(y, m)
+    def actions_at(times: list) -> np.ndarray:
+        states = curves.at(times)
+        points = states[:, 0].reshape(-1, curves.chart.dim)
+        velocities = states[:, 1].reshape(-1, curves.chart.dim)
+        actions = _action_matrices(connection, metric, points, velocities)
+        return actions.reshape(len(times), m, *actions.shape[1:])
+
+    def slope(action: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return -np.matmul(action, y) if forward else np.matmul(y, action)
 
     steps = curves.steps
     h = (curves.t1 - curves.t0) / steps
+    half = 0.5 * h
+    # a single-curve block stays below the stacked-evaluation cutoff
+    block = max(1, (STACK_MIN_POINTS - 1) // (2 * m))
     y = np.array(initial, dtype=float)
     if record is not None:
         record.append(y.copy())
-    for k in range(steps):
-        t = curves.t0 + k * h
-        k1 = slope(t, y)
-        k2 = slope(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = slope(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = slope(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if record is not None:
-            record.append(y.copy())
+    end_time, end_action = None, None  # of the step before
+    for first in range(0, steps, block):
+        times: list[float] = []
+        shares: list[bool] = []  # per step: its node is the step before's end
+        for k in range(first, min(first + block, steps)):
+            t = curves.t0 + k * h
+            share = end_time is not None and t.hex() == end_time.hex()  # bit for bit
+            if not share:
+                times.append(t)
+            times += (t + half, t + h)
+            shares.append(share)
+            end_time = t + h
+        try:
+            block_actions = actions_at(times)
+        except _POINT_ERRORS:
+            # one time at a time, in first-use order: the error that escapes
+            # is the one stepping slope by slope meets first
+            block_actions = np.concatenate([actions_at([t]) for t in times])
+        actions = iter(block_actions)
+        for share in shares:
+            node = end_action if share else next(actions)
+            mid, end_action = next(actions), next(actions)
+            k1 = slope(node, y)
+            k2 = slope(mid, y + half * k1)
+            k3 = slope(mid, y + half * k2)
+            k4 = slope(end_action, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if record is not None:
+                record.append(y.copy())
     return y
 
 
@@ -398,7 +439,7 @@ def _developed_ends(variant: str, metric: ChartMetric, segments, frame: FrameFie
     curves = _CurveStack(segments)
     # each segment's own start point, as develop takes it: 0 + d*t folds to
     # d*t, so a zero base coordinate starts at -0.0 where d < 0
-    starts = metric.chart.require_stack(curves.at(curves.t0)[0])
+    starts = metric.chart.require_stack(curves.at([curves.t0])[0, 0])
     identities = np.tile(np.eye(n + 1), (len(segments), 1, 1))
     normalizers = identities.copy()
     normalizers[:, :n, :n] = frame.coframe_at(starts)

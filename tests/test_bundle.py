@@ -1,6 +1,9 @@
 """Covariant derivatives on TM + line sections, FD curvature, and the
 R - R_K identity."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -104,6 +107,37 @@ def test_repeated_calls_reuse_the_cached_derivative():
     first = covariant_derivative("h", m, section, 0)
     second = covariant_derivative("h", m, section, 0)
     assert first is second
+
+
+def test_cached_derivatives_live_and_die_with_their_metric():
+    m = random_metric(3, 0)
+    point = (0.1, -0.2, 0.3)
+    before = covariant_derivative.cache_info()
+    first = metric_compatibility_residual("h", m, point, trials=1, seed=0)
+    middle = covariant_derivative.cache_info()
+    assert metric_compatibility_residual("h", m, point, trials=1, seed=0) == first
+    # the residual expressions are cached whole, so the second call takes
+    # no covariant derivative at all
+    assert covariant_derivative.cache_info() == middle
+    assert middle.misses - before.misses == 2 * 3  # two sections, three directions
+    probe = weakref.ref(m)
+    del m
+    gc.collect()
+    assert probe() is None
+
+
+def test_covariant_derivative_cache_evicts_the_least_recently_used():
+    m = random_metric(2, 1)
+    sections = [_constant_section(m.chart, (float(k), 0.0), 0.0) for k in range(513)]
+    first = covariant_derivative("h", m, sections[0], 0)
+    for section in sections[1:512]:
+        covariant_derivative("h", m, section, 0)
+    assert covariant_derivative("h", m, sections[0], 0) is first  # now most recent
+    covariant_derivative("h", m, sections[512], 0)  # evicts sections[1]'s entry
+    hits = covariant_derivative.cache_info().hits
+    assert covariant_derivative("h", m, sections[0], 0) is first
+    covariant_derivative("h", m, sections[1], 0)
+    assert covariant_derivative.cache_info().hits == hits + 1
 
 
 def test_section_validation():

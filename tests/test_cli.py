@@ -678,6 +678,32 @@ def test_out_stores_the_json_report(tmp_path, capsys):
     assert stored == report
 
 
+_SMALL_JOBS = {
+    "flatness": {"preset": "sphere2", "variant": "s", "grid": 3},
+    "develop": {
+        "preset": "sphere2",
+        "variant": "s",
+        "path": [{"start": [1.0, 1.0], "end": [1.1, 1.0]}],
+        "steps_per_unit": 4,
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL_JOBS))
+def test_unwritable_out_path_exits_2_before_any_report(tmp_path, capsys, command):
+    # a JSON report (flatness) and a CSV trace (develop): the path is
+    # refused before either is printed
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps(_SMALL_JOBS[command]))
+    out = tmp_path / "missing" / "r.json"
+    code = main([command, "--config", str(config), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write --out file {str(out)!r}: No such file or directory\n"
+    assert not out.parent.exists()
+
+
 def test_bad_flag_values_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["flatness", "--preset", "half_plane", "--variant", "x"])

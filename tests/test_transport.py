@@ -18,7 +18,7 @@ from cartanflat.errors import (
     SingularMetricError,
 )
 from cartanflat.exprlang import STACK_MIN_POINTS, parse
-from cartanflat.metricspace import Chart, ChartMetric
+from cartanflat.metricspace import Chart, ChartMetric, _check_definite, _check_nonsingular
 from cartanflat.presets import preset_metric
 from cartanflat.sasaki import variant_sign
 from cartanflat.transport import (
@@ -294,8 +294,13 @@ def test_develop_rejects_the_levi_civita_mode():
 
 
 def _reference_action(connection, metric, point, velocity):
-    """The action matrix of one slope, from one point query at a time."""
+    """The action matrix of one slope, from one point query at a time, with
+    the integrator's guards in its order: chart box, singular g, g not
+    positive definite, then Gamma."""
     n = metric.dim
+    g = metric.metric_at(point)
+    _check_nonsingular(g, point)
+    _check_definite(g, point)
     gamma = metric.christoffel(point)
     tangent_block = np.tensordot(velocity, gamma, axes=(0, 1))
     if connection == "lc":
@@ -304,7 +309,7 @@ def _reference_action(connection, metric, point, velocity):
     out = np.zeros((n + 1, n + 1))
     out[:n, :n] = tangent_block
     out[:n, n] = velocity
-    out[n, :n] = sign * (metric.metric_at(point) @ velocity)
+    out[n, :n] = sign * (g @ velocity)
     return out
 
 
@@ -463,3 +468,145 @@ def test_develop_cloud_raises_the_first_error_of_developing_in_turn():
     assert cloud.value.point == in_turn.value.point
     x, y = in_turn.value.point
     assert x == y  # on the third segment, the diagonal
+
+
+# ---------------------------------------------------------------------------
+# the block schedule: shared slope times, block edges, errors inside a block
+# ---------------------------------------------------------------------------
+
+# steps per block of a single curve
+_BLOCK = (STACK_MIN_POINTS - 1) // 2
+
+
+def _has_unshared_end(curve):
+    """Whether some step's end time t_k + h is not the next node t_{k+1}."""
+    steps = curve.steps
+    h = (curve.t1 - curve.t0) / steps
+    return any(curve.t0 + k * h + h != curve.t0 + (k + 1) * h for k in range(steps))
+
+
+def _assert_matches_the_reference(m, curve):
+    frame = orthonormal_frame(m)
+    for connection in CONNECTIONS:
+        size = m.dim if connection == "lc" else m.dim + 1
+        record = []
+        _reference_rk4(connection, m, curve, np.eye(size), True, record)
+        times, matrices = transport_trace(connection, m, curve)
+        assert np.array_equal(matrices, np.array(record))
+        vector = np.linspace(0.5, -0.25, size)
+        want = _reference_rk4(connection, m, curve, vector, True)
+        assert np.array_equal(parallel_transport(connection, m, curve, vector), want)
+    for variant in ("h", "s"):
+        got = develop(variant, m, curve, frame=frame).points
+        assert np.array_equal(got, _reference_develop(variant, m, [curve], frame))
+
+
+@pytest.mark.parametrize("name", ["half_plane", "hyperbolic3"])
+@pytest.mark.parametrize("steps_per_unit", [7, 10])
+def test_schedule_matches_the_reference_on_non_dyadic_steps(name, steps_per_unit):
+    m = preset_metric(name)
+    corners = _PATHS[name][0]
+    line = line_curve(m.chart, corners[0], corners[1], steps_per_unit)
+    later = ChartCurve(m.chart, line.comps, 0.1, 1.3, steps_per_unit)
+    for curve in (line, later):
+        assert _has_unshared_end(curve)
+        _assert_matches_the_reference(m, curve)
+
+
+@pytest.mark.parametrize(
+    "steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 3 * _BLOCK + 2]
+)
+def test_schedule_matches_the_reference_at_block_edges(steps):
+    m = preset_metric("sphere3")
+    corners = _PATHS["sphere3"][0]
+    _assert_matches_the_reference(m, line_curve(m.chart, corners[0], corners[1], steps))
+
+
+@pytest.mark.parametrize("count", [1, 3, 15, 16, 33])
+@pytest.mark.parametrize("steps_per_unit", [8, 10])
+def test_develop_cloud_matches_the_reference_bit_for_bit(count, steps_per_unit):
+    m = preset_metric("hyperbolic3")
+    variant, base = _CLOUDS["hyperbolic3"]
+    frame = orthonormal_frame(m)
+    targets = m.chart.random_points(np.random.default_rng(count), count)
+    cloud = develop_cloud(variant, m, base, targets, frame=frame, steps_per_unit=steps_per_unit)
+    want = np.array([
+        _reference_develop(variant, m, [line_curve(m.chart, base, t, steps_per_unit)], frame)[-1]
+        for t in targets
+    ])
+    assert np.array_equal(cloud, want)
+    assert np.array_equal(np.signbit(cloud), np.signbit(want))
+
+
+def _dipping_metric():
+    return ChartMetric(Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0))), _DIPPING)
+
+
+def _diagonal(chart, t1, steps_per_unit):
+    """x = y = 0.3 + 0.6 t, through the dip at t = 0.5, out of the box past
+    t = 7/6."""
+    return ChartCurve(chart, line_curve(chart, (0.3, 0.3), (0.9, 0.9)).comps, 0.0, t1, steps_per_unit)
+
+
+def _errors_of(metric, curve):
+    """What the reference and each integrator entry point raise on a curve."""
+    frame = orthonormal_frame(metric)
+    calls = {
+        "reference transport": lambda: _reference_rk4("h", metric, curve, np.eye(3), True),
+        "reference develop": lambda: _reference_develop("h", metric, [curve], frame),
+        "transport_matrix h": lambda: transport_matrix("h", metric, curve),
+        "transport_matrix lc": lambda: transport_matrix("lc", metric, curve),
+        "develop": lambda: develop("h", metric, curve, frame=frame),
+    }
+    errors = {}
+    for label, call in calls.items():
+        with pytest.raises(CartanflatError) as info:
+            call()
+        errors[label] = info.value
+    return errors
+
+
+def _assert_same_error(errors, kind):
+    reference = errors["reference transport"]
+    assert type(reference) is kind
+    for label, error in errors.items():
+        assert type(error) is kind, label
+        assert str(error) == str(reference), label
+        assert getattr(error, "point", None) == getattr(reference, "point", None), label
+
+
+def test_a_dip_inside_a_block_raises_the_reference_error():
+    m = _dipping_metric()
+    curve = _diagonal(m.chart, 1.0, 64)
+    errors = _errors_of(m, curve)
+    _assert_same_error(errors, SingularMetricError)
+    x, y = errors["reference transport"].point
+    assert x == y
+    # the first failing slope time, t = 27/64, is the end of step 26, the
+    # twelfth step of the second block
+    step = math.floor((x - 0.3) / 0.6 * 64 - 1e-9)
+    assert step == 26 and 0 < step % _BLOCK < _BLOCK - 1
+
+
+def test_a_dip_before_the_chart_exit_in_one_block_raises_the_dip():
+    # the dip (midpoint of step 3, t = 0.4375) and the exit (midpoint of
+    # step 9, t = 1.1875) lie in the first block, whose stacked evaluation
+    # checks the chart box at all its points first and so meets the exit
+    # first; the error must still be the dip's, which slope-by-slope
+    # stepping meets first
+    m = _dipping_metric()
+    curve = _diagonal(m.chart, 2.0, 8)
+    assert 9 < _BLOCK
+    errors = _errors_of(m, curve)
+    _assert_same_error(errors, SingularMetricError)
+    assert errors["develop"].point == (0.5625, 0.5625)
+
+
+def test_leaving_the_chart_inside_a_block_raises_the_reference_error():
+    # x = 0.5 t leaves the box at t = 2, inside the second block of steps
+    m = _dipping_metric()
+    line = line_curve(m.chart, (0.0, -0.5), (0.5, -0.5))
+    curve = ChartCurve(m.chart, line.comps, 0.0, 3.0, 10)
+    errors = _errors_of(m, curve)
+    _assert_same_error(errors, ChartDomainError)
+    assert "(1.025, -0.5)" in str(errors["develop"])
