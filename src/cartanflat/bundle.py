@@ -20,6 +20,11 @@ which predicts
     R^bundle(d_i, d_j)(xi + f e) = (R - R_K)(d_i, d_j) xi,   K = -1 ("h") / +1 ("s")
 
 with no e-component, where R_K(X, Y)Z = K (g(Y,Z) X - g(X,Z) Y).
+
+Covariant derivatives (512 per metric), the seeded sections the identity
+and compatibility checks draw (128 per metric) and the compatibility
+residual arrays (128 per metric) are cached in the metric's own ``memo``,
+least recently used out first, so they live exactly as long as the metric.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .cartan import g_pair
 from .errors import DimensionError, StepSizeError
 from .exprlang import (
     Const,
@@ -108,27 +114,28 @@ class _CacheInfo(NamedTuple):
     maxsize: int
 
 
-def _cached_on_metric(maxsize: int):
-    """Cache a function of ``(variant, metric, *args)`` in the metric's own
-    ``memo``, least recently used out first past ``maxsize`` entries per
-    metric, so each entry lives exactly as long as the metric it describes.
-    ``cache_info()`` counts hits and misses over all metrics, like
-    ``functools.lru_cache``."""
+def _cached_on_metric(maxsize: int, metric_arg: int = 1):
+    """Cache a function in the own ``memo`` of the metric it takes as
+    positional argument ``metric_arg``, keyed on its other arguments, least
+    recently used out first past ``maxsize`` entries per metric, so each
+    entry lives exactly as long as the metric it describes.
+    ``cache_info()`` counts hits and misses over all metrics."""
 
     def decorate(fn):
         hits = misses = 0
 
         @functools.wraps(fn)
-        def cached(variant: str, metric: ChartMetric, *args):
+        def cached(*args):
             nonlocal hits, misses
+            metric = args[metric_arg]
             memo = metric.memo.setdefault(fn.__name__, OrderedDict())
-            key = (variant, *args)
+            key = args[:metric_arg] + args[metric_arg + 1 :]
             if key in memo:
                 hits += 1
                 memo.move_to_end(key)
                 return memo[key]
             misses += 1
-            value = memo[key] = fn(variant, metric, *args)
+            value = memo[key] = fn(*args)
             if len(memo) > maxsize:
                 memo.popitem(last=False)
             return value
@@ -268,8 +275,9 @@ def reference_curvature_action(
     return tangent - shift
 
 
-@functools.lru_cache(maxsize=128)
-def _seeded_sections(chart: Chart, count: int, seed: int) -> tuple:
+@_cached_on_metric(maxsize=128, metric_arg=0)
+def _seeded_sections(metric: ChartMetric, count: int, seed: int) -> tuple:
+    chart = metric.chart
     rng = np.random.default_rng([2208, seed, count, chart.dim])
     return tuple(random_section(chart, rng) for _ in range(count))
 
@@ -301,7 +309,7 @@ def identity_residual(
     n = metric.dim
     worst_vector = 0.0
     worst_e = 0.0
-    for section in _seeded_sections(metric.chart, trials, seed):
+    for section in _seeded_sections(metric, trials, seed):
         xi = section.at(point)[:n]
         for i in range(n):
             for j in range(i + 1, n):
@@ -315,14 +323,9 @@ def identity_residual(
 def _pairing_expression(
     variant: str, metric: ChartMetric, s: BundleSection, t: BundleSection
 ) -> Expression:
-    sign = variant_sign(variant)
-    n = metric.dim
-    total: Expression = Const(0.0)
-    for a in range(n):
-        for b in range(n):
-            total = add(total, mul(mul(metric.entries[a][b], s.vector[a]), t.vector[b]))
+    tangent = g_pair(metric, s.vector, t.vector)
     fiber = mul(s.scalar, t.scalar)
-    return sub(total, fiber) if sign > 0 else add(total, fiber)
+    return sub(tangent, fiber) if variant_sign(variant) > 0 else add(tangent, fiber)
 
 
 def bundle_pairing(
@@ -347,7 +350,7 @@ def _compatibility_residuals(variant: str, metric: ChartMetric, trials: int, see
     """The residuals d_k <s,t> - <nabla_k s, t> - <s, nabla_k t> for seeded
     section pairs, one entry per (trial, direction)."""
     n = metric.dim
-    sections = _seeded_sections(metric.chart, 2 * trials, seed)
+    sections = _seeded_sections(metric, 2 * trials, seed)
     residuals = []
     for m in range(trials):
         s, t = sections[2 * m], sections[2 * m + 1]

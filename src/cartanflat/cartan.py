@@ -11,7 +11,10 @@ Conventions, fixed once and used everywhere downstream:
                             d phi     = K omega^1 ^ omega^2.
 
 Gram-Schmidt runs in coordinate-index order, which fixes the frame gauge
-deterministically (E is upper triangular).
+deterministically (E is upper triangular).  A metric has one frame:
+orthonormal_frame builds it on first request and keeps it in the metric's
+``memo``, so the frame, its connection forms and their compiled arrays live
+exactly as long as the metric.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ __all__ = [
     "FrameField",
     "ConnectionForms",
     "orthonormal_frame",
+    "g_pair",
+    "structure_forms",
     "structural_residual",
     "gauss_curvature",
 ]
@@ -65,9 +70,6 @@ class ScalarOneForm(ExprArray):
 
     def __neg__(self) -> "ScalarOneForm":
         return ScalarOneForm(self.chart, elementwise(neg, self.comps))
-
-    def scaled(self, factor) -> "ScalarOneForm":
-        return ScalarOneForm(self.chart, elementwise(lambda a: mul(factor, a), self.comps))
 
 
 def antisymmetric(n: int, upper: dict, zero) -> tuple:
@@ -124,7 +126,8 @@ def _coordinate_vector(n: int, j: int) -> tuple[Expression, ...]:
     return tuple(Const(1.0 if a == j else 0.0) for a in range(n))
 
 
-def _g_pair(metric: ChartMetric, u: Sequence[Expression], v: Sequence[Expression]) -> Expression:
+def g_pair(metric: ChartMetric, u: Sequence[Expression], v: Sequence[Expression]) -> Expression:
+    """g(u, v) = sum_ab g_ab u^a v^b, for vectors in coordinate components."""
     total: Expression = Const(0.0)
     for a in range(metric.dim):
         for b in range(metric.dim):
@@ -185,11 +188,8 @@ class FrameField:
     def _structure(self) -> ExprArray:
         if self.dim != 2:
             raise DimensionError("structure equations in this form are 2D-only")
-        omega1 = self.coframe_form(0)
-        omega2 = self.coframe_form(1)
         phi = self.connection.omega[1][0]
-        r1 = exterior_derivative(omega1) - wedge(omega2, phi)
-        r2 = exterior_derivative(omega2) + wedge(omega1, phi)
+        r1, r2 = structure_forms(self.coframe_form(0), self.coframe_form(1), phi)
         return ExprArray(self.chart, (r1.comps[0][1], r2.comps[0][1]))
 
     @cached_property
@@ -219,16 +219,24 @@ class ConnectionForms:
 
 
 def orthonormal_frame(metric: ChartMetric) -> FrameField:
-    """Index-ordered Gram-Schmidt over the coordinate fields."""
+    """The metric's orthonormal frame: index-ordered Gram-Schmidt over the
+    coordinate fields, built on first request and kept in ``metric.memo``."""
+    frame = metric.memo.get("orthonormal_frame")
+    if frame is None:
+        frame = metric.memo["orthonormal_frame"] = _gram_schmidt(metric)
+    return frame
+
+
+def _gram_schmidt(metric: ChartMetric) -> FrameField:
     n = metric.dim
     frame_vectors: list[tuple[Expression, ...]] = []
     for j in range(n):
         w = list(_coordinate_vector(n, j))
         for prev in frame_vectors:
-            coefficient = _g_pair(metric, _coordinate_vector(n, j), prev)
+            coefficient = g_pair(metric, _coordinate_vector(n, j), prev)
             for a in range(n):
                 w[a] = sub(w[a], mul(coefficient, prev[a]))
-        norm = call("sqrt", _g_pair(metric, w, w))
+        norm = call("sqrt", g_pair(metric, w, w))
         frame_vectors.append(tuple(div(component, norm) for component in w))
     # columns are frame vectors: E[a][j] = (e_j)^a
     frame_entries = tuple(tuple(frame_vectors[j][a] for j in range(n)) for a in range(n))
@@ -264,6 +272,16 @@ def _build_connection(f: FrameField) -> ConnectionForms:
             row.append(ScalarOneForm(f.chart, tuple(comps)))
         table.append(tuple(row))
     return ConnectionForms(f, tuple(table))
+
+
+def structure_forms(
+    omega1: ScalarOneForm, omega2: ScalarOneForm, phi: ScalarOneForm
+) -> tuple[ScalarTwoForm, ScalarTwoForm]:
+    """d omega1 - omega2 /\\ phi and d omega2 + omega1 /\\ phi: both vanish
+    exactly when (omega1, omega2, phi) satisfy the 2D structure equations."""
+    first = exterior_derivative(omega1) - wedge(omega2, phi)
+    second = exterior_derivative(omega2) + wedge(omega1, phi)
+    return first, second
 
 
 def structural_residual(f: FrameField, point: Sequence[float]) -> float:

@@ -35,6 +35,7 @@ from .metricspace import Chart, ChartMetric, grid_scan
 from .presets import KINK_TEXT, PRESET_NAMES, catalog, get_preset
 from .sasaki import flatness_scan
 from .transport import (
+    CLOSURE_TOL,
     CONNECTIONS,
     ChartCurve,
     circle_curve,
@@ -359,7 +360,7 @@ def _job_transport(s: dict):
     times, matrices = transport_trace(connection, metric, curve)
     start = np.array(curve.point_at(curve.t0))
     end = np.array(curve.point_at(curve.t1))
-    closed = bool(np.max(np.abs(end - start)) <= 1e-12)
+    closed = bool(np.max(np.abs(end - start)) <= CLOSURE_TOL)
     identity_gap = (
         float(np.max(np.abs(matrices[-1] - np.eye(matrices.shape[1])))) if closed else None
     )

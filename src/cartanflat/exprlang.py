@@ -91,8 +91,6 @@ __all__ = [
     "neg",
     "power",
     "call",
-    "const",
-    "var",
 ]
 
 
@@ -333,14 +331,6 @@ def _coerce(x) -> Expression:
 # ---------------------------------------------------------------------------
 # smart constructors: constant folding and 0/1 identities only
 # ---------------------------------------------------------------------------
-
-
-def const(value: float) -> Const:
-    return Const(value)
-
-
-def var(name: str) -> Var:
-    return Var(name)
 
 
 def _fold_binary(op: str, a: Const, b: Const) -> Const | None:

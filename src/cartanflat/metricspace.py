@@ -47,6 +47,7 @@ from .exprlang import (
 
 __all__ = [
     "GRID_CHUNK",
+    "PD_CHECK_RESOLUTION",
     "Chart",
     "grid_scan",
     "ExprArray",
@@ -59,6 +60,10 @@ __all__ = [
 
 _DET_RTOL = 1e-12  # relative determinant threshold for "singular here"
 _PD_MIN_EIGENVALUE = 1e-10
+
+#: Grid resolution of the positive-definiteness check at construction; the
+#: scans check again at every point they evaluate.
+PD_CHECK_RESOLUTION = 4
 
 #: Grid points per chunk of a grid scan.  A scan reduces each chunk before it
 #: takes the next, so its memory stays that of one chunk's arrays.
@@ -299,7 +304,7 @@ class ChartMetric:
     """Immutable by contract: entries are fixed at construction, everything
     else is derived lazily and cached."""
 
-    def __init__(self, chart: Chart, entries, *, pd_check_resolution: int = 4):
+    def __init__(self, chart: Chart, entries):
         self.chart = chart
         n = chart.dim
         rows = list(entries)
@@ -320,12 +325,12 @@ class ChartMetric:
                 if not _same_but_zero_signs(g[i][j], g[j][i]):
                     raise ValueError(f"metric entries ({i},{j}) and ({j},{i}) differ")
         self.entries = g
-        self._check_positive_definite(pd_check_resolution)
+        self._check_positive_definite()
 
     # -- construction-time sanity ------------------------------------------
 
-    def _check_positive_definite(self, resolution: int):
-        for _ in grid_scan(self.chart, resolution, self.definite_metric_at):
+    def _check_positive_definite(self):
+        for _ in grid_scan(self.chart, PD_CHECK_RESOLUTION, self.definite_metric_at):
             pass
 
     # -- symbolic layers ----------------------------------------------------
@@ -336,8 +341,10 @@ class ChartMetric:
 
     @cached_property
     def memo(self) -> dict:
-        """Results other modules derive from this metric, one table per
-        deriving function; they live exactly as long as the metric."""
+        """Results other modules derive from this metric, one entry or table
+        per deriving function (its orthonormal frame, covariant derivatives,
+        seeded sections, compatibility residuals); they live exactly as long
+        as the metric."""
         return {}
 
     @cached_property

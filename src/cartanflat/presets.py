@@ -3,15 +3,14 @@
 Preset domains bake in margins that keep the singular loci (sin x1 = 0 on the
 polar charts, x2 = 0 on the half-plane, the disk boundary) outside every
 sampled grid.  Coordinates are named x1..xn so the same strings work in JSON
-configs.
+configs.  Every call that returns a metric builds a new one; nothing here is
+cached, so a metric and all it derives are freed once the caller drops it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import ConfigError
@@ -215,15 +214,9 @@ def get_preset(name: str, **params) -> Preset:
     return _BUILDERS[name](**params)
 
 
-@lru_cache(maxsize=64)
-def _cached_metric(name: str, param_items: tuple) -> ChartMetric:
-    return get_preset(name, **dict(param_items)).metric()
-
-
 def preset_metric(name: str, **params) -> ChartMetric:
-    """Preset metrics are cached: their symbolic Christoffel/Riemann layers are
-    expensive to rebuild and strictly immutable."""
-    return _cached_metric(name, tuple(sorted(params.items())))
+    """A new metric for the named preset on every call."""
+    return get_preset(name, **params).metric()
 
 
 def catalog() -> list[dict]:

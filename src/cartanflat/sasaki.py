@@ -334,18 +334,17 @@ def flatness_scan(
     metric: ChartMetric,
     variant: str,
     resolution: int = 20,
-    frame: FrameField | None = None,
 ) -> FlatnessReport:
     """Scan the chart's inner grid and report the largest curvature entry of
-    the chosen connection, measured on orthonormal frame pairs.
+    the chosen connection, measured on pairs of the metric's orthonormal
+    frame (``orthonormal_frame(metric)``).
 
     The scan order is row-major over the grid (last coordinate fastest) and
     ties keep the first point, so the argmax is deterministic.  The metric
     must be positive definite at every grid point; SingularMetricError names
     the first where it is not.
     """
-    if frame is None:
-        frame = orthonormal_frame(metric)
+    frame = orthonormal_frame(metric)
     a_form = connection_matrix(frame, variant)
     omega_form = curvature_form(a_form)
     n = metric.dim

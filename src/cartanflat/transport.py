@@ -11,7 +11,9 @@ chosen connection on component columns:
 The developing map runs the inverse transport U' = +U M from the start of a
 path and pushes the distinguished section through it: Phi = B U e_hat, with
 B = blockdiag(coframe(base), 1) normalizing the base fiber so the pairing
-becomes exactly diag(1,..,1,-1) ("h") or the Euclidean dot ("s").  Where the
+becomes exactly diag(1,..,1,-1) ("h") or the Euclidean dot ("s").  The
+coframe is that of the metric's own frame, orthonormal_frame(metric), which
+the metric keeps in its memo; no entry point takes a frame.  Where the
 chosen connection is flat, Phi lands on the quadric <v,v> = -1 (hyperboloid
 upper sheet) or <v,v> = +1 (sphere) and is independent of the path; the
 quadric residual and path_dependence() quantify both claims numerically.
@@ -50,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cartan import FrameField, orthonormal_frame
+from .cartan import orthonormal_frame
 from .errors import DimensionError, NonClosedLoopError
 from .exprlang import (
     STACK_MIN_POINTS,
@@ -71,6 +73,7 @@ __all__ = [
     "line_curve",
     "circle_curve",
     "CONNECTIONS",
+    "CLOSURE_TOL",
     "transport_matrix",
     "transport_trace",
     "parallel_transport",
@@ -301,12 +304,11 @@ def parallel_transport(
     return _rk4_transport(connection, metric, _CurveStack((curve,)), column, True)[0, :, 0]
 
 
-def holonomy(
-    connection: str,
-    metric: ChartMetric,
-    curve: ChartCurve,
-    closure_tol: float = 1e-12,
-) -> np.ndarray:
+#: How far apart in chart coordinates a loop's endpoints may be.
+CLOSURE_TOL = 1e-12
+
+
+def holonomy(connection: str, metric: ChartMetric, curve: ChartCurve) -> np.ndarray:
     """transport_matrix for a loop.  The curve must return to its start in
     chart coordinates; a latitude-style path whose endpoints are identified
     by the geometry but differ in the chart should go through
@@ -314,9 +316,9 @@ def holonomy(
     start = np.array(curve.point_at(curve.t0))
     end = np.array(curve.point_at(curve.t1))
     gap = float(np.max(np.abs(end - start)))
-    if gap > closure_tol:
+    if gap > CLOSURE_TOL:
         raise NonClosedLoopError(
-            f"curve endpoints differ by {gap:.3e} in chart coordinates (tol {closure_tol:g})"
+            f"curve endpoints differ by {gap:.3e} in chart coordinates (tol {CLOSURE_TOL:g})"
         )
     return transport_matrix(connection, metric, curve)
 
@@ -373,22 +375,16 @@ def _as_segments(path) -> tuple:
     return segments
 
 
-def develop(
-    variant: str,
-    metric: ChartMetric,
-    path,
-    frame: FrameField | None = None,
-) -> DevelopedPath:
+def develop(variant: str, metric: ChartMetric, path) -> DevelopedPath:
     """Develop a path (a ChartCurve or a joined sequence of them) into the
-    ambient space of the quadric, starting at (0,..,0,1) for the path start."""
+    ambient space of the quadric, starting at (0,..,0,1) for the path start;
+    the base fiber is normalized by the metric's orthonormal frame."""
     variant_sign(variant)
     segments = _as_segments(path)
-    if frame is None:
-        frame = orthonormal_frame(metric)
     n = metric.dim
     base = segments[0].point_at(segments[0].t0)
     normalizer = np.eye(n + 1)
-    normalizer[:n, :n] = frame.coframe_at(base)
+    normalizer[:n, :n] = orthonormal_frame(metric).coframe_at(base)
     rows: list[np.ndarray] = []
     u = np.eye(n + 1)[None]
     for index, segment in enumerate(segments):
@@ -405,17 +401,14 @@ def develop_cloud(
     metric: ChartMetric,
     base: Sequence[float],
     targets: Sequence[Sequence[float]],
-    frame: FrameField | None = None,
     steps_per_unit: int = 256,
 ) -> np.ndarray:
     """Developed images of many chart points, each reached from the base
     along the straight chart segment; one row per target, each equal to
-    ``develop(variant, metric, segment, frame).end``.  The segments of up to
+    ``develop(variant, metric, segment).end``.  The segments of up to
     GRID_CHUNK targets are integrated together; where a chunk raises, its
     targets are developed again one at a time, in order, so the error that
     escapes is the one developing the targets in turn meets first."""
-    if frame is None:
-        frame = orthonormal_frame(metric)
     chart = metric.chart
     base = chart.require(base)
     rows: list[np.ndarray] = []
@@ -423,15 +416,15 @@ def develop_cloud(
     while chunk := list(itertools.islice(remaining, GRID_CHUNK)):
         try:
             segments = [line_curve(chart, base, target, steps_per_unit) for target in chunk]
-            rows.extend(_developed_ends(variant, metric, segments, frame))
+            rows.extend(_developed_ends(variant, metric, segments))
         except _POINT_ERRORS:
             for target in chunk:
                 segment = line_curve(chart, base, target, steps_per_unit)
-                rows.append(develop(variant, metric, segment, frame=frame).end)
+                rows.append(develop(variant, metric, segment).end)
     return np.array(rows)
 
 
-def _developed_ends(variant: str, metric: ChartMetric, segments, frame: FrameField) -> list:
+def _developed_ends(variant: str, metric: ChartMetric, segments) -> list:
     """``develop(...).end`` of each single-segment path, the segments
     sharing one parameter interval and step count, integrated as one stack."""
     variant_sign(variant)
@@ -442,7 +435,7 @@ def _developed_ends(variant: str, metric: ChartMetric, segments, frame: FrameFie
     starts = metric.chart.require_stack(curves.at([curves.t0])[0, 0])
     identities = np.tile(np.eye(n + 1), (len(segments), 1, 1))
     normalizers = identities.copy()
-    normalizers[:, :n, :n] = frame.coframe_at(starts)
+    normalizers[:, :n, :n] = orthonormal_frame(metric).coframe_at(starts)
     ends = _rk4_transport(variant, metric, curves, identities, False)
     return [normalizer @ u[:, n] for normalizer, u in zip(normalizers, ends)]
 
@@ -453,18 +446,12 @@ def path_dependence(
     base: Sequence[float],
     target: Sequence[float],
     via: Sequence[float],
-    frame: FrameField | None = None,
 ) -> float:
     """Max-abs gap between developing straight to the target and via a
     waypoint.  Near zero exactly when the variant's connection is flat."""
-    if frame is None:
-        frame = orthonormal_frame(metric)
     chart = metric.chart
-    direct = develop(variant, metric, line_curve(chart, base, target), frame=frame)
+    direct = develop(variant, metric, line_curve(chart, base, target))
     detour = develop(
-        variant,
-        metric,
-        (line_curve(chart, base, via), line_curve(chart, via, target)),
-        frame=frame,
+        variant, metric, (line_curve(chart, base, via), line_curve(chart, via, target))
     )
     return float(np.max(np.abs(direct.end - detour.end)))

@@ -39,17 +39,22 @@ Residual scans default to a [-2, 2]^2 chart, which for the standard
 kink preset crosses the degenerate line x1 + x2 = 0; only the
 metric-free checks run there, which is the point of keeping them
 metric-free.
+
+A SineGordonRep keeps what it derives from u (triple, connection,
+curvature, structure forms, PDE residual) in cached properties on itself;
+representation builds a new rep on every call, so nothing outlives it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .cartan import ScalarOneForm, ScalarTwoForm, exterior_derivative, wedge
+from .cartan import ScalarOneForm, ScalarTwoForm
+from .cartan import structure_forms as _structure_forms
 from .errors import DimensionError
 from .exprlang import (
     Const,
@@ -110,11 +115,6 @@ class SineGordonRep:
             raise DimensionError("the sine-Gordon representation needs a 2-d chart")
         object.__setattr__(self, "u", _as_field(self.u, self.chart))
 
-    @classmethod
-    def from_text(cls, text: str, chart: Chart | None = None) -> "SineGordonRep":
-        chart = default_chart() if chart is None else chart
-        return cls(chart, parse(text, chart.names))
-
     @cached_property
     def triple(self) -> tuple[ScalarOneForm, ScalarOneForm, ScalarOneForm]:
         half = mul(Const(0.5), self.u)
@@ -142,10 +142,7 @@ class SineGordonRep:
         """d omega1 - omega2 ^ phi and d omega2 + omega1 ^ phi; both are
         identically zero whatever u is, so evaluating them only measures
         floating-point cancellation."""
-        omega1, omega2, phi = self.triple
-        first = exterior_derivative(omega1) - wedge(omega2, phi)
-        second = exterior_derivative(omega2) + wedge(omega1, phi)
-        return first, second
+        return _structure_forms(*self.triple)
 
     @cached_property
     def _pde_fn(self) -> ExprArray:
@@ -172,17 +169,10 @@ class SineGordonRep:
         )
 
 
-@lru_cache(maxsize=32)
-def _text_rep(text: str, chart: Chart) -> SineGordonRep:
-    return SineGordonRep(chart, parse(text, chart.names))
-
-
 def representation(u, chart: Chart | None = None) -> SineGordonRep:
-    """SineGordonRep for u given as text or expression (text reps are cached)."""
-    chart = default_chart() if chart is None else chart
-    if isinstance(u, str):
-        return _text_rep(u, chart)
-    return SineGordonRep(chart, u)
+    """SineGordonRep for u given as text or expression, on the default chart
+    unless another is given."""
+    return SineGordonRep(default_chart() if chart is None else chart, u)
 
 
 def induced_metric(u, chart: Chart) -> ChartMetric:

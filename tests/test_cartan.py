@@ -35,6 +35,13 @@ def test_sphere_frame_closed_form():
     assert np.allclose(e, [[1.0, 0.0], [0.0, 2.0]], atol=1e-14)
 
 
+def test_a_metric_has_one_frame():
+    m = preset_metric("sphere2")
+    assert orthonormal_frame(m) is orthonormal_frame(m)
+    assert orthonormal_frame(m).connection is orthonormal_frame(m).connection
+    assert orthonormal_frame(preset_metric("sphere2")) is not orthonormal_frame(m)
+
+
 def test_half_plane_frame_closed_form():
     f = orthonormal_frame(preset_metric("half_plane"))
     e = f.frame_at((0.0, 2.0))

@@ -1,7 +1,5 @@
 """Lie bases, matrix-valued forms, the two bundle connections, and flatness."""
 
-import functools
-
 import numpy as np
 import pytest
 
@@ -24,11 +22,6 @@ from cartanflat.sasaki import (
 )
 
 ETA = np.diag([1.0, 1.0, -1.0])
-
-
-@functools.cache
-def _frame(name: str):
-    return orthonormal_frame(preset_metric(name))
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +102,7 @@ def test_basis_coefficients_flags_matrix_outside_span():
 
 
 def test_half_plane_connection_matrix_layout():
-    a_h = connection_matrix(_frame("half_plane"), "h")
+    a_h = connection_matrix(orthonormal_frame(preset_metric("half_plane")), "h")
     on_dx = a_h.value((0.0, 1.0), (1.0, 0.0))
     assert np.allclose(on_dx, [[0.0, -1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], atol=1e-12)
     on_dy = a_h.value((0.0, 1.0), (0.0, 1.0))
@@ -117,18 +110,18 @@ def test_half_plane_connection_matrix_layout():
 
 
 def test_half_plane_s_variant_flips_last_row():
-    a_s = connection_matrix(_frame("half_plane"), "s")
+    a_s = connection_matrix(orthonormal_frame(preset_metric("half_plane")), "s")
     on_dx = a_s.value((0.0, 1.0), (1.0, 0.0))
     assert np.allclose(on_dx, [[0.0, -1.0, 1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], atol=1e-12)
 
 
 def test_half_plane_sl2_form_closed_value():
-    a = sasaki_form(_frame("half_plane"), sl2_basis())
+    a = sasaki_form(orthonormal_frame(preset_metric("half_plane")), sl2_basis())
     assert np.allclose(a.value((0.0, 1.0), (1.0, 0.0)), [[0.0, -1.0], [0.0, 0.0]], atol=1e-12)
 
 
 def test_sasaki_form_so21_matches_connection_matrix():
-    frame = _frame("half_plane")
+    frame = orthonormal_frame(preset_metric("half_plane"))
     a_basis = sasaki_form(frame, so21_basis())
     a_matrix = connection_matrix(frame, "h")
     rng = np.random.default_rng(3)
@@ -138,7 +131,7 @@ def test_sasaki_form_so21_matches_connection_matrix():
 
 
 def test_sasaki_form_so3_matches_s_connection_matrix():
-    frame = _frame("sphere2")
+    frame = orthonormal_frame(preset_metric("sphere2"))
     a_basis = sasaki_form(frame, so3_basis())
     a_matrix = connection_matrix(frame, "s")
     rng = np.random.default_rng(4)
@@ -149,7 +142,7 @@ def test_sasaki_form_so3_matches_s_connection_matrix():
 
 @pytest.mark.parametrize("name", ["half_plane", "sphere2", "conformal_bump"])
 def test_connection_values_lie_in_the_right_algebra_2d(name):
-    frame = _frame(name)
+    frame = orthonormal_frame(preset_metric(name))
     a_h = connection_matrix(frame, "h")
     a_s = connection_matrix(frame, "s")
     rng = np.random.default_rng(11)
@@ -165,7 +158,7 @@ def test_connection_values_lie_in_the_right_algebra_2d(name):
 
 @pytest.mark.parametrize("name", ["hyperbolic3", "sphere3"])
 def test_connection_values_lie_in_the_right_algebra_3d(name):
-    frame = _frame(name)
+    frame = orthonormal_frame(preset_metric(name))
     a_h = connection_matrix(frame, "h")
     a_s = connection_matrix(frame, "s")
     eta4 = np.diag([1.0, 1.0, 1.0, -1.0])
@@ -179,21 +172,21 @@ def test_connection_values_lie_in_the_right_algebra_3d(name):
 
 
 def test_entry_form_reproduces_coframe_column():
-    frame = _frame("half_plane")
+    frame = orthonormal_frame(preset_metric("half_plane"))
     a_h = connection_matrix(frame, "h")
     point = (0.4, 2.5)
     assert np.allclose(a_h.entry_form(0, 2).at(point), frame.coframe_form(0).at(point), atol=1e-14)
 
 
 def test_matrix_form_shape_validation():
-    frame = _frame("half_plane")
+    frame = orthonormal_frame(preset_metric("half_plane"))
     a_h = connection_matrix(frame, "h")
     with pytest.raises(DimensionError):
         a_h.value((0.0, 1.0), (1.0, 0.0, 0.0))
     with pytest.raises(DimensionError):
         MatrixOneForm(frame.chart, a_h.comps[:1])
     with pytest.raises(DimensionError):
-        sasaki_form(_frame("sphere3"), so21_basis())
+        sasaki_form(orthonormal_frame(preset_metric("sphere3")), so21_basis())
 
 
 def test_variant_sign_values_and_error():
@@ -211,7 +204,7 @@ def test_variant_sign_values_and_error():
 def test_curvature_decomposition_against_gauss_route():
     # Omega = m3 * (K + 1) * vol for the "h" connection written in so21:
     # the m1 and m2 coefficients are the structure-equation residuals.
-    frame = _frame("conformal_bump")
+    frame = orthonormal_frame(preset_metric("conformal_bump"))
     omega = curvature_form(sasaki_form(frame, so21_basis()))
     volume = wedge(frame.coframe_form(0), frame.coframe_form(1))
     rng = np.random.default_rng(21)
@@ -227,7 +220,7 @@ def test_curvature_decomposition_against_gauss_route():
 
 
 def test_sl2_and_so21_curvature_coefficients_agree():
-    frame = _frame("conformal_bump")
+    frame = orthonormal_frame(preset_metric("conformal_bump"))
     omega2 = curvature_form(sasaki_form(frame, sl2_basis()))
     omega3 = curvature_form(sasaki_form(frame, so21_basis()))
     rng = np.random.default_rng(22)
@@ -244,7 +237,7 @@ def test_curvature_e_row_and_column_vanish():
     # dA + A^A kills the last row and column: those entries are the
     # torsion-type residuals d omega^i - sum_j omega^j ^ omega_j^i.
     for name in ("half_plane", "conformal_bump"):
-        frame = _frame(name)
+        frame = orthonormal_frame(preset_metric(name))
         for variant in ("h", "s"):
             omega = curvature_form(connection_matrix(frame, variant))
             for point in frame.chart.grid(4):
@@ -260,9 +253,8 @@ def test_curvature_e_row_and_column_vanish():
 
 def test_half_plane_h_flat_s_residual_two():
     m = preset_metric("half_plane")
-    frame = _frame("half_plane")
-    report_h = flatness_scan(m, "h", 12, frame=frame)
-    report_s = flatness_scan(m, "s", 12, frame=frame)
+    report_h = flatness_scan(m, "h", 12)
+    report_s = flatness_scan(m, "s", 12)
     assert report_h.max_residual <= 1e-9
     assert abs(report_s.max_residual - 2.0) <= 1e-9
     assert report_h.points == 144
@@ -270,9 +262,8 @@ def test_half_plane_h_flat_s_residual_two():
 
 def test_sphere_s_flat_h_residual_two():
     m = preset_metric("sphere2")
-    frame = _frame("sphere2")
-    report_s = flatness_scan(m, "s", 12, frame=frame)
-    report_h = flatness_scan(m, "h", 12, frame=frame)
+    report_s = flatness_scan(m, "s", 12)
+    report_h = flatness_scan(m, "h", 12)
     assert report_s.max_residual <= 1e-9
     assert abs(report_h.max_residual - 2.0) <= 1e-9
 
@@ -300,24 +291,21 @@ def test_euclidean_residual_is_one_for_both_variants():
 def test_constant_curvature_family_residuals():
     for c in (-1.0, -0.5, 0.0, 0.5, 1.0):
         m = preset_metric("constant_curvature", c=c)
-        frame = orthonormal_frame(m)
-        report_h = flatness_scan(m, "h", 6, frame=frame)
-        report_s = flatness_scan(m, "s", 6, frame=frame)
+        report_h = flatness_scan(m, "h", 6)
+        report_s = flatness_scan(m, "s", 6)
         assert abs(report_h.max_residual - abs(c + 1.0)) <= 1e-7
         assert abs(report_s.max_residual - abs(c - 1.0)) <= 1e-7
 
 
 def test_three_dimensional_space_forms():
     hyper = preset_metric("hyperbolic3")
-    frame = _frame("hyperbolic3")
-    assert flatness_scan(hyper, "h", 4, frame=frame).max_residual <= 1e-8
-    report_s = flatness_scan(hyper, "s", 4, frame=frame)
+    assert flatness_scan(hyper, "h", 4).max_residual <= 1e-8
+    report_s = flatness_scan(hyper, "s", 4)
     assert 1.9 <= report_s.max_residual <= 2.1
 
     sphere = preset_metric("sphere3")
-    frame = _frame("sphere3")
-    assert flatness_scan(sphere, "s", 4, frame=frame).max_residual <= 1e-8
-    report_h = flatness_scan(sphere, "h", 4, frame=frame)
+    assert flatness_scan(sphere, "s", 4).max_residual <= 1e-8
+    report_h = flatness_scan(sphere, "h", 4)
     assert 1.9 <= report_h.max_residual <= 2.1
 
 
@@ -328,8 +316,9 @@ def test_flatness_scan_is_deterministic():
     assert first == second
 
 
-def _flatness_point_by_point(metric, variant, resolution, frame):
+def _flatness_point_by_point(metric, variant, resolution):
     """The scan one grid point at a time: the reference for the chunked scan."""
+    frame = orthonormal_frame(metric)
     omega = curvature_form(connection_matrix(frame, variant))
     best, best_point = -1.0, ()
     for point in metric.chart.grid(resolution):
@@ -351,9 +340,8 @@ def _flatness_point_by_point(metric, variant, resolution, frame):
 def test_chunked_flatness_scan_matches_point_by_point(name, variant, resolution):
     # 729 and 900 points: two chunks, each past the point-by-point cutoff
     m = preset_metric(name)
-    frame = _frame(name)
-    report = flatness_scan(m, variant, resolution, frame=frame)
-    best, best_point = _flatness_point_by_point(m, variant, resolution, frame)
+    report = flatness_scan(m, variant, resolution)
+    best, best_point = _flatness_point_by_point(m, variant, resolution)
     assert report.max_residual == best  # bit-identical
     assert report.argmax_point == best_point
 
@@ -362,8 +350,7 @@ def test_flatness_scan_random_metric_h_vs_s_spread():
     # a generic small perturbation of the flat metric stays near K = 0,
     # so both variants sit near residual 1 and far from 0
     m = random_metric(2, seed=5)
-    frame = orthonormal_frame(m)
-    report_h = flatness_scan(m, "h", 6, frame=frame)
-    report_s = flatness_scan(m, "s", 6, frame=frame)
+    report_h = flatness_scan(m, "h", 6)
+    report_s = flatness_scan(m, "s", 6)
     assert 0.5 <= report_h.max_residual <= 1.5
     assert 0.5 <= report_s.max_residual <= 1.5

@@ -210,10 +210,9 @@ def test_vertical_geodesic_develops_to_cosh_pairing():
 
 def test_developed_pairs_reproduce_hyperbolic_distances():
     m = preset_metric("half_plane")
-    frame = orthonormal_frame(m)
     rng = np.random.default_rng(0)
     points = m.chart.random_points(rng, 8)
-    cloud = develop_cloud("h", m, (0.0, 1.0), points, frame=frame)
+    cloud = develop_cloud("h", m, (0.0, 1.0), points)
     assert quadric_residual_of("h", cloud) <= 1e-7
     for a in range(len(points)):
         for b in range(a + 1, len(points)):
@@ -224,10 +223,9 @@ def test_developed_pairs_reproduce_hyperbolic_distances():
 
 def test_developed_pairs_reproduce_spherical_distances():
     m = preset_metric("sphere2")
-    frame = orthonormal_frame(m)
     rng = np.random.default_rng(1)
     points = m.chart.random_points(rng, 8)
-    cloud = develop_cloud("s", m, (math.pi / 2, 3.0), points, frame=frame)
+    cloud = develop_cloud("s", m, (math.pi / 2, 3.0), points)
     assert quadric_residual_of("s", cloud) <= 1e-7
     for a in range(len(points)):
         for b in range(a + 1, len(points)):
@@ -258,10 +256,9 @@ def test_development_is_path_dependent_otherwise():
 
 def test_develop_base_choice_does_not_change_pairings():
     m = preset_metric("half_plane")
-    frame = orthonormal_frame(m)
     targets = [(-0.8, 0.8), (1.1, 2.2)]
-    first = develop_cloud("h", m, (0.0, 1.0), targets, frame=frame)
-    second = develop_cloud("h", m, (-1.0, 2.0), targets, frame=frame)
+    first = develop_cloud("h", m, (0.0, 1.0), targets)
+    second = develop_cloud("h", m, (-1.0, 2.0), targets)
     got = quadric_pairing("h", first[0], first[1])
     want = quadric_pairing("h", second[0], second[1])
     assert abs(got - want) <= 1e-5
@@ -338,10 +335,11 @@ def _reference_rk4(connection, metric, curve, initial, forward, record=None):
     return y
 
 
-def _reference_develop(variant, metric, segments, frame):
+def _reference_develop(variant, metric, segments):
     n = metric.dim
     normalizer = np.eye(n + 1)
-    normalizer[:n, :n] = frame.coframe_at(segments[0].point_at(segments[0].t0))
+    base = segments[0].point_at(segments[0].t0)
+    normalizer[:n, :n] = orthonormal_frame(metric).coframe_at(base)
     rows = []
     u = np.eye(n + 1)
     for index, segment in enumerate(segments):
@@ -391,10 +389,9 @@ def test_stacked_integrator_matches_the_reference_bit_for_bit(name):
         loop = _loop(m.chart, center, radius, 16)
         want = _reference_rk4(connection, m, loop, np.eye(size), True)
         assert np.array_equal(holonomy(connection, m, loop), want)
-    frame = orthonormal_frame(m)
     for variant in ("h", "s"):
-        got = develop(variant, m, segments, frame=frame).points
-        assert np.array_equal(got, _reference_develop(variant, m, segments, frame))
+        got = develop(variant, m, segments).points
+        assert np.array_equal(got, _reference_develop(variant, m, segments))
 
 
 _CLOUDS = {
@@ -412,10 +409,9 @@ def _cloud_targets(name):
 def _assert_cloud_is_develop_ends(name, targets, steps_per_unit=8):
     m = preset_metric(name)
     variant, base = _CLOUDS[name]
-    frame = orthonormal_frame(m)
-    cloud = develop_cloud(variant, m, base, targets, frame=frame, steps_per_unit=steps_per_unit)
+    cloud = develop_cloud(variant, m, base, targets, steps_per_unit=steps_per_unit)
     ends = [
-        develop(variant, m, line_curve(m.chart, base, t, steps_per_unit), frame=frame).end
+        develop(variant, m, line_curve(m.chart, base, t, steps_per_unit)).end
         for t in targets
     ]
     assert np.array_equal(cloud, np.array(ends))
@@ -455,14 +451,13 @@ def test_develop_cloud_raises_the_first_error_of_developing_in_turn():
     # definite; the 5th, being longer, reaches it at a smaller t, so the
     # stacked integration meets its error first
     m = ChartMetric(Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0))), _DIPPING)
-    frame = orthonormal_frame(m)
     base = (0.3, 0.3)
     targets = [(0.3, -0.5), (-0.5, 0.3), (0.9, 0.9), (0.0, 0.8), (1.0, 1.0)]
     with pytest.raises(CartanflatError) as in_turn:
         for target in targets:
-            develop("h", m, line_curve(m.chart, base, target, 64), frame=frame)
+            develop("h", m, line_curve(m.chart, base, target, 64))
     with pytest.raises(CartanflatError) as cloud:
-        develop_cloud("h", m, base, targets, frame=frame, steps_per_unit=64)
+        develop_cloud("h", m, base, targets, steps_per_unit=64)
     assert type(cloud.value) is type(in_turn.value) is SingularMetricError
     assert str(cloud.value) == str(in_turn.value)
     assert cloud.value.point == in_turn.value.point
@@ -486,7 +481,6 @@ def _has_unshared_end(curve):
 
 
 def _assert_matches_the_reference(m, curve):
-    frame = orthonormal_frame(m)
     for connection in CONNECTIONS:
         size = m.dim if connection == "lc" else m.dim + 1
         record = []
@@ -497,8 +491,8 @@ def _assert_matches_the_reference(m, curve):
         want = _reference_rk4(connection, m, curve, vector, True)
         assert np.array_equal(parallel_transport(connection, m, curve, vector), want)
     for variant in ("h", "s"):
-        got = develop(variant, m, curve, frame=frame).points
-        assert np.array_equal(got, _reference_develop(variant, m, [curve], frame))
+        got = develop(variant, m, curve).points
+        assert np.array_equal(got, _reference_develop(variant, m, [curve]))
 
 
 @pytest.mark.parametrize("name", ["half_plane", "hyperbolic3"])
@@ -527,11 +521,10 @@ def test_schedule_matches_the_reference_at_block_edges(steps):
 def test_develop_cloud_matches_the_reference_bit_for_bit(count, steps_per_unit):
     m = preset_metric("hyperbolic3")
     variant, base = _CLOUDS["hyperbolic3"]
-    frame = orthonormal_frame(m)
     targets = m.chart.random_points(np.random.default_rng(count), count)
-    cloud = develop_cloud(variant, m, base, targets, frame=frame, steps_per_unit=steps_per_unit)
+    cloud = develop_cloud(variant, m, base, targets, steps_per_unit=steps_per_unit)
     want = np.array([
-        _reference_develop(variant, m, [line_curve(m.chart, base, t, steps_per_unit)], frame)[-1]
+        _reference_develop(variant, m, [line_curve(m.chart, base, t, steps_per_unit)])[-1]
         for t in targets
     ])
     assert np.array_equal(cloud, want)
@@ -550,13 +543,12 @@ def _diagonal(chart, t1, steps_per_unit):
 
 def _errors_of(metric, curve):
     """What the reference and each integrator entry point raise on a curve."""
-    frame = orthonormal_frame(metric)
     calls = {
         "reference transport": lambda: _reference_rk4("h", metric, curve, np.eye(3), True),
-        "reference develop": lambda: _reference_develop("h", metric, [curve], frame),
+        "reference develop": lambda: _reference_develop("h", metric, [curve]),
         "transport_matrix h": lambda: transport_matrix("h", metric, curve),
         "transport_matrix lc": lambda: transport_matrix("lc", metric, curve),
-        "develop": lambda: develop("h", metric, curve, frame=frame),
+        "develop": lambda: develop("h", metric, curve),
     }
     errors = {}
     for label, call in calls.items():

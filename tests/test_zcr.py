@@ -52,7 +52,7 @@ def test_field_validation():
     with pytest.raises(ValueError, match="undeclared"):
         SineGordonRep(default_chart(), Var("q"))
     with pytest.raises(UnknownIdentifierError):
-        SineGordonRep.from_text("q * x1")
+        SineGordonRep(default_chart(), "q * x1")
 
 
 def test_connection_combines_the_generator_matrices():
@@ -147,10 +147,6 @@ def test_scan_is_deterministic():
     first = equivalence_scan("x1 * x2", resolution=7).as_dict()
     second = equivalence_scan("x1 * x2", resolution=7).as_dict()
     assert first == second
-
-
-def test_text_representations_are_cached():
-    assert representation(KINK_TEXT) is representation(KINK_TEXT)
 
 
 def test_induced_metric_entries():
