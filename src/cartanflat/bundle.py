@@ -370,12 +370,17 @@ def _compatibility_residuals(variant: str, metric: ChartMetric, trials: int, see
 def metric_compatibility_residual(
     variant: str,
     metric: ChartMetric,
-    point: Sequence[float],
+    point: Sequence[float] | np.ndarray,
     trials: int = 10,
     seed: int = 0,
-) -> float:
+) -> float | np.ndarray:
     """Max violation of d_k <s,t> = <nabla_k s, t> + <s, nabla_k t> at a point
     over seeded section pairs and all directions.  Exact symbolic on both
-    sides, so this should sit at rounding level."""
+    sides, so this should sit at rounding level.
+
+    At an ``(m, dim)`` stack of points, an array of the m values, each
+    bit-identical to the value at its point."""
     residuals = _compatibility_residuals(variant, metric, trials, seed)
+    if isinstance(point, np.ndarray) and point.ndim == 2:
+        return np.abs(residuals.at(point)).max(axis=1)
     return float(np.max(np.abs(residuals.at(point))))

@@ -323,16 +323,16 @@ def _job_flatness(s: dict):
     return payload, report.max_residual <= s["tol"], None
 
 
-def _job_section_scan(residual, s: dict):
-    """The worst of residual(variant, metric, point, trials=, seed=) over the
-    grid, g checked positive definite at each chunk's points first."""
+def _job_section_scan(residuals, s: dict):
+    """The worst of ``residuals(s, points)``, one value per point of a
+    stack, over the grid, g checked positive definite at each chunk's
+    points first."""
     metric, variant, trials, seed = s["metric"], s["variant"], s["trials"], s["seed"]
     worst = -1.0
     argmax = None
     points = 0
     for chunk, _ in grid_scan(metric.chart, s["grid"], metric.definite_metric_at):
-        for point in map(tuple, chunk.tolist()):
-            value = residual(variant, metric, point, trials=trials, seed=seed)
+        for point, value in zip(chunk.tolist(), residuals(s, chunk).tolist()):
             if value > worst:
                 worst, argmax = value, point
         points += len(chunk)
@@ -344,14 +344,27 @@ def _job_section_scan(residual, s: dict):
         "trials": trials,
         "seed": seed,
         "max_residual": worst,
-        "argmax_point": list(argmax),
+        "argmax_point": argmax,
         "tol": s["tol"],
     }
     return payload, worst <= s["tol"], None
 
 
-def _identity_worst(variant, metric, point, trials, seed) -> float:
-    return identity_residual(variant, metric, point, trials=trials, seed=seed).worst
+def _identity_residuals(s: dict, points: np.ndarray) -> np.ndarray:
+    """The identity residual point by point: each point differences its own
+    stencil."""
+    return np.array([
+        identity_residual(s["variant"], s["metric"], point, trials=s["trials"], seed=s["seed"]).worst
+        for point in map(tuple, points.tolist())
+    ])
+
+
+def _compat_residuals(s: dict, points: np.ndarray) -> np.ndarray:
+    """The compatibility residual at a whole chunk in one stacked call;
+    where it raises, the compiled array re-runs the points in order."""
+    return metric_compatibility_residual(
+        s["variant"], s["metric"], points, trials=s["trials"], seed=s["seed"]
+    )
 
 
 def _job_transport(s: dict):
@@ -453,11 +466,11 @@ _COMMANDS = {
     ),
     # identity has nothing to check below two dimensions; compat does
     "identity": _Command(
-        functools.partial(_job_section_scan, _identity_worst), "identity residual scan", 2, (),
+        functools.partial(_job_section_scan, _identity_residuals), "identity residual scan", 2, (),
         {"variant": _REQUIRED, "grid": 4, "trials": 5, "seed": 0, "tol": 1e-4},
     ),
     "compat": _Command(
-        functools.partial(_job_section_scan, metric_compatibility_residual),
+        functools.partial(_job_section_scan, _compat_residuals),
         "compat residual scan", 1, (),
         {"variant": _REQUIRED, "grid": 6, "trials": 10, "seed": 0, "tol": 1e-8},
     ),

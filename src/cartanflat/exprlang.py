@@ -11,9 +11,9 @@ are identity.  Constants key on their value and its sign bit, so ``Const(0.0)``
 and ``Const(-0.0)`` stay two nodes, as their bits differ; variables on their
 name; operators on their op and the identities of their children.  Each node
 caches its derivatives by variable, so a derivative is taken once while the
-node lives, and the compiler, which emits one line per distinct node, emits
-each distinct subexpression once.  The table holds nodes weakly: a node goes
-when nothing else uses it.
+node lives, and the compiler, which evaluates each distinct node once,
+evaluates each distinct subexpression once.  The table holds nodes weakly: a
+node goes when nothing else uses it.
 
 The printer/parser pair is a round trip: ``parse(to_text(e), vars) is e``
 for any AST built by the parser or the smart constructors (a negative zero
@@ -31,8 +31,15 @@ Three evaluation routes exist and are kept bit-identical:
 
 - :func:`evaluate`, a memoized tree walk over Python floats: the reference;
 - :func:`compile_expressions`, which generates one straight-line Python
-  function for a batch of expressions (one assignment per unique node) and
-  calls it on one point: integrators and small scans use it;
+  function for a batch of expressions and calls it on one point:
+  integrators and small scans use it.  A ``+``, ``-``, ``*`` or negation
+  used by one consumer only is written into that consumer's expression (at
+  most :data:`INLINE_DEPTH` levels deep); every other distinct node, shared
+  or guarded, gets one assignment, in the order a post-order walk meets it.
+  The four inlined operations cannot raise, so the same IEEE operations run
+  on the same operands, and the guarded ones (``/``, ``^``, the functions)
+  still run in post-order, where the first to fail is the one the
+  interpreter meets first;
 - the same compiled function called on an ``(m, dim)`` stack of points: the
   same generated code object runs once over columns of the stack, one numpy
   array per node.  Grid scans use it.
@@ -84,6 +91,7 @@ __all__ = [
     "compile_expressions",
     "STACK_MIN_POINTS",
     "MAX_DEPTH",
+    "INLINE_DEPTH",
     "add",
     "sub",
     "mul",
@@ -478,6 +486,8 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 value = float(lexeme)
             except ValueError:
                 raise ParseError(f"malformed number {lexeme!r}", i) from None
+            if not math.isfinite(value):
+                raise ParseError(f"number {lexeme!r} is beyond the float range", i)
             tokens.append(("num", value, i))
             i = j
             continue
@@ -612,8 +622,9 @@ class _Parser:
 def parse(text: str, variables: Iterable[str]) -> Expression:
     """Parse ``text`` against the declared variable names.
 
-    Raises :class:`ParseError` with the character offset on syntax errors and
-    on expressions deeper than :data:`MAX_DEPTH`, and
+    Raises :class:`ParseError` with the character offset on syntax errors,
+    on numbers beyond the float range and on expressions deeper than
+    :data:`MAX_DEPTH`, and
     :class:`UnknownIdentifierError` for undeclared names.
     """
     parser = _Parser(_tokenize(text), frozenset(variables))
@@ -865,59 +876,124 @@ _COMPILE_NAMESPACE = {
 }
 
 
+#: Deepest nesting of inlined operations in one generated expression; a
+#: deeper chain gets a line of its own every this many levels, so the
+#: generated source stays far from CPython's parser and compiler limits.
+INLINE_DEPTH = 12
+
+
+def _consumers_and_order(expressions: Sequence[Expression]) -> tuple[dict, list]:
+    """How many consumers each node has, by id, and the distinct nodes in
+    post-order (left subtree, right subtree, node), from one iterative walk.
+    A consumer is an operand slot of a distinct node or a root's place in
+    ``expressions``, so ``x * x`` counts twice for ``x``."""
+    consumers: dict[int, int] = {}
+    count = consumers.get
+    for root in expressions:
+        consumers[id(root)] = count(id(root), 0) + 1
+    order: list[Expression] = []
+    seen: set[int] = set()
+    # a node, then None above it once its children are pushed: popping the
+    # None means its children are done and the node comes next
+    stack: list = list(reversed(expressions))
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        if node is None:
+            order.append(pop())
+            continue
+        key = id(node)
+        if key in seen:
+            continue
+        seen.add(key)
+        kind = type(node)
+        if kind is Binary:
+            children = (node.right, node.left)  # right pushed first, so left is walked first
+        elif kind is Unary:
+            children = (node.operand,)
+        else:
+            order.append(node)
+            continue
+        push(node)
+        push(None)
+        for child in children:
+            key = id(child)
+            consumers[key] = count(key, 0) + 1
+            if key not in seen:
+                push(child)
+    return consumers, order
+
+
 def compile_expressions(
     expressions: Sequence[Expression], variables: Sequence[str]
 ) -> Callable[[Sequence[float]], tuple[float, ...]]:
     """Compile a batch of expressions into one function ``p -> tuple``.
 
     ``p`` is indexed positionally in the order of ``variables``.  Each node
-    is emitted once, and nodes are interned, so every common subexpression
+    is evaluated once, and nodes are interned, so every common subexpression
     (say, a factor of a symbolic inverse metric) is evaluated a single time.
     Raises KeyError at compile time for variables not in the list.
+
+    A ``+``, ``-``, ``*`` or negation with exactly one consumer (a root
+    counts as one) is written into its consumer's expression, up to
+    :data:`INLINE_DEPTH` levels deep; every other node gets an assignment
+    of its own, in post-order.  Those four operations cannot raise, on
+    floats or on numpy columns with errors ignored, so the function still
+    makes the same IEEE operations on the same operands as :func:`evaluate`
+    and meets the guarded operations (``/``, ``^`` and the functions) in
+    the same order, raising the error the scalar route meets first.
 
     Called on an ``(m, len(variables))`` array of points, the function
     returns an ``(m, len(expressions))`` array whose row ``k`` is
     bit-identical to the tuple for point ``k`` (see the module docstring).
     """
     index = {name: i for i, name in enumerate(variables)}
+    consumers, order = _consumers_and_order(expressions)
     lines: list[str] = []
-    names: dict[int, str] = {}
-    counter = itertools.count()
-
-    def emit(node: Expression) -> str:
+    text: dict[int, str] = {}  # what a consumer writes for the node, by id
+    nesting: dict[int, int] = {}  # levels of inlined operations in that text
+    level = nesting.get
+    for node in order:
         key = id(node)
-        found = names.get(key)
-        if found is not None:
-            return found
-        if isinstance(node, Const):
-            text = repr(node.value)
-            if node.value < 0:
-                text = f"({text})"
-        elif isinstance(node, Var):
+        kind = type(node)
+        if kind is Binary:
+            op = node.op
+            left, right = id(node.left), id(node.right)
+            if op == "/":
+                code = f"_dv({text[left]}, {text[right]})"
+            elif op == "^":
+                code = f"_pw({text[left]}, {text[right]})"
+            else:
+                depth = max(level(left, 0), level(right, 0)) + 1
+                if depth <= INLINE_DEPTH and consumers[key] == 1:
+                    text[key] = f"({text[left]} {op} {text[right]})"
+                    nesting[key] = depth
+                    continue
+                code = f"{text[left]} {op} {text[right]}"
+        elif kind is Unary:
+            operand = id(node.operand)
+            if node.op != "neg":
+                code = f"_fn_{node.op}({text[operand]})"
+            else:
+                depth = level(operand, 0) + 1
+                if depth <= INLINE_DEPTH and consumers[key] == 1:
+                    text[key] = f"(-{text[operand]})"
+                    nesting[key] = depth
+                    continue
+                code = f"-{text[operand]}"
+        elif kind is Const:
+            value = node.value
+            text[key] = f"({value!r})" if value < 0 else repr(value)
+            continue
+        else:
             if node.name not in index:
                 raise KeyError(f"variable {node.name!r} not among {tuple(index)}")
-            text = f"p[{index[node.name]}]"
-        elif isinstance(node, Unary):
-            operand = emit(node.operand)
-            text = f"t{next(counter)}"
-            if node.op == "neg":
-                lines.append(f"    {text} = -{operand}")
-            else:
-                lines.append(f"    {text} = _fn_{node.op}({operand})")
-        else:
-            left = emit(node.left)
-            right = emit(node.right)
-            text = f"t{next(counter)}"
-            if node.op == "/":
-                lines.append(f"    {text} = _dv({left}, {right})")
-            elif node.op == "^":
-                lines.append(f"    {text} = _pw({left}, {right})")
-            else:
-                lines.append(f"    {text} = {left} {node.op} {right}")
-        names[key] = text
-        return text
+            text[key] = f"p[{index[node.name]}]"
+            continue
+        name = text[key] = f"t{len(lines)}"
+        lines.append(f"    {name} = {code}")
 
-    roots = [emit(e) for e in expressions]
+    roots = [text[id(e)] for e in expressions]
     tail = ", ".join(roots) + ("," if len(roots) == 1 else "")
     source = "def _compiled(p):\n" + "\n".join(lines) + f"\n    return ({tail})\n"
     namespace = dict(_COMPILE_NAMESPACE)

@@ -330,6 +330,26 @@ class FlatnessReport:
         }
 
 
+def _curvature_of(metric: ChartMetric, variant: str) -> MatrixTwoForm:
+    """The curvature of the variant's connection built on the metric's
+    frame, built on first request and kept in ``metric.memo``, so its
+    array compiles once per metric and variant."""
+    key = ("curvature_form", variant)
+    omega_form = metric.memo.get(key)
+    if omega_form is None:
+        a_form = connection_matrix(orthonormal_frame(metric), variant)
+        omega_form = metric.memo[key] = curvature_form(a_form)
+    return omega_form
+
+
+def _on_frame_pair(coefficient: np.ndarray, frame_matrix: np.ndarray, a: int, b: int):
+    """Omega(e_a, e_b) at each point of a stack, from Omega's coordinate
+    coefficients ``(m, n, n, size, size)`` and the frames ``(m, n, n)``
+    (columns are the frame vectors): one pair, where a scan reads only the
+    pairs a < b of the n^2."""
+    return np.einsum("mklij,mk,ml->mij", coefficient, frame_matrix[:, :, a], frame_matrix[:, :, b])
+
+
 def flatness_scan(
     metric: ChartMetric,
     variant: str,
@@ -345,8 +365,7 @@ def flatness_scan(
     the first where it is not.
     """
     frame = orthonormal_frame(metric)
-    a_form = connection_matrix(frame, variant)
-    omega_form = curvature_form(a_form)
+    omega_form = _curvature_of(metric, variant)
     n = metric.dim
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
 
@@ -354,10 +373,9 @@ def flatness_scan(
         metric.definite_metric_at(points)
         frame_matrix = frame.frame_at(points)
         coefficient = omega_form.at(points)
-        on_frame = np.einsum("mklij,mka,mlb->mabij", coefficient, frame_matrix, frame_matrix)
         worst = np.zeros(len(points))
         for a, b in pairs:
-            block = np.abs(on_frame[:, a, b]).max(axis=(1, 2))
+            block = np.abs(_on_frame_pair(coefficient, frame_matrix, a, b)).max(axis=(1, 2))
             worst = np.where(block > worst, block, worst)  # as max(): NaN loses
         return worst
 

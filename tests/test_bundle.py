@@ -283,6 +283,22 @@ def test_metric_compatibility_residual_small(name, variant):
         assert metric_compatibility_residual(variant, m, point, trials=trials, seed=0) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "name, variant, grid", [("sphere3", "s", 4), ("hyperbolic3", "h", 3), ("half_plane", "h", 9)]
+)
+def test_stacked_compatibility_rows_equal_point_calls_bitwise(name, variant, grid):
+    # 64, 27 and 81 points: stacks above and below the point-by-point cutoff
+    m = preset_metric(name)
+    points = np.array(list(m.chart.grid(grid)))
+    stacked = metric_compatibility_residual(variant, m, points, trials=3, seed=5)
+    single = [
+        metric_compatibility_residual(variant, m, tuple(p), trials=3, seed=5)
+        for p in points.tolist()
+    ]
+    assert stacked.shape == (len(points),)
+    assert stacked.view(np.int64).tolist() == np.array(single).view(np.int64).tolist()
+
+
 def test_mismatched_connection_breaks_compatibility():
     # pair the "s" pairing with the "h" derivative: the defect is
     # 2 g(X, xi) f_t + 2 g(X, eta) f_s, which is order one here

@@ -10,7 +10,7 @@ from cartanflat import bundle
 from cartanflat.bundle import identity_residual, metric_compatibility_residual, random_section
 from cartanflat.cartan import orthonormal_frame
 from cartanflat.presets import KINK_TEXT, preset_metric
-from cartanflat.sasaki import flatness_scan
+from cartanflat.sasaki import _curvature_of, flatness_scan
 from cartanflat.transport import develop_cloud
 from cartanflat.zcr import equivalence_scan, representation
 
@@ -32,6 +32,7 @@ def _used_objects():
     return {
         "metric": weakref.ref(metric),
         "frame": weakref.ref(orthonormal_frame(metric)),
+        "curvature h": weakref.ref(_curvature_of(metric, "h")),
         "rep": weakref.ref(representation(KINK_TEXT)),
     }
 

@@ -666,6 +666,16 @@ def test_zcr_expression_errors_exit_2(capsys):
     assert code == 2 and "unknown identifier" in err
 
 
+def test_numbers_beyond_the_float_range_are_refused_where_they_are_written(tmp_path, capsys):
+    code, _, err = _run(capsys, "zcr", "--u", "x1 + 1e400", "--grid", "3")
+    assert code == 2 and err.startswith("error: ") and "'1e400'" in err
+    config = tmp_path / "job.json"
+    metric = {"names": ["x", "y"], "box": [[0, 1], [0, 1]], "entries": [["1", "0"], ["0", "2e999"]]}
+    config.write_text(json.dumps({"metric": metric, "variant": "h"}))
+    code, _, err = _run(capsys, "flatness", "--config", str(config))
+    assert code == 2 and err.startswith("error: $.metric.entries[1][1]: ") and "'2e999'" in err
+
+
 def test_out_stores_the_json_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, report, _ = _run(

@@ -1,5 +1,6 @@
 """Parser, printer, evaluator, exact-derivative and interning tests."""
 
+import dis
 import gc
 import math
 import weakref
@@ -12,15 +13,18 @@ from hypothesis import strategies as st
 from cartanflat import exprlang
 from cartanflat.errors import ExpressionDomainError, ParseError, UnknownIdentifierError
 from cartanflat.exprlang import (
+    INLINE_DEPTH,
     MAX_DEPTH,
     STACK_MIN_POINTS,
     Binary,
     Const,
     Unary,
     Var,
+    add,
     compile_expressions,
     differentiate,
     evaluate,
+    mul,
     neg,
     parse,
     simplify,
@@ -87,6 +91,13 @@ def test_syntax_error_carries_offset():
         parse("x + ", XY)
     with pytest.raises(ParseError):
         parse("x 2", XY)
+
+
+def test_numbers_beyond_the_float_range_are_refused_with_their_offset():
+    with pytest.raises(ParseError) as err:
+        parse("x + 1e400", XY)
+    assert err.value.offset == 4
+    assert parse("1e308", ()) == Const(1e308)
 
 
 def test_exponent_must_be_constant():
@@ -410,10 +421,22 @@ def test_each_derivative_is_taken_once():
     assert differentiate(e, "y") is not first
 
 
-def _generated_lines(fn) -> int:
-    """Assignments in the function compile_expressions generated behind ``fn``."""
+def _generated_code(fn):
+    """The code object compile_expressions generated behind ``fn``."""
     cells = dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))
-    return sum(name.startswith("t") for name in cells["inner"].__code__.co_varnames)
+    return cells["inner"].__code__
+
+
+def _assignments(fn) -> int:
+    """Lines of the generated function that assign a ``tN`` temporary."""
+    return sum(name.startswith("t") for name in _generated_code(fn).co_varnames)
+
+
+def _calls_to(fn, guard: str) -> int:
+    return sum(
+        ins.opname == "LOAD_GLOBAL" and ins.argval == guard
+        for ins in dis.get_instructions(_generated_code(fn))
+    )
 
 
 def test_compiling_two_copies_of_a_subtree_emits_it_once():
@@ -422,9 +445,67 @@ def test_compiling_two_copies_of_a_subtree_emits_it_once():
 
     once = compile_expressions([copy()], XY)
     twice = compile_expressions([Binary("*", copy(), Var("x")), Binary("-", copy(), Var("y"))], XY)
-    assert _generated_lines(once) == 4
-    assert _generated_lines(twice) == 4 + 2
+    for fn in (once, twice):
+        assert _calls_to(fn, "_fn_sqrt") == 1
+        assert _calls_to(fn, "_fn_exp") == 1
     assert twice((1.5, 0.25)) == (once((1.5, 0.25))[0] * 1.5, once((1.5, 0.25))[0] - 0.25)
+
+
+def test_single_use_arithmetic_gets_no_line_of_its_own():
+    assert _assignments(compile_expressions([parse("-(x*y + x) - y*(x - 2)", XY)], XY)) == 0
+    # the guarded sqrt keeps its line; the arithmetic around it does not
+    assert _assignments(compile_expressions([parse("2 * sqrt(x*x + y*y) - x", XY)], XY)) == 1
+    # a node with two consumers keeps its line, whether they are nodes or roots
+    product = parse("x * y", XY)
+    assert _assignments(compile_expressions([product + 1.0, product - 1.0], XY)) == 1
+    assert _assignments(compile_expressions([product + 1.0, product], XY)) == 1
+    assert _assignments(compile_expressions([product, product], XY)) == 1
+
+
+def test_inlining_stops_at_the_depth_cap():
+    chain = Var("x")
+    for k in range(INLINE_DEPTH):
+        chain = Binary("+", chain, Const(k + 1.0))
+    assert _assignments(compile_expressions([chain], XY)) == 0
+    assert _assignments(compile_expressions([Binary("*", chain, Var("y"))], XY)) == 1
+
+
+def test_a_single_use_chain_far_deeper_than_the_cap_compiles_bitwise():
+    total = Const(0.0)
+    for k in range(500):
+        total = add(total, mul(Const(1.0 + 0.37 * k), Var(XY[k % 2])))
+    fn = compile_expressions([total], XY)
+    assert 0 < _assignments(fn) < 100
+    stack = np.random.default_rng(500).uniform(-2.0, 2.0, (3 * STACK_MIN_POINTS, 2))
+    expected = [evaluate(total, {"x": x, "y": y}) for x, y in stack.tolist()]
+    assert _bits([fn(tuple(row))[0] for row in stack.tolist()]) == _bits(expected)
+    assert _bits(fn(stack)[:, 0]) == _bits(expected)
+
+
+@pytest.mark.parametrize(
+    "texts, message",
+    [
+        (["(x*y - log(x)) * 2 + 1/y"], "log of non-positive value -1.0"),
+        (["(x*y - 1/y) * 2 + log(x)"], "division by zero"),
+        # the shared 1/y has a line of its own, which must come after log's
+        (["log(x) + 1/y", "1/y"], "log of non-positive value -1.0"),
+        (["sqrt(x) * (2 - 1/y)", "1/y + x"], "sqrt of negative value -1.0"),
+    ],
+)
+def test_where_two_guards_fail_both_routes_raise_the_interpreters_error(texts, message):
+    batch = [parse(text, XY) for text in texts]
+    fn = compile_expressions(batch, XY)
+    with pytest.raises(ExpressionDomainError) as reference:
+        for e in batch:
+            evaluate(e, {"x": -1.0, "y": 0.0})
+    assert str(reference.value) == message
+    with pytest.raises(ExpressionDomainError) as scalar:
+        fn((-1.0, 0.0))
+    stack = np.random.default_rng(2).uniform(0.5, 1.5, (3 * STACK_MIN_POINTS, 2))
+    stack[40] = (-1.0, 0.0)
+    with pytest.raises(ExpressionDomainError) as stacked:
+        fn(stack)
+    assert str(scalar.value) == str(stacked.value) == message
 
 
 def test_nodes_are_released_with_the_metrics_that_use_them():

@@ -5,7 +5,8 @@ import pytest
 
 from cartanflat.cartan import gauss_curvature, orthonormal_frame, wedge
 from cartanflat.errors import DimensionError
-from cartanflat.presets import preset_metric, random_metric
+from cartanflat import metricspace
+from cartanflat.presets import PRESET_NAMES, preset_metric, random_metric
 from cartanflat.sasaki import (
     MatrixOneForm,
     basis_coefficients,
@@ -20,6 +21,7 @@ from cartanflat.sasaki import (
     so21_basis,
     variant_sign,
 )
+from cartanflat.sasaki import _curvature_of, _on_frame_pair
 
 ETA = np.diag([1.0, 1.0, -1.0])
 
@@ -344,6 +346,46 @@ def test_chunked_flatness_scan_matches_point_by_point(name, variant, resolution)
     best, best_point = _flatness_point_by_point(m, variant, resolution)
     assert report.max_residual == best  # bit-identical
     assert report.argmax_point == best_point
+
+
+def _metrics_for_pair_contraction():
+    for name in PRESET_NAMES:
+        yield name, preset_metric(name)
+    for seed in (0, 1, 2, 3):
+        yield f"random_metric(3, {seed})", random_metric(3, seed)
+
+
+@pytest.mark.parametrize("variant", ["h", "s"])
+def test_per_pair_contraction_equals_the_full_einsum_bitwise(variant):
+    for label, m in _metrics_for_pair_contraction():
+        points = np.array(list(m.chart.grid(4)))
+        frame_matrix = orthonormal_frame(m).frame_at(points)
+        coefficient = _curvature_of(m, variant).at(points)
+        full = np.einsum("mklij,mka,mlb->mabij", coefficient, frame_matrix, frame_matrix)
+        for a in range(m.dim):
+            for b in range(a + 1, m.dim):
+                pair = _on_frame_pair(coefficient, frame_matrix, a, b)
+                assert np.array_equal(pair, full[:, a, b]), (label, a, b)
+                assert np.array_equal(np.signbit(pair), np.signbit(full[:, a, b])), (label, a, b)
+
+
+def test_a_second_scan_of_a_metric_compiles_nothing(monkeypatch):
+    compiled = []
+    original = metricspace.compile_expressions
+
+    def counting(expressions, variables):
+        compiled.append(len(expressions))
+        return original(expressions, variables)
+
+    monkeypatch.setattr(metricspace, "compile_expressions", counting)
+    m = preset_metric("half_plane")
+    first = flatness_scan(m, "h", resolution=3)
+    assert compiled
+    compiled.clear()
+    assert flatness_scan(m, "h", resolution=3) == first
+    assert compiled == []
+    flatness_scan(m, "s", resolution=3)
+    assert len(compiled) == 1  # the "s" curvature; the frame is the metric's
 
 
 def test_flatness_scan_random_metric_h_vs_s_spread():
