@@ -49,7 +49,7 @@ from .exprlang import (
     variables_of,
 )
 from .metricspace import Chart, ChartMetric, ExprArray, constant_curvature_tensor
-from .sasaki import variant_sign
+from .sasaki import fiber_pairing, variant_sign
 
 __all__ = [
     "BundleSection",
@@ -294,9 +294,6 @@ class IdentityResidual:
     def worst(self) -> float:
         return max(self.vector, self.e_component)
 
-    def as_dict(self) -> dict:
-        return {"vector": self.vector, "e_component": self.e_component}
-
 
 def identity_residual(
     variant: str,
@@ -323,9 +320,7 @@ def identity_residual(
 def _pairing_expression(
     variant: str, metric: ChartMetric, s: BundleSection, t: BundleSection
 ) -> Expression:
-    tangent = g_pair(metric, s.vector, t.vector)
-    fiber = mul(s.scalar, t.scalar)
-    return sub(tangent, fiber) if variant_sign(variant) > 0 else add(tangent, fiber)
+    return fiber_pairing(variant, g_pair(metric, s.vector, t.vector), mul(s.scalar, t.scalar))
 
 
 def bundle_pairing(
@@ -341,8 +336,7 @@ def bundle_pairing(
     s_value = np.asarray(s_value, dtype=float)
     t_value = np.asarray(t_value, dtype=float)
     tangent = float(s_value[:n] @ g @ t_value[:n])
-    fiber = float(s_value[n] * t_value[n])
-    return tangent - fiber if variant_sign(variant) > 0 else tangent + fiber
+    return fiber_pairing(variant, tangent, float(s_value[n] * t_value[n]))
 
 
 @_cached_on_metric(maxsize=128)

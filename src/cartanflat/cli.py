@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -31,7 +32,7 @@ from . import __version__
 from .bundle import identity_residual, metric_compatibility_residual
 from .errors import CartanflatError, ConfigError, ParseError
 from .exprlang import parse
-from .metricspace import Chart, ChartMetric, grid_scan
+from .metricspace import Chart, ChartMetric, grid_scan, worst_point
 from .presets import KINK_TEXT, PRESET_NAMES, catalog, get_preset
 from .sasaki import flatness_scan
 from .transport import (
@@ -39,11 +40,12 @@ from .transport import (
     CONNECTIONS,
     ChartCurve,
     circle_curve,
+    closure_gap,
     develop,
     line_curve,
     transport_trace,
 )
-from .zcr import equivalence_scan
+from .zcr import DEFAULT_BOX, DEFAULT_NAMES, equivalence_scan
 
 __all__ = ["main"]
 
@@ -319,23 +321,17 @@ def _job_curvature(s: dict):
 
 def _job_flatness(s: dict):
     report = flatness_scan(s["metric"], s["variant"], resolution=s["grid"])
-    payload = {**s["source"], **report.as_dict(), "tol": s["tol"]}
+    payload = {**s["source"], **dataclasses.asdict(report), "tol": s["tol"]}
     return payload, report.max_residual <= s["tol"], None
 
 
 def _job_section_scan(residuals, s: dict):
-    """The worst of ``residuals(s, points)``, one value per point of a
-    stack, over the grid, g checked positive definite at each chunk's
-    points first."""
+    """The worst point (``worst_point``) of ``residuals(s, points)``, one
+    value per point of a stack, over the grid, g checked positive definite
+    at each chunk's points first."""
     metric, variant, trials, seed = s["metric"], s["variant"], s["trials"], s["seed"]
-    worst = -1.0
-    argmax = None
-    points = 0
-    for chunk, _ in grid_scan(metric.chart, s["grid"], metric.definite_metric_at):
-        for point, value in zip(chunk.tolist(), residuals(s, chunk).tolist()):
-            if value > worst:
-                worst, argmax = value, point
-        points += len(chunk)
+    chunks = grid_scan(metric.chart, s["grid"], metric.definite_metric_at)
+    worst, argmax, points = worst_point((chunk, residuals(s, chunk)) for chunk, _ in chunks)
     payload = {
         **s["source"],
         "variant": variant,
@@ -371,9 +367,7 @@ def _job_transport(s: dict):
     metric, connection, tol = s["metric"], s["connection"], s["tol"]
     curve, curve_echo = _build_curve(s.get("curve"), metric.chart, s["steps_per_unit"])
     times, matrices = transport_trace(connection, metric, curve)
-    start = np.array(curve.point_at(curve.t0))
-    end = np.array(curve.point_at(curve.t1))
-    closed = bool(np.max(np.abs(end - start)) <= CLOSURE_TOL)
+    closed = closure_gap(curve) <= CLOSURE_TOL
     identity_gap = (
         float(np.max(np.abs(matrices[-1] - np.eye(matrices.shape[1])))) if closed else None
     )
@@ -424,13 +418,13 @@ def _job_develop(s: dict):
 
 
 def _job_zcr(s: dict):
-    box = _check_box(s["box"], "$.box") if "box" in s else ((-2.0, 2.0), (-2.0, 2.0))
+    box = _check_box(s["box"], "$.box") if "box" in s else DEFAULT_BOX
     if len(box) != 2:
         raise ConfigError("$.box", "the sine-Gordon chart is two-dimensional")
-    chart = Chart(("x1", "x2"), box)
-    report = equivalence_scan(s["u"], chart, resolution=s["grid"])
-    payload = {"u": s["u"], "box": [list(b) for b in box], **report.as_dict(), "tol": s["tol"]}
-    return payload, report.max_zcr <= s["tol"], None
+    chart = Chart(DEFAULT_NAMES, box)
+    report = dataclasses.asdict(equivalence_scan(s["u"], chart, resolution=s["grid"]))
+    payload = {"u": s["u"], "box": [list(b) for b in box], **report, "tol": s["tol"]}
+    return payload, report["max_zcr"] <= s["tol"], None
 
 
 def _job_presets(s: dict):

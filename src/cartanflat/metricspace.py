@@ -50,6 +50,8 @@ __all__ = [
     "PD_CHECK_RESOLUTION",
     "Chart",
     "grid_scan",
+    "stacked_or_in_turn",
+    "worst_point",
     "ExprArray",
     "elementwise",
     "ChartMetric",
@@ -152,8 +154,8 @@ class Chart:
         return [np.linspace(lo, hi, resolution) for lo, hi in self.inner_box()]
 
     def grid(self, resolution: int) -> Iterator[tuple[float, ...]]:
-        """Row-major sweep (last coordinate fastest), the order argmax
-        tie-breaking is defined against."""
+        """Row-major sweep (last coordinate fastest), the point order of
+        :func:`worst_point`."""
         return itertools.product(*(axis.tolist() for axis in self.axes(resolution)))
 
     def random_points(self, rng: np.random.Generator, count: int) -> list[tuple[float, ...]]:
@@ -163,22 +165,46 @@ class Chart:
         ]
 
 
-def grid_scan(chart: Chart, resolution: int, evaluate) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``(points, evaluate(points))`` for each chunk of the chart's grid.
+def stacked_or_in_turn(evaluate, items):
+    """``evaluate(items)``, or, where that raises, ``evaluate`` of each item
+    alone, in order, concatenated.
 
-    ``evaluate`` maps a stack of points to an array with one leading row per
-    point.  A stack evaluates each array at every point before the next
-    array, so where a chunk raises, its points are evaluated again one at a
-    time, in order: the error that escapes is the one a point-by-point scan
-    meets first."""
+    ``evaluate`` maps a sequence of items to one leading row per item.  A
+    stacked evaluation finishes each stage at every item before the next
+    stage, so the error it raises need not be the first one met item by
+    item; replaying the items in turn makes the error that escapes the one
+    evaluating them one at a time meets first."""
+    try:
+        return evaluate(items)
+    except _POINT_ERRORS:
+        return np.concatenate([evaluate(items[k : k + 1]) for k in range(len(items))])
+
+
+def worst_point(
+    chunks: Iterable[tuple[np.ndarray, np.ndarray]],
+) -> tuple[float, tuple[float, ...] | None, int]:
+    """``(worst, point, count)`` over ``(points, values)`` chunks with one
+    value per point: the largest value, the first point that has it, and
+    the number of points.  Values compare as ``max()`` would in point order
+    (ties keep the earlier point, NaN never wins) against a floor of -1.0,
+    where the point is None."""
+    worst, where, count = -1.0, None, 0
+    for points, values in chunks:
+        for point, value in zip(points.tolist(), values.tolist()):
+            if value > worst:
+                worst, where = value, tuple(point)
+        count += len(points)
+    return worst, where, count
+
+
+def grid_scan(chart: Chart, resolution: int, evaluate) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(points, evaluate(points))`` for each chunk of the chart's grid,
+    evaluated by :func:`stacked_or_in_turn`.  ``evaluate`` maps a stack of
+    points to an array with one leading row per point."""
     grid = chart.grid(resolution)
     while chunk := list(itertools.islice(grid, GRID_CHUNK)):
         points = np.array(chunk)
-        try:
-            values = evaluate(points)
-        except _POINT_ERRORS:
-            values = np.concatenate([evaluate(points[k : k + 1]) for k in range(len(points))])
-        yield points, values
+        yield points, stacked_or_in_turn(evaluate, points)
 
 
 def _nest(entries) -> tuple:

@@ -45,7 +45,7 @@ import numpy as np
 from .cartan import FrameField, ScalarOneForm, antisymmetric, orthonormal_frame
 from .errors import DimensionError
 from .exprlang import Const, Expression, add, differentiate, mul, sub
-from .metricspace import Chart, ChartMetric, ExprArray, grid_scan
+from .metricspace import Chart, ChartMetric, ExprArray, grid_scan, worst_point
 
 __all__ = [
     "LieBasis",
@@ -64,6 +64,7 @@ __all__ = [
     "FlatnessReport",
     "flatness_scan",
     "variant_sign",
+    "fiber_pairing",
 ]
 
 
@@ -222,6 +223,13 @@ def variant_sign(variant: str) -> float:
     raise ValueError(f"unknown variant {variant!r}; expected 'h' or 's'")
 
 
+def fiber_pairing(variant: str, tangent, fiber):
+    """The pairing of two sections from its tangent part g(xi, eta) and its
+    fiber part f k, numbers or expressions: tangent - fiber for "h" (the
+    Minkowski pairing), tangent + fiber for "s" (the Euclidean one)."""
+    return tangent - fiber if variant_sign(variant) > 0 else tangent + fiber
+
+
 def basis_form(chart: Chart, forms: Sequence[ScalarOneForm], basis: LieBasis) -> MatrixOneForm:
     """The matrix one-form sum_m basis.matrices[m] forms[m]."""
     size = basis.size
@@ -320,15 +328,6 @@ class FlatnessReport:
     max_residual: float
     argmax_point: tuple[float, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "resolution": self.resolution,
-            "points": self.points,
-            "max_residual": self.max_residual,
-            "argmax_point": list(self.argmax_point),
-        }
-
 
 def _curvature_of(metric: ChartMetric, variant: str) -> MatrixTwoForm:
     """The curvature of the variant's connection built on the metric's
@@ -357,12 +356,9 @@ def flatness_scan(
 ) -> FlatnessReport:
     """Scan the chart's inner grid and report the largest curvature entry of
     the chosen connection, measured on pairs of the metric's orthonormal
-    frame (``orthonormal_frame(metric)``).
-
-    The scan order is row-major over the grid (last coordinate fastest) and
-    ties keep the first point, so the argmax is deterministic.  The metric
-    must be positive definite at every grid point; SingularMetricError names
-    the first where it is not.
+    frame (``orthonormal_frame(metric)``), and its point (``worst_point``).
+    The metric must be positive definite at every grid point;
+    SingularMetricError names the first where it is not.
     """
     frame = orthonormal_frame(metric)
     omega_form = _curvature_of(metric, variant)
@@ -379,13 +375,5 @@ def flatness_scan(
             worst = np.where(block > worst, block, worst)  # as max(): NaN loses
         return worst
 
-    best = -1.0
-    best_point: tuple[float, ...] = ()
-    count = 0
-    for points, values in grid_scan(metric.chart, resolution, residuals):
-        k = int(np.argmax(values))
-        if values[k] > best:
-            best = float(values[k])
-            best_point = tuple(points[k].tolist())
-        count += len(points)
-    return FlatnessReport(variant, resolution, count, best, best_point)
+    worst, point, count = worst_point(grid_scan(metric.chart, resolution, residuals))
+    return FlatnessReport(variant, resolution, count, worst, point)

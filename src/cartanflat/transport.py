@@ -33,13 +33,12 @@ evaluates all its times and curves in one call (positions from the curves'
 own expressions, never recomputed as a + d t), then g and Gamma at all its
 points (ChartMetric.metric_and_christoffel), which checks every point
 against the chart box and g for singularity and positive definiteness,
-raising at the first point that fails, before it evaluates Gamma.  If a
-block raises, its times are evaluated again one at a time, in first-use
-order, so the error is the one stepping slope by slope meets first.  Every
+raising at the first point that fails, before it evaluates Gamma.  A
+block's times, in first-use order, and a cloud's chunk of targets are each
+evaluated through metricspace.stacked_or_in_turn, so the error that escapes
+is the one stepping slope by slope, target by target, meets first.  Every
 stacked product is the per-curve product at each row, so results are
-bit-identical to integrating the curves one at a time, slope by slope;
-where a cloud's chunk raises, its targets are developed again one at a
-time, so the error is the one the first failing target meets.
+bit-identical to integrating the curves one at a time, slope by slope.
 """
 
 from __future__ import annotations
@@ -65,8 +64,8 @@ from .exprlang import (
     mul,
     variables_of,
 )
-from .metricspace import _POINT_ERRORS, GRID_CHUNK, Chart, ChartMetric
-from .sasaki import variant_sign
+from .metricspace import GRID_CHUNK, Chart, ChartMetric, stacked_or_in_turn
+from .sasaki import fiber_pairing, variant_sign
 
 __all__ = [
     "ChartCurve",
@@ -74,6 +73,7 @@ __all__ = [
     "circle_curve",
     "CONNECTIONS",
     "CLOSURE_TOL",
+    "closure_gap",
     "transport_matrix",
     "transport_trace",
     "parallel_transport",
@@ -254,13 +254,7 @@ def _rk4_transport(
             times += (t + half, t + h)
             shares.append(share)
             end_time = t + h
-        try:
-            block_actions = actions_at(times)
-        except _POINT_ERRORS:
-            # one time at a time, in first-use order: the error that escapes
-            # is the one stepping slope by slope meets first
-            block_actions = np.concatenate([actions_at([t]) for t in times])
-        actions = iter(block_actions)
+        actions = iter(stacked_or_in_turn(actions_at, times))
         for share in shares:
             node = end_action if share else next(actions)
             mid, end_action = next(actions), next(actions)
@@ -308,14 +302,20 @@ def parallel_transport(
 CLOSURE_TOL = 1e-12
 
 
+def closure_gap(curve: ChartCurve) -> float:
+    """Max-abs gap between the curve's end and start in chart coordinates;
+    the curve is a loop where this is at most CLOSURE_TOL."""
+    start = np.array(curve.point_at(curve.t0))
+    end = np.array(curve.point_at(curve.t1))
+    return float(np.max(np.abs(end - start)))
+
+
 def holonomy(connection: str, metric: ChartMetric, curve: ChartCurve) -> np.ndarray:
     """transport_matrix for a loop.  The curve must return to its start in
     chart coordinates; a latitude-style path whose endpoints are identified
     by the geometry but differ in the chart should go through
     transport_matrix directly."""
-    start = np.array(curve.point_at(curve.t0))
-    end = np.array(curve.point_at(curve.t1))
-    gap = float(np.max(np.abs(end - start)))
+    gap = closure_gap(curve)
     if gap > CLOSURE_TOL:
         raise NonClosedLoopError(
             f"curve endpoints differ by {gap:.3e} in chart coordinates (tol {CLOSURE_TOL:g})"
@@ -326,12 +326,9 @@ def holonomy(connection: str, metric: ChartMetric, curve: ChartCurve) -> np.ndar
 def quadric_pairing(variant: str, u: Sequence[float], v: Sequence[float]) -> float:
     """The ambient pairing on developed vectors: Minkowski (last component
     negative) for "h", Euclidean for "s"."""
-    sign = variant_sign(variant)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    tangent = float(u[:-1] @ v[:-1])
-    fiber = float(u[-1] * v[-1])
-    return tangent - fiber if sign > 0 else tangent + fiber
+    return fiber_pairing(variant, float(u[:-1] @ v[:-1]), float(u[-1] * v[-1]))
 
 
 def quadric_residual_of(variant: str, points: np.ndarray) -> float:
@@ -406,21 +403,18 @@ def develop_cloud(
     """Developed images of many chart points, each reached from the base
     along the straight chart segment; one row per target, each equal to
     ``develop(variant, metric, segment).end``.  The segments of up to
-    GRID_CHUNK targets are integrated together; where a chunk raises, its
-    targets are developed again one at a time, in order, so the error that
-    escapes is the one developing the targets in turn meets first."""
+    GRID_CHUNK targets are integrated together (see the module docstring)."""
     chart = metric.chart
     base = chart.require(base)
+
+    def developed_ends(chunk: list) -> list:
+        segments = [line_curve(chart, base, target, steps_per_unit) for target in chunk]
+        return _developed_ends(variant, metric, segments)
+
     rows: list[np.ndarray] = []
     remaining = iter(targets)
     while chunk := list(itertools.islice(remaining, GRID_CHUNK)):
-        try:
-            segments = [line_curve(chart, base, target, steps_per_unit) for target in chunk]
-            rows.extend(_developed_ends(variant, metric, segments))
-        except _POINT_ERRORS:
-            for target in chunk:
-                segment = line_curve(chart, base, target, steps_per_unit)
-                rows.append(develop(variant, metric, segment).end)
+        rows.extend(stacked_or_in_turn(developed_ends, chunk))
     return np.array(rows)
 
 

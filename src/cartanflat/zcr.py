@@ -72,6 +72,7 @@ from .metricspace import Chart, ChartMetric, ExprArray, grid_scan
 from .sasaki import MatrixOneForm, MatrixTwoForm, basis_form, curvature_form, so21_basis
 
 __all__ = [
+    "DEFAULT_NAMES",
     "DEFAULT_BOX",
     "default_chart",
     "SineGordonRep",
@@ -81,11 +82,12 @@ __all__ = [
     "equivalence_scan",
 ]
 
+DEFAULT_NAMES = ("x1", "x2")
 DEFAULT_BOX = ((-2.0, 2.0), (-2.0, 2.0))
 
 
-def default_chart(names: tuple[str, str] = ("x1", "x2")) -> Chart:
-    return Chart(names, DEFAULT_BOX)
+def default_chart() -> Chart:
+    return Chart(DEFAULT_NAMES, DEFAULT_BOX)
 
 
 def _as_field(u, chart: Chart) -> Expression:
@@ -200,19 +202,6 @@ class EquivalenceReport:
     correlation: float | None
     ratio_low: float | None
     ratio_high: float | None
-
-    def as_dict(self) -> dict:
-        return {
-            "resolution": self.resolution,
-            "points": self.points,
-            "max_zcr": self.max_zcr,
-            "argmax_zcr": list(self.argmax_zcr),
-            "max_pde": self.max_pde,
-            "argmax_pde": list(self.argmax_pde),
-            "correlation": self.correlation,
-            "ratio_low": self.ratio_low,
-            "ratio_high": self.ratio_high,
-        }
 
 
 def equivalence_scan(u, chart: Chart | None = None, resolution: int = 21) -> EquivalenceReport:

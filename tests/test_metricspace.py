@@ -5,7 +5,10 @@ symbolic Christoffels must match it, and curvature values must match the
 closed forms of the constant-curvature presets.
 """
 
+import ast
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,8 @@ from cartanflat.metricspace import (
     ChartMetric,
     constant_curvature_tensor,
     grid_scan,
+    stacked_or_in_turn,
+    worst_point,
 )
 from cartanflat.presets import preset_metric, random_metric
 
@@ -328,6 +333,32 @@ def test_grid_scan_raises_the_error_a_point_by_point_scan_meets_first():
     with pytest.raises(ChartDomainError, match="second stage at 0.4"):
         for _ in grid_scan(chart, 11, evaluate):
             pass
+
+
+def test_worst_point_keeps_the_first_of_equal_values_across_chunks():
+    first = (np.array([[0.0], [1.0], [2.0]]), np.array([0.5, 3.0, 3.0]))
+    tie = (np.array([[3.0], [4.0]]), np.array([3.0, float("nan")]))
+    assert worst_point([first, tie]) == (3.0, (1.0,), 5)
+    larger = (np.array([[5.0]]), np.array([3.5]))
+    assert worst_point([first, tie, larger]) == (3.5, (5.0,), 6)
+    below_floor = (np.array([[6.0, 7.0]]), np.array([-2.0]))
+    assert worst_point([below_floor]) == (-1.0, None, 1)
+
+
+def test_only_stacked_or_in_turn_replays_a_failing_stack():
+    # one replay rule: no other code catches the point errors itself
+    package = Path(__file__).resolve().parents[1] / "src" / "cartanflat"
+    handlers = [
+        (path.name, node.lineno)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.ExceptHandler)
+        and node.type is not None
+        and "_POINT_ERRORS" in ast.unparse(node.type)
+    ]
+    lines, start = inspect.getsourcelines(stacked_or_in_turn)
+    assert [name for name, _ in handlers] == ["metricspace.py"]
+    assert start < handlers[0][1] < start + len(lines)
 
 
 def test_symmetry_check_ignores_the_sign_of_a_zero():

@@ -1,5 +1,6 @@
 """Sine-Gordon zero-curvature representation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -144,8 +145,8 @@ def test_chunked_scan_matches_pointwise_residuals():
 
 
 def test_scan_is_deterministic():
-    first = equivalence_scan("x1 * x2", resolution=7).as_dict()
-    second = equivalence_scan("x1 * x2", resolution=7).as_dict()
+    first = dataclasses.asdict(equivalence_scan("x1 * x2", resolution=7))
+    second = dataclasses.asdict(equivalence_scan("x1 * x2", resolution=7))
     assert first == second
 
 
