@@ -22,6 +22,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 import time
 from typing import Callable, NamedTuple
@@ -572,7 +573,14 @@ def _run(args) -> int:
     except OSError as exc:
         reason = exc.strerror or exc
         raise CartanflatError(f"cannot write --out file {args.out!r}: {reason}") from exc
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader stopped early (say, `| head`): what is left of stdout,
+        # the flush at exit included, goes to devnull; the job itself ran
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if out is not None:
         with out:
             if csv_rows is not None:

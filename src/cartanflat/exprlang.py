@@ -17,11 +17,14 @@ node goes when nothing else uses it.
 
 The printer/parser pair is a round trip: ``parse(to_text(e), vars) is e``
 for any AST built by the parser or the smart constructors (a negative zero
-prints as ``-0``).  :func:`parse` refuses expressions more than
-:data:`MAX_DEPTH` levels deep, since every walk over an AST recurses once
-per level.  Simplification is deliberately conservative (constant folding
-plus 0/1 identities); nothing here reorders sums or rewrites powers, so
-printed formulas stay recognizable.
+prints as ``-0``).  The parser is the one pass that recurses, once per
+level, so :func:`parse` refuses text more than :data:`MAX_DEPTH` levels
+deep; every other pass (printing, evaluation, differentiation, rewriting,
+compilation) is a loop over one iterative post-order of the distinct
+nodes, and takes expressions built through the API at any depth.
+Simplification is deliberately conservative (constant folding plus 0/1
+identities); nothing here reorders sums or rewrites powers, so printed
+formulas stay recognizable.
 
 Evaluation is pure and deterministic.  Out-of-domain input (log of a
 non-positive value, division by zero, overflow) raises
@@ -29,7 +32,7 @@ non-positive value, division by zero, overflow) raises
 
 Three evaluation routes exist and are kept bit-identical:
 
-- :func:`evaluate`, a memoized tree walk over Python floats: the reference;
+- :func:`evaluate`, an interpreter over Python floats: the reference;
 - :func:`compile_expressions`, which generates one straight-line Python
   function for a batch of expressions and calls it on one point:
   integrators and small scans use it.  A ``+``, ``-``, ``*`` or negation
@@ -453,6 +456,66 @@ def call(name: str, arg) -> Expression:
 
 
 # ---------------------------------------------------------------------------
+# the walk: the one order every pass but the parser runs over
+# ---------------------------------------------------------------------------
+
+
+def _post_order(
+    roots: Sequence[Expression], done: Callable[[Expression], bool] | None = None
+) -> list[Expression]:
+    """The distinct nodes under ``roots`` in post-order: left subtree, right
+    subtree, node, one root after another, the order in which a memoized
+    recursive walk meets them.  ``done`` is asked of each distinct node once,
+    as the walk enters it; a node for which it holds is left out, with all
+    that only it leads to."""
+    order: list[Expression] = []
+    seen: set[int] = set()
+    # a node, then None above it, then its children, the left one on top:
+    # popping the None means the children are done and the node comes next
+    stack: list = list(reversed(roots))
+    pop, push = stack.pop, stack.extend
+    while stack:
+        node = pop()
+        if node is None:
+            order.append(pop())
+            continue
+        key = id(node)
+        if key in seen:
+            continue
+        seen.add(key)
+        if done is not None and done(node):
+            continue
+        kind = type(node)
+        if kind is Binary:
+            push((node, None, node.right, node.left))
+        elif kind is Unary:
+            push((node, None, node.operand))
+        else:
+            order.append(node)
+    return order
+
+
+def _consumers(roots: Sequence[Expression], order: list[Expression]) -> dict[int, int]:
+    """How many consumers each node in ``order`` has, by id.  A consumer is
+    an operand slot of a distinct node or a root's place in ``roots``, so
+    ``x * x`` counts twice for ``x``."""
+    consumers: dict[int, int] = {}
+    count = consumers.get
+    for root in roots:
+        consumers[id(root)] = count(id(root), 0) + 1
+    for node in order:
+        kind = type(node)
+        if kind is Binary:
+            left, right = id(node.left), id(node.right)
+            consumers[left] = count(left, 0) + 1
+            consumers[right] = count(right, 0) + 1
+        elif kind is Unary:
+            operand = id(node.operand)
+            consumers[operand] = count(operand, 0) + 1
+    return consumers
+
+
+# ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
 
@@ -505,11 +568,8 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 #: Deepest expression :func:`parse` accepts, in levels: one per operator on
 #: the longest path from the root to a leaf, and one per bracket, function
-#: call, unary minus or exponent the parser descends into.  Parsing and every
-#: walk over an expression recurse once per level, and derivatives are
-#: deeper than what they differentiate; at Python's default recursion limit
-#: the deepest metric entry that ran ``flatness``, ``curvature`` and
-#: ``identity`` was a chain of 156 divisions.
+#: call, unary minus or exponent the parser descends into.  The bound is the
+#: parser's, which recurses once per level; no other pass recurses.
 MAX_DEPTH = 100
 _TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
 
@@ -654,46 +714,48 @@ def _const_text(value: float) -> str:
     return repr(value)
 
 
-def _fmt(node: Expression) -> tuple[str, int]:
-    if isinstance(node, Const):
-        prec = _PREC_NEG if math.copysign(1.0, node.value) < 0 else _PREC_ATOM
-        return _const_text(node.value), prec
-    if isinstance(node, Var):
-        return node.name, _PREC_ATOM
-    if isinstance(node, Unary):
-        if node.op == "neg":
-            text, prec = _fmt(node.operand)
-            if prec < _PREC_NEG:
-                text = f"({text})"
-            return f"-{text}", _PREC_NEG
-        inner, _ = _fmt(node.operand)
-        return f"{node.op}({inner})", _PREC_ATOM
-    assert isinstance(node, Binary)
-    left, lp = _fmt(node.left)
-    right, rp = _fmt(node.right)
-    if node.op in "+-":
-        mine = _PREC_ADD
-    elif node.op in "*/":
-        mine = _PREC_MUL
-    else:
-        mine = _PREC_POW
-    if node.op == "^":
-        if lp <= mine:
-            left = f"({left})"
-        if rp < mine:
-            right = f"({right})"
-        return f"{left}^{right}", mine
-    if lp < mine:
-        left = f"({left})"
-    if rp <= mine:
-        right = f"({right})"
-    return f"{left} {node.op} {right}", mine
-
-
 def to_text(expression: Expression) -> str:
     """Print an AST so that re-parsing yields a structurally identical AST."""
-    text, _ = _fmt(expression)
-    return text
+    order = _post_order((expression,))
+    uses = _consumers((expression,), order)
+    printed: dict[int, tuple[str, int]] = {}  # text and precedence, by id
+
+    def take(child: Expression) -> tuple[str, int]:
+        # dropped after its last consumer: a deep chain keeps one long text
+        key = id(child)
+        uses[key] -= 1
+        return printed.pop(key) if uses[key] == 0 else printed[key]
+
+    for node in order:
+        kind = type(node)
+        if kind is Const:
+            prec = _PREC_NEG if math.copysign(1.0, node.value) < 0 else _PREC_ATOM
+            entry = _const_text(node.value), prec
+        elif kind is Var:
+            entry = node.name, _PREC_ATOM
+        elif kind is Unary:
+            text, prec = take(node.operand)
+            if node.op != "neg":
+                entry = f"{node.op}({text})", _PREC_ATOM
+            else:
+                entry = (f"-({text})" if prec < _PREC_NEG else f"-{text}"), _PREC_NEG
+        else:
+            (left, lp), (right, rp) = take(node.left), take(node.right)
+            if node.op == "^":
+                if lp <= _PREC_POW:
+                    left = f"({left})"
+                if rp < _PREC_POW:
+                    right = f"({right})"
+                entry = f"{left}^{right}", _PREC_POW
+            else:
+                mine = _PREC_ADD if node.op in "+-" else _PREC_MUL
+                if lp < mine:
+                    left = f"({left})"
+                if rp <= mine:
+                    right = f"({right})"
+                entry = f"{left} {node.op} {right}", mine
+        printed[id(node)] = entry
+    return printed[id(expression)][0]
 
 
 # ---------------------------------------------------------------------------
@@ -707,50 +769,27 @@ def evaluate(expression: Expression, point: Mapping[str, float]) -> float:
     Missing variables raise KeyError; out-of-domain arithmetic raises
     ExpressionDomainError.  The result is always a finite float.
     """
-    memo: dict[int, float] = {}
-
-    def walk(node: Expression) -> float:
-        key = id(node)
-        found = memo.get(key)
-        if found is not None:
-            return found
-        if isinstance(node, Const):
+    values: dict[int, float] = {}
+    for node in _post_order((expression,)):
+        kind = type(node)
+        if kind is Const:
             value = node.value
-        elif isinstance(node, Var):
+        elif kind is Var:
             value = float(point[node.name])
-        elif isinstance(node, Unary):
-            inner = walk(node.operand)
+        elif kind is Unary:
+            inner = values[id(node.operand)]
             value = -inner if node.op == "neg" else _apply_function(node.op, inner)
         else:
-            value = _apply_binary(node.op, walk(node.left), walk(node.right))
-        memo[key] = value
-        return value
-
-    value = walk(expression)
+            value = _apply_binary(node.op, values[id(node.left)], values[id(node.right)])
+        values[id(node)] = value
+    value = values[id(expression)]
     if not math.isfinite(value):
         raise ExpressionDomainError("expression value is not finite")
     return value
 
 
 def variables_of(expression: Expression) -> frozenset[str]:
-    names: set[str] = set()
-    seen: set[int] = set()
-
-    def walk(node: Expression):
-        key = id(node)
-        if key in seen:
-            return
-        seen.add(key)
-        if isinstance(node, Var):
-            names.add(node.name)
-        elif isinstance(node, Unary):
-            walk(node.operand)
-        elif isinstance(node, Binary):
-            walk(node.left)
-            walk(node.right)
-
-    walk(expression)
-    return frozenset(names)
+    return frozenset(node.name for node in _post_order((expression,)) if type(node) is Var)
 
 
 def _exponent_value(exponent: Expression) -> float:
@@ -766,22 +805,28 @@ def differentiate(expression: Expression, variable: str) -> Expression:
     """Exact partial derivative, lightly simplified (constant folding and
     0/1 identities happen as the result is built).  Every node keeps its
     derivatives by variable, so each is taken once while the node lives."""
+    derivatives = expression._derivatives
+    if derivatives is not None and variable in derivatives:  # most calls
+        return derivatives[variable]
+    exponents: dict[int, float] = {}
 
-    def walk(node: Expression) -> Expression:
-        cache = node._derivatives
-        if cache is None:
-            cache = {}
-            _set(node, "_derivatives", cache)
-        else:
-            found = cache.get(variable)
-            if found is not None:
-                return found
-        if isinstance(node, Const):
+    def cached(node: Expression) -> bool:
+        derivatives = node._derivatives
+        if derivatives is not None and variable in derivatives:
+            return True
+        if type(node) is Binary and node.op == "^":
+            # d(a^c) needs c first: a bad exponent fails before its base
+            exponents[id(node)] = _exponent_value(node.right)
+        return False
+
+    for node in _post_order((expression,), cached):
+        kind = type(node)
+        if kind is Const:
             result = Const(0.0)
-        elif isinstance(node, Var):
+        elif kind is Var:
             result = Const(1.0) if node.name == variable else Const(0.0)
-        elif isinstance(node, Unary):
-            du = walk(node.operand)
+        elif kind is Unary:
+            du = node.operand._derivatives[variable]
             u = node.operand
             op = node.op
             if op == "neg":
@@ -808,21 +853,24 @@ def differentiate(expression: Expression, variable: str) -> Expression:
                 result = div(du, add(1.0, power(u, 2.0)))
         else:
             a, b = node.left, node.right
-            if node.op == "+":
-                result = add(walk(a), walk(b))
-            elif node.op == "-":
-                result = sub(walk(a), walk(b))
-            elif node.op == "*":
-                result = add(mul(walk(a), b), mul(a, walk(b)))
-            elif node.op == "/":
-                result = div(sub(mul(walk(a), b), mul(a, walk(b))), power(b, 2.0))
+            da = a._derivatives[variable]
+            if node.op == "^":
+                c = exponents[id(node)]
+                result = mul(mul(Const(c), power(a, c - 1.0)), da)
             else:
-                c = _exponent_value(b)
-                result = mul(mul(Const(c), power(a, c - 1.0)), walk(a))
-        cache[variable] = result
-        return result
-
-    return walk(expression)
+                db = b._derivatives[variable]
+                if node.op == "+":
+                    result = add(da, db)
+                elif node.op == "-":
+                    result = sub(da, db)
+                elif node.op == "*":
+                    result = add(mul(da, b), mul(a, db))
+                else:
+                    result = div(sub(mul(da, b), mul(a, db)), power(b, 2.0))
+        if node._derivatives is None:
+            _set(node, "_derivatives", {})
+        node._derivatives[variable] = result
+    return expression._derivatives[variable]
 
 
 def simplify(expression: Expression) -> Expression:
@@ -830,39 +878,26 @@ def simplify(expression: Expression) -> Expression:
     return substitute(expression, {})
 
 
+_REBUILD = {"+": add, "-": sub, "*": mul, "/": div, "^": power}
+
+
 def substitute(expression: Expression, bindings: Mapping[str, Expression]) -> Expression:
     """Replace variables by expressions (used e.g. to reverse a curve's
     parameter).  Unbound variables pass through."""
-    memo: dict[int, Expression] = {}
-
-    def walk(node: Expression) -> Expression:
-        key = id(node)
-        found = memo.get(key)
-        if found is not None:
-            return found
-        if isinstance(node, Const):
+    results: dict[int, Expression] = {}
+    for node in _post_order((expression,)):
+        kind = type(node)
+        if kind is Const:
             result = node
-        elif isinstance(node, Var):
+        elif kind is Var:
             result = bindings.get(node.name, node)
-        elif isinstance(node, Unary):
-            inner = walk(node.operand)
+        elif kind is Unary:
+            inner = results[id(node.operand)]
             result = neg(inner) if node.op == "neg" else call(node.op, inner)
         else:
-            left, right = walk(node.left), walk(node.right)
-            if node.op == "^":
-                result = power(left, right)
-            elif node.op == "+":
-                result = add(left, right)
-            elif node.op == "-":
-                result = sub(left, right)
-            elif node.op == "*":
-                result = mul(left, right)
-            else:
-                result = div(left, right)
-        memo[key] = result
-        return result
-
-    return walk(expression)
+            result = _REBUILD[node.op](results[id(node.left)], results[id(node.right)])
+        results[id(node)] = result
+    return results[id(expression)]
 
 
 # ---------------------------------------------------------------------------
@@ -880,48 +915,6 @@ _COMPILE_NAMESPACE = {
 #: deeper chain gets a line of its own every this many levels, so the
 #: generated source stays far from CPython's parser and compiler limits.
 INLINE_DEPTH = 12
-
-
-def _consumers_and_order(expressions: Sequence[Expression]) -> tuple[dict, list]:
-    """How many consumers each node has, by id, and the distinct nodes in
-    post-order (left subtree, right subtree, node), from one iterative walk.
-    A consumer is an operand slot of a distinct node or a root's place in
-    ``expressions``, so ``x * x`` counts twice for ``x``."""
-    consumers: dict[int, int] = {}
-    count = consumers.get
-    for root in expressions:
-        consumers[id(root)] = count(id(root), 0) + 1
-    order: list[Expression] = []
-    seen: set[int] = set()
-    # a node, then None above it once its children are pushed: popping the
-    # None means its children are done and the node comes next
-    stack: list = list(reversed(expressions))
-    pop, push = stack.pop, stack.append
-    while stack:
-        node = pop()
-        if node is None:
-            order.append(pop())
-            continue
-        key = id(node)
-        if key in seen:
-            continue
-        seen.add(key)
-        kind = type(node)
-        if kind is Binary:
-            children = (node.right, node.left)  # right pushed first, so left is walked first
-        elif kind is Unary:
-            children = (node.operand,)
-        else:
-            order.append(node)
-            continue
-        push(node)
-        push(None)
-        for child in children:
-            key = id(child)
-            consumers[key] = count(key, 0) + 1
-            if key not in seen:
-                push(child)
-    return consumers, order
 
 
 def compile_expressions(
@@ -948,7 +941,8 @@ def compile_expressions(
     bit-identical to the tuple for point ``k`` (see the module docstring).
     """
     index = {name: i for i, name in enumerate(variables)}
-    consumers, order = _consumers_and_order(expressions)
+    order = _post_order(expressions)
+    consumers = _consumers(expressions, order)
     lines: list[str] = []
     text: dict[int, str] = {}  # what a consumer writes for the node, by id
     nesting: dict[int, int] = {}  # levels of inlined operations in that text

@@ -35,7 +35,6 @@ class Preset:
     metric_text: tuple[tuple[str, ...], ...]
     expected_curvature: float | None = None
     params: dict = field(default_factory=dict)
-    u_text: str | None = None
 
     def metric(self) -> ChartMetric:
         return ChartMetric(self.chart, self.metric_text)
@@ -149,7 +148,6 @@ def _pseudospherical(u: str = KINK_TEXT) -> Preset:
         metric_text=(("1", f"cos({u})"), (f"cos({u})", "1")),
         expected_curvature=-1.0,
         params={"u": u},
-        u_text=u,
     )
 
 
@@ -208,9 +206,7 @@ def get_preset(name: str, **params) -> Preset:
     allowed = _PARAM_KEYS.get(name, set())
     unknown = set(params) - allowed
     if unknown:
-        raise ConfigError(
-            "$.preset_params", f"preset {name!r} does not take parameters {sorted(unknown)}"
-        )
+        raise ValueError(f"preset {name!r} does not take parameters {sorted(unknown)}")
     return _BUILDERS[name](**params)
 
 

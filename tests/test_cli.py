@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -731,3 +732,24 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_a_reader_that_stops_early_leaves_the_exit_code_to_the_job(tmp_path):
+    # as in `cartanflat presets | head -c 100`, but with the pipe's read end
+    # closed before the report is written, every time
+    out = tmp_path / "presets.json"
+    for extra in ([], ["--out", str(out)]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cartanflat.cli", "presets", *extra],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+    assert json.loads(out.read_text(encoding="utf-8"))["command"] == "presets"

@@ -1,9 +1,11 @@
 """Parser, printer, evaluator, exact-derivative and interning tests."""
 
+import ast
 import dis
 import gc
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +231,12 @@ def test_derivative_rules_against_fd_spot_checks():
 
 def test_derivative_wrt_absent_variable_is_zero():
     assert differentiate(parse("sin(x)", XY), "y") == Const(0.0)
+
+
+def test_differentiate_reads_an_exponent_before_its_base():
+    # both exponents are bad: d(a^c) needs c first, so the outer one fails
+    with pytest.raises(ExpressionDomainError, match="division by zero"):
+        differentiate(parse("(x^log(-1))^(1/0)", XY), "x")
 
 
 # ---------------------------------------------------------------------------
@@ -522,3 +530,55 @@ def test_nodes_are_released_with_the_metrics_that_use_them():
     gc.collect()
     assert probe() is None
     assert len(exprlang._INTERNED) - before < 50
+
+
+# ---------------------------------------------------------------------------
+# one iterative walk
+# ---------------------------------------------------------------------------
+
+
+def _chain(levels: int):
+    """``2 / (1 + e * 1e-5)`` nested ``levels`` times around ``x``."""
+    e = Var("x")
+    for _ in range(levels):
+        e = Binary("/", Const(2.0), Binary("+", Const(1.0), Binary("*", e, Const(1e-5))))
+    return e
+
+
+def test_every_pass_takes_a_chain_far_deeper_than_the_recursion_limit():
+    e = _chain(3000)
+    assert e.depth == 3 * 3000 + 1
+    assert variables_of(e) == {"x"}
+    assert simplify(e) is e
+    de = differentiate(e, "x")
+    assert differentiate(e, "x") is de
+    expected = [evaluate(e, {"x": 0.5}), evaluate(de, {"x": 0.5})]
+    assert _bits(compile_expressions([e, de], ("x",))((0.5,))) == _bits(expected)
+    shallow = e  # the innermost 20 levels, which the parser's bound admits
+    for _ in range(3000 - 20):
+        shallow = shallow.right.right.left
+    assert shallow is _chain(20)
+    assert parse(to_text(shallow), ("x",)) is shallow
+    text = to_text(e)
+    assert text.endswith(to_text(shallow) + " * 1e-05)" * 2980)
+
+
+def test_no_pass_but_the_parser_recurses():
+    tree = ast.parse(Path(exprlang.__file__).read_text(encoding="utf-8"))
+
+    def calling_themselves(scopes) -> list[str]:
+        return sorted(
+            fn.name
+            for scope in scopes
+            for fn in ast.walk(scope)
+            if isinstance(fn, ast.FunctionDef)
+            and any(
+                isinstance(call, ast.Call)
+                and fn.name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+                for call in ast.walk(fn)
+            )
+        )
+
+    parser = [node for node in tree.body if getattr(node, "name", None) == "_Parser"]
+    assert "parse_unary" in calling_themselves(parser)
+    assert calling_themselves(node for node in tree.body if node not in parser) == []

@@ -29,7 +29,7 @@ from cartanflat.metricspace import (
     stacked_or_in_turn,
     worst_point,
 )
-from cartanflat.presets import preset_metric, random_metric
+from cartanflat.presets import get_preset, preset_metric, random_metric
 
 RANDOM_SEEDS = (0, 1, 2, 3, 4)
 
@@ -369,3 +369,9 @@ def test_symmetry_check_ignores_the_sign_of_a_zero():
         ChartMetric(chart, [["2", "x*y + 1"], ["x*y + -1", "2"]])
     with pytest.raises(ValueError, match="differ"):
         ChartMetric(chart, [["2", "0*x"], ["0*y", "2"]])
+
+
+def test_a_preset_refuses_parameters_it_does_not_take():
+    assert get_preset("conformal_bump", a=0.5).params == {"a": 0.5}
+    with pytest.raises(ValueError, match=r"preset 'sphere2' does not take parameters \['a'\]"):
+        get_preset("sphere2", a=0.5)
