@@ -76,10 +76,11 @@ class BundleSection(ExprArray):
         super().__init__(chart, (*vector, scalar))
         self.vector, self.scalar = vector, scalar
         allowed = set(chart.names)
-        for component in self.comps:
-            stray = variables_of(component) - allowed
-            if stray:
-                raise ValueError(f"section uses undeclared variables: {sorted(stray)}")
+        if variables_of(*self.comps) - allowed:
+            for component in self.comps:  # name the first component's strays
+                stray = variables_of(component) - allowed
+                if stray:
+                    raise ValueError(f"section uses undeclared variables: {sorted(stray)}")
 
 
 def _normalized_axis(chart: Chart, axis: int) -> Expression:

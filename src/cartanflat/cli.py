@@ -547,11 +547,22 @@ def main(argv=None) -> int:
     try:
         return _run(args)
     except CartanflatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _complain(f"error: {exc}")
     except Exception as exc:  # noqa: BLE001 - a fault here is not a failed check
         message = " ".join(str(exc).split())
-        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        _complain(f"internal error: {type(exc).__name__}: {message}")
     return 2
+
+
+def _complain(message: str):
+    """Print ``message`` to stderr; a stderr nobody reads leaves the exit code
+    as it is."""
+    try:
+        print(message, file=sys.stderr, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stderr.fileno())
+        os.close(devnull)
 
 
 def _run(args) -> int:

@@ -30,22 +30,23 @@ Evaluation is pure and deterministic.  Out-of-domain input (log of a
 non-positive value, division by zero, overflow) raises
 :class:`~cartanflat.errors.ExpressionDomainError` instead of returning NaN.
 
-Three evaluation routes exist and are kept bit-identical:
+The evaluation routes are kept bit-identical:
 
 - :func:`evaluate`, an interpreter over Python floats: the reference;
-- :func:`compile_expressions`, which generates one straight-line Python
-  function for a batch of expressions and calls it on one point:
-  integrators and small scans use it.  A ``+``, ``-``, ``*`` or negation
-  used by one consumer only is written into that consumer's expression (at
-  most :data:`INLINE_DEPTH` levels deep); every other distinct node, shared
-  or guarded, gets one assignment, in the order a post-order walk meets it.
-  The four inlined operations cannot raise, so the same IEEE operations run
-  on the same operands, and the guarded ones (``/``, ``^``, the functions)
-  still run in post-order, where the first to fail is the one the
-  interpreter meets first;
-- the same compiled function called on an ``(m, dim)`` stack of points: the
-  same generated code object runs once over columns of the stack, one numpy
-  array per node.  Grid scans use it.
+- :func:`compile_expressions`, which returns one function for a batch of
+  expressions, called on one point (integrators, small scans) or on an
+  ``(m, dim)`` stack of points, one numpy column per node (grid scans).
+  It starts on a tape, one step per distinct operation node in post-order,
+  calling what the generated code calls: cheap to build, slow to run.  Past
+  :data:`TAPE_POINTS` points (a stack counts :data:`STACK_MIN_POINTS`) it
+  ``exec``s one generated straight-line function and drops the tape.  That
+  function writes a ``+``, ``-``, ``*`` or negation used by one consumer
+  only into that consumer's expression (at most :data:`INLINE_DEPTH` levels
+  deep) and gives every other distinct node one assignment, in post-order.
+  The inlined operations cannot raise, so both tiers make the same IEEE
+  operations on the same operands, and meet the guarded ones (``/``, ``^``,
+  the functions) in the same post-order, where the first to fail is the one
+  the interpreter meets first.
 
 Bit identity of the stacked route rests on which operations it hands to
 numpy.  Only the correctly rounded IEEE operations go there: ``+ - *``,
@@ -69,6 +70,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import types
 import weakref
 from typing import Callable, Iterable, Mapping, Sequence
@@ -123,25 +125,14 @@ def _guard_sqrt(x: float) -> float:
     return math.sqrt(x)
 
 
-def _guard_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        raise ExpressionDomainError(f"overflow in exp({x!r})") from None
+def _guard_overflow(fn: Callable[[float], float]) -> Callable[[float], float]:
+    def guarded(x: float) -> float:
+        try:
+            return fn(x)
+        except OverflowError:
+            raise ExpressionDomainError(f"overflow in {fn.__name__}({x!r})") from None
 
-
-def _guard_sinh(x: float) -> float:
-    try:
-        return math.sinh(x)
-    except OverflowError:
-        raise ExpressionDomainError(f"overflow in sinh({x!r})") from None
-
-
-def _guard_cosh(x: float) -> float:
-    try:
-        return math.cosh(x)
-    except OverflowError:
-        raise ExpressionDomainError(f"overflow in cosh({x!r})") from None
+    return guarded
 
 
 def _guard_div(a: float, b: float) -> float:
@@ -168,10 +159,10 @@ _FUNCTION_IMPL: dict[str, Callable[[float], float]] = {
     "sin": math.sin,
     "cos": math.cos,
     "tan": math.tan,
-    "sinh": _guard_sinh,
-    "cosh": _guard_cosh,
+    "sinh": _guard_overflow(math.sinh),
+    "cosh": _guard_overflow(math.cosh),
     "tanh": math.tanh,
-    "exp": _guard_exp,
+    "exp": _guard_overflow(math.exp),
     "log": _guard_log,
     "sqrt": _guard_sqrt,
     "atan": math.atan,
@@ -181,21 +172,12 @@ FUNCTION_NAMES = tuple(sorted(_FUNCTION_IMPL))
 
 _BINARY_OPS = ("+", "-", "*", "/", "^")
 
-
-def _apply_function(name: str, x: float) -> float:
-    return _FUNCTION_IMPL[name](x)
-
-
-def _apply_binary(op: str, a: float, b: float) -> float:
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return _guard_div(a, b)
-    return _guard_pow(a, b)
+#: Each operation on floats, by its op: what :func:`evaluate`, constant
+#: folding and the tape call, and what the generated code calls or writes.
+_OPS: dict[str, Callable] = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _guard_div,
+    "^": _guard_pow, "neg": operator.neg, **_FUNCTION_IMPL,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +328,7 @@ def _coerce(x) -> Expression:
 
 def _fold_binary(op: str, a: Const, b: Const) -> Const | None:
     try:
-        value = _apply_binary(op, a.value, b.value)
+        value = _OPS[op](a.value, b.value)
     except ExpressionDomainError:
         return None
     if not math.isfinite(value):
@@ -447,7 +429,7 @@ def call(name: str, arg) -> Expression:
         raise ValueError(f"unknown function {name!r}")
     if isinstance(arg, Const):
         try:
-            value = _apply_function(name, arg.value)
+            value = _FUNCTION_IMPL[name](arg.value)
         except ExpressionDomainError:
             value = None
         if value is not None and math.isfinite(value):
@@ -777,10 +759,9 @@ def evaluate(expression: Expression, point: Mapping[str, float]) -> float:
         elif kind is Var:
             value = float(point[node.name])
         elif kind is Unary:
-            inner = values[id(node.operand)]
-            value = -inner if node.op == "neg" else _apply_function(node.op, inner)
+            value = _OPS[node.op](values[id(node.operand)])
         else:
-            value = _apply_binary(node.op, values[id(node.left)], values[id(node.right)])
+            value = _OPS[node.op](values[id(node.left)], values[id(node.right)])
         values[id(node)] = value
     value = values[id(expression)]
     if not math.isfinite(value):
@@ -788,8 +769,9 @@ def evaluate(expression: Expression, point: Mapping[str, float]) -> float:
     return value
 
 
-def variables_of(expression: Expression) -> frozenset[str]:
-    return frozenset(node.name for node in _post_order((expression,)) if type(node) is Var)
+def variables_of(*expressions: Expression) -> frozenset[str]:
+    """The variables of all ``expressions``, in one walk of their nodes."""
+    return frozenset(node.name for node in _post_order(expressions) if type(node) is Var)
 
 
 def _exponent_value(exponent: Expression) -> float:
@@ -916,6 +898,11 @@ _COMPILE_NAMESPACE = {
 #: generated source stays far from CPython's parser and compiler limits.
 INLINE_DEPTH = 12
 
+#: Points an array evaluates from its tape before it generates and ``exec``s
+#: its source (a stack counts :data:`STACK_MIN_POINTS`): of the order of the
+#: points a tape runs through an array in the time ``exec`` takes on it.
+TAPE_POINTS = 64
+
 
 def compile_expressions(
     expressions: Sequence[Expression], variables: Sequence[str]
@@ -927,20 +914,104 @@ def compile_expressions(
     (say, a factor of a symbolic inverse metric) is evaluated a single time.
     Raises KeyError at compile time for variables not in the list.
 
-    A ``+``, ``-``, ``*`` or negation with exactly one consumer (a root
-    counts as one) is written into its consumer's expression, up to
-    :data:`INLINE_DEPTH` levels deep; every other node gets an assignment
-    of its own, in post-order.  Those four operations cannot raise, on
-    floats or on numpy columns with errors ignored, so the function still
-    makes the same IEEE operations on the same operands as :func:`evaluate`
-    and meets the guarded operations (``/``, ``^`` and the functions) in
-    the same order, raising the error the scalar route meets first.
+    The function runs a tape (constants in a template of slots, one load
+    per variable, one ``(slot, function, operand slots)`` step per operation
+    node) until it has evaluated :data:`TAPE_POINTS` points, then the code
+    :func:`_generate` writes: the two tiers of the module docstring.
 
     Called on an ``(m, len(variables))`` array of points, the function
     returns an ``(m, len(expressions))`` array whose row ``k`` is
     bit-identical to the tuple for point ``k`` (see the module docstring).
     """
     index = {name: i for i, name in enumerate(variables)}
+    expressions = list(expressions)
+    order = _post_order(expressions)
+    slot = {id(node): k for k, node in enumerate(order)}
+    template = [node.value if type(node) is Const else None for node in order]
+    loads, steps = [], []
+    for k, node in enumerate(order):
+        kind = type(node)
+        if kind is Binary:
+            steps.append((k, _OPS[node.op], slot[id(node.left)], slot[id(node.right)]))
+        elif kind is Unary:
+            steps.append((k, _OPS[node.op], slot[id(node.operand)], None))
+        elif kind is Var:
+            if node.name not in index:
+                raise KeyError(f"variable {node.name!r} not among {tuple(index)}")
+            loads.append((k, index[node.name]))
+    roots = [slot[id(e)] for e in expressions]
+    count, isfinite = len(roots), math.isfinite
+    inner, inner_stack, seen = None, None, 0
+    stack_steps: list = []  # the tape on numpy columns, built at its first stack
+
+    def hot(weight: int) -> bool:
+        """Count ``weight`` points; True once the generated code runs."""
+        nonlocal inner, inner_stack, seen
+        seen += weight
+        if inner is None and seen > TAPE_POINTS:
+            inner = _generate(expressions, index)
+            # the same code object, run with numpy columns for p: no second codegen
+            inner_stack = types.FunctionType(inner.__code__, dict(_STACK_NAMESPACE))
+            for dropped in (expressions, template, loads, steps, stack_steps):
+                dropped.clear()
+        return inner is not None
+
+    def run(p, tape):
+        values = template.copy()
+        for k, i in loads:
+            values[k] = p[i]
+        for k, f, a, b in tape:
+            values[k] = f(values[a]) if b is None else f(values[a], values[b])
+        return tuple([values[r] for r in roots])
+
+    def point_by_point(points: np.ndarray) -> np.ndarray:
+        values = [compiled(row) for row in points.tolist()]
+        return np.array(values, dtype=float).reshape(len(values), count)
+
+    def stacked(points: np.ndarray) -> np.ndarray:
+        points = points.astype(float, copy=False)
+        if len(points) < STACK_MIN_POINTS:
+            return point_by_point(points)
+        if not hot(STACK_MIN_POINTS) and not stack_steps:
+            # a step after each column's last consumer writes None over it
+            last = {a: n for n, step in enumerate(steps) for a in step[2:]}
+            for a in (None, *roots):
+                last.pop(a, None)
+            tape = [[(k, _TO_STACK.get(f, f), a, b)] for k, f, a, b in steps]
+            for a, n in last.items():
+                tape[n].append((a, _released, a, None))
+            stack_steps.extend(step for group in tape for step in group)
+        out = np.empty((len(points), count))
+        columns = [c.copy() for c in points.T]
+        try:
+            with np.errstate(all="ignore"):
+                results = inner_stack(columns) if inner else run(columns, stack_steps)
+                for j, column in enumerate(results):
+                    out[:, j] = column
+            # abs and max rather than isfinite: kernels a process has used
+            # already, and each new one adds to its resident memory
+            if not np.abs(out).max() < math.inf:
+                raise ExpressionDomainError("expression value is not finite")
+        except _STACK_ERRORS:
+            return point_by_point(points)  # raises the scalar route's error
+        return out
+
+    def compiled(p):
+        if isinstance(p, np.ndarray) and p.ndim == 2:
+            return stacked(p)
+        out = inner(p) if hot(1) else run(p, steps)
+        # a value that is not finite makes the sum so; a sum overflowing from
+        # finite values is checked value by value
+        if not isfinite(sum(out)) and not all(map(isfinite, out)):
+            raise ExpressionDomainError("expression value is not finite")
+        return out
+
+    return compiled
+
+
+def _generate(expressions: Sequence[Expression], index: Mapping[str, int]):
+    """The straight-line function ``p -> tuple`` that a compiled array runs
+    past its tape, inlined as the module docstring says."""
     order = _post_order(expressions)
     consumers = _consumers(expressions, order)
     lines: list[str] = []
@@ -980,8 +1051,6 @@ def compile_expressions(
             text[key] = f"({value!r})" if value < 0 else repr(value)
             continue
         else:
-            if node.name not in index:
-                raise KeyError(f"variable {node.name!r} not among {tuple(index)}")
             text[key] = f"p[{index[node.name]}]"
             continue
         name = text[key] = f"t{len(lines)}"
@@ -992,43 +1061,7 @@ def compile_expressions(
     source = "def _compiled(p):\n" + "\n".join(lines) + f"\n    return ({tail})\n"
     namespace = dict(_COMPILE_NAMESPACE)
     exec(source, namespace)  # noqa: S102 - generated from our own AST only
-    inner = namespace["_compiled"]
-    # the same code object, run with numpy columns for p: no second codegen
-    inner_stack = types.FunctionType(inner.__code__, dict(_STACK_NAMESPACE))
-    isfinite = math.isfinite
-    count = len(roots)
-
-    def point_by_point(points: np.ndarray) -> np.ndarray:
-        values = [compiled(row) for row in points.tolist()]
-        return np.array(values, dtype=float).reshape(len(values), count)
-
-    def stacked(points: np.ndarray) -> np.ndarray:
-        points = points.astype(float, copy=False)
-        if len(points) < STACK_MIN_POINTS:
-            return point_by_point(points)
-        out = np.empty((len(points), count))
-        try:
-            with np.errstate(all="ignore"):
-                for j, column in enumerate(inner_stack([c.copy() for c in points.T])):
-                    out[:, j] = column
-            # abs and max rather than isfinite: kernels a process has used
-            # already, and each new one adds to its resident memory
-            if not np.abs(out).max() < math.inf:
-                raise ExpressionDomainError("expression value is not finite")
-        except _STACK_ERRORS:
-            return point_by_point(points)  # raises the scalar route's error
-        return out
-
-    def compiled(p):
-        if isinstance(p, np.ndarray) and p.ndim == 2:
-            return stacked(p)
-        out = inner(p)
-        for value in out:
-            if not isfinite(value):
-                raise ExpressionDomainError("expression value is not finite")
-        return out
-
-    return compiled
+    return namespace["_compiled"]
 
 
 #: Stacks with fewer points run point by point: per generated line, a numpy
@@ -1080,3 +1113,10 @@ _STACK_NAMESPACE = {
     **{f"_fn_{name}": _stack_map(getattr(math, name)) for name in _FUNCTION_IMPL},
     "_fn_sqrt": _stack_sqrt,
 }
+
+#: The stacked tape's function for each guard the scalar tape calls.
+_TO_STACK = {_COMPILE_NAMESPACE[name]: fn for name, fn in _STACK_NAMESPACE.items()}
+
+
+def _released(column) -> None:
+    return None

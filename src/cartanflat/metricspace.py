@@ -339,13 +339,14 @@ class ChartMetric:
         g = tuple(
             tuple(_as_expression(entry, chart.names) for entry in row) for row in rows
         )
-        for i in range(n):
-            for j in range(n):
-                extra = variables_of(g[i][j]) - set(chart.names)
-                if extra:
-                    raise ValueError(
-                        f"metric entry ({i},{j}) uses undeclared variables {sorted(extra)}"
-                    )
+        if variables_of(*itertools.chain(*g)) - set(chart.names):
+            for i in range(n):  # name the first entry that has strays
+                for j in range(n):
+                    extra = variables_of(g[i][j]) - set(chart.names)
+                    if extra:
+                        raise ValueError(
+                            f"metric entry ({i},{j}) uses undeclared variables {sorted(extra)}"
+                        )
         for i in range(n):
             for j in range(i + 1, n):
                 if not _same_but_zero_signs(g[i][j], g[j][i]):

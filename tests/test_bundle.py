@@ -144,6 +144,10 @@ def test_section_validation():
     chart = preset_metric("euclidean2").chart
     with pytest.raises(ValueError, match="undeclared"):
         BundleSection(chart, (Var("q"), Const(0.0)), Const(0.0))
+    # the message names the first component's strays, not all of them
+    with pytest.raises(ValueError) as err:
+        BundleSection(chart, (Const(0.0), Var("q") + Var("x1")), Var("r"))
+    assert str(err.value) == "section uses undeclared variables: ['q']"
     with pytest.raises(DimensionError):
         BundleSection(chart, (Const(0.0),), Const(0.0))
     m = preset_metric("euclidean2")

@@ -753,3 +753,20 @@ def test_a_reader_that_stops_early_leaves_the_exit_code_to_the_job(tmp_path):
         assert proc.returncode == 0
         assert proc.stderr == b""
     assert json.loads(out.read_text(encoding="utf-8"))["command"] == "presets"
+
+
+def test_a_closed_stderr_leaves_a_refused_job_exit_2():
+    # the job is refused, and the error message meets a pipe nobody reads
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cartanflat.cli", "flatness", "--preset", "nosuch", "--variant", "h"],
+            stdout=subprocess.PIPE,
+            stderr=write,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stdout == b""

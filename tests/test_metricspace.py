@@ -19,7 +19,7 @@ from cartanflat.errors import (
     SingularMetricError,
     StepSizeError,
 )
-from cartanflat.exprlang import differentiate, evaluate
+from cartanflat.exprlang import Var, differentiate, evaluate
 from cartanflat.metricspace import (
     GRID_CHUNK,
     Chart,
@@ -236,6 +236,14 @@ def test_undeclared_variable_rejected():
     with pytest.raises(Exception) as err:
         ChartMetric(chart, (("1", "0"), ("0", "sin(q)")))
     assert "q" in str(err.value)
+
+
+def test_undeclared_variable_in_a_built_entry_names_the_first_such_entry():
+    chart = Chart(("x1", "x2"), ((-1.0, 1.0), (-1.0, 1.0)))
+    z = Var("z")
+    with pytest.raises(ValueError) as err:
+        ChartMetric(chart, ((1.0, z), (z, Var("q") + Var("x2"))))
+    assert str(err.value) == "metric entry (0,1) uses undeclared variables ['z']"
 
 
 def test_out_of_domain_point_rejected():
