@@ -487,24 +487,17 @@ class ChartMetric:
 
     def sectional_curvature(self, point: Sequence[float], plane: tuple[int, int] = (0, 1)) -> float:
         _check_plane(plane)
-        return _sectional(self.metric_at(point), self.riemann(point), plane, point)
+        g, riemann = self.metric_at(point), self.riemann(point)
+        return _sectional(g[None], riemann[None], [plane], point)[0, 0]
 
     def sectional_curvatures(self, points: np.ndarray, planes) -> np.ndarray:
         """Sectional curvature in each coordinate plane (columns) at each point
-        of a stack (rows), g checked positive definite at every point first.
-        Each value comes from the arithmetic of ``sectional_curvature``, one
-        ``np.dot`` per value: a summation over the stack would round
-        differently."""
+        of a stack (rows), g checked positive definite at every point first;
+        bit for bit ``sectional_curvature``'s: numerators run ``np.dot``'s BLAS
+        kernel at its strides (row-times-column ``np.matmul``; einsum would not)."""
         for plane in planes:
             _check_plane(plane)
-        g = self.definite_metric_at(points)
-        riemann = self.riemann(points)
-        values = [
-            _sectional(g[k], riemann[k], plane, point)
-            for k, point in enumerate(points.tolist())
-            for plane in planes
-        ]
-        return np.array(values, dtype=float).reshape(len(points), len(planes))
+        return _sectional(self.definite_metric_at(points), self.riemann(points), planes, points)
 
 
 def _check_nonsingular(g: np.ndarray, points):
@@ -537,13 +530,20 @@ def _check_plane(plane: tuple[int, int]):
         raise ValueError("a plane needs two distinct coordinate directions")
 
 
-def _sectional(g: np.ndarray, riemann: np.ndarray, plane: tuple[int, int], point) -> float:
-    i, j = plane
-    numerator = float(np.dot(g[:, i], riemann[:, j, i, j]))
-    denominator = g[i, i] * g[j, j] - g[i, j] ** 2
-    if abs(denominator) < 1e-14 * max(1.0, abs(g[i, i] * g[j, j])):
+def _sectional(g: np.ndarray, riemann: np.ndarray, planes, points) -> np.ndarray:
+    """Each plane's sectional curvature (columns) at each point of a stack of
+    g and R (rows), with g_ij^2 from libm's ``pow``, as a numpy scalar's."""
+    numerators, denominators = np.empty((2, len(g), len(planes)))
+    degenerate = np.zeros(len(g), dtype=bool)
+    for c, (i, j) in enumerate(planes):
+        np.matmul(g[:, None, :, i], riemann[:, :, j, i, j, None], out=numerators[:, c, None, None])
+        products = g[:, i, i] * g[:, j, j]
+        np.subtract(products, np.float_power(g[:, i, j], 2.0), out=denominators[:, c])
+        degenerate |= np.abs(denominators[:, c]) < 1e-14 * np.maximum(1.0, np.abs(products))
+    if degenerate.any():
+        point = _nth_point(points, int(degenerate.argmax()))
         raise SingularMetricError("degenerate coordinate plane", point=point)
-    return numerator / denominator
+    return numerators / denominators
 
 
 def constant_curvature_tensor(

@@ -332,11 +332,20 @@ def quadric_pairing(variant: str, u: Sequence[float], v: Sequence[float]) -> flo
 
 
 def quadric_residual_of(variant: str, points: np.ndarray) -> float:
-    """Max deviation of <v, v> from -1 ("h") or +1 ("s") over the rows."""
+    """Max deviation of <v, v> from -1 ("h") or +1 ("s") over the rows, from
+    a floor of 0.0: bit for bit ``max()`` over each row's ``quadric_pairing``
+    with itself, as a row's tangent part is one row-times-column
+    ``np.matmul``, the dot kernel of that pairing's ``@`` at the same
+    strides.  A deviation that is not finite (NaN, which ``max()`` lets
+    lose, or an overflow) replays the rows through ``max()`` one by one."""
     target = -1.0 if variant_sign(variant) > 0 else 1.0
-    worst = 0.0
-    for row in np.atleast_2d(np.asarray(points, dtype=float)):
-        worst = max(worst, abs(quadric_pairing(variant, row, row) - target))
+    rows = np.atleast_2d(np.asarray(points, dtype=float))
+    with np.errstate(all="ignore"):  # a non-finite deviation is replayed below, warnings and all
+        tangent = np.matmul(rows[:, None, :-1], rows[:, :-1, None])[:, 0, 0]
+        deviations = np.abs(fiber_pairing(variant, tangent, rows[:, -1] * rows[:, -1]) - target)
+    worst = float(deviations.max(initial=0.0))
+    if not worst < math.inf:
+        worst = max([0.0, *(abs(quadric_pairing(variant, row, row) - target) for row in rows)])
     return worst
 
 

@@ -515,6 +515,22 @@ def test_curvature_with_preset_expectation(capsys):
     assert report["pass"] is True
 
 
+def test_curvature_names_the_first_degenerate_coordinate_plane(tmp_path, capsys):
+    # g_xx g_yy - g_xy^2 = 1e-14 x^2 falls below 1e-14 where x < 1: the
+    # grid's first point already
+    metric = {
+        "names": ["x", "y"],
+        "box": [[0.5, 2], [0.5, 2]],
+        "entries": [["1e-7 * x", "0"], ["0", "1e-7 * x"]],
+    }
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"metric": metric, "grid": 4}))
+    code, report, err = _run(capsys, "curvature", "--config", str(config))
+    assert code == 2
+    assert report is None
+    assert "degenerate coordinate plane at point (0.575, 0.575)" in err
+
+
 def test_curvature_without_expectation_just_reports(capsys):
     code, report, _ = _run(capsys, "curvature", "--preset", "conformal_bump", "--grid", "5")
     assert code == 0

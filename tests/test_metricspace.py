@@ -19,7 +19,7 @@ from cartanflat.errors import (
     SingularMetricError,
     StepSizeError,
 )
-from cartanflat.exprlang import Var, differentiate, evaluate
+from cartanflat.exprlang import STACK_MIN_POINTS, Var, differentiate, evaluate
 from cartanflat.metricspace import (
     GRID_CHUNK,
     Chart,
@@ -29,7 +29,7 @@ from cartanflat.metricspace import (
     stacked_or_in_turn,
     worst_point,
 )
-from cartanflat.presets import get_preset, preset_metric, random_metric
+from cartanflat.presets import PRESET_NAMES, get_preset, preset_metric, random_metric
 
 RANDOM_SEEDS = (0, 1, 2, 3, 4)
 
@@ -300,6 +300,122 @@ def test_stack_queries_match_point_queries_bitwise(name):
         assert np.array_equal(gamma[k], m.christoffel(point))
         for column, plane in enumerate(planes):
             assert curvatures[k, column] == m.sectional_curvature(point, plane)
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).reshape(-1).view(np.int64).tolist()
+
+
+def _reference_sectional(g, riemann, plane) -> float:
+    """One value the way the per-value loop made it: one ``np.dot`` and
+    numpy-scalar arithmetic on one point's g and R."""
+    i, j = plane
+    numerator = float(np.dot(g[:, i], riemann[:, j, i, j]))
+    denominator = g[i, i] * g[j, j] - g[i, j] ** 2
+    assert abs(denominator) >= 1e-14 * max(1.0, abs(g[i, i] * g[j, j]))
+    return numerator / denominator
+
+
+def _nearly_rank_one_metric() -> ChartMetric:
+    """g = 0.01 I + p p^T: g_ii g_jj - g_ij^2 is small against g_ij^2, so
+    the last bit of g_ij^2 shows in the denominator."""
+    names = ("x", "y", "z")
+    entries = [
+        [f"{0.01 * (i == j)} + {names[min(i, j)]} * {names[max(i, j)]}" for j in range(3)]
+        for i in range(3)
+    ]
+    return ChartMetric(Chart(names, ((-2.0, 2.0),) * 3), entries)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(lambda name=name: preset_metric(name), id=name) for name in PRESET_NAMES]
+    + [pytest.param(lambda seed=seed: random_metric(3, seed), id=f"random{seed}") for seed in (0, 1, 2, 3)]
+    + [pytest.param(_nearly_rank_one_metric, id="nearly_rank_one")],
+)
+def test_sectional_curvatures_match_the_per_value_formula_bitwise(make):
+    m = make()  # a fresh metric: its arrays start on the tape
+    assert m.dim in (2, 3)
+    planes = [(i, j) for i in range(m.dim) for j in range(i + 1, m.dim)]
+    rng = np.random.default_rng(11)
+    # small stacks run point by point, larger ones as columns; the arrays
+    # switch from the tape to generated code part of the way through
+    sizes = (5, STACK_MIN_POINTS + 8, STACK_MIN_POINTS + 8, STACK_MIN_POINTS + 8, 5)
+    stacks = [np.array(m.chart.random_points(rng, size)) for size in sizes]
+    results = [m.sectional_curvatures(stack, planes) for stack in stacks]
+    for stack, curvatures in zip(stacks, results):
+        assert curvatures.shape == (len(stack), len(planes))
+        expected = [
+            _reference_sectional(m.metric_at(point), m.riemann(point), plane)
+            for point in map(tuple, stack.tolist())
+            for plane in planes
+        ]
+        assert _bits(curvatures) == _bits(expected)  # signed zeros included
+
+
+def test_denominators_square_g_ij_as_a_numpy_scalar_does():
+    # libm's pow, which a numpy scalar's ``** 2`` calls, and the product
+    # x * x that an array's ``** 2`` makes round apart in a few values in
+    # ten thousand; take the points of a large draw where they do
+    m = _nearly_rank_one_metric()
+    draw = np.random.default_rng(5).uniform(-1.9, 1.9, (20000, 3))
+    xy = (draw[:, 0] * draw[:, 1]).tolist()
+    stack = draw[[np.float64(v) ** 2 != v * v for v in xy]]
+    assert len(stack) > 3
+    g = m.metric_at(stack)
+    scalar = [gk[0, 0] * gk[1, 1] - gk[0, 1] ** 2 for gk in g]
+    assert (g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] ** 2 != scalar).any()  # an array's ** 2 shows
+    expected = [
+        _reference_sectional(m.metric_at(point), m.riemann(point), (0, 1))
+        for point in map(tuple, stack.tolist())
+    ]
+    assert _bits(m.sectional_curvatures(stack, [(0, 1)])) == _bits(expected)
+
+
+def test_row_times_column_matmul_is_the_np_dot_kernel_bitwise():
+    # sectional_curvatures and quadric_residual_of rely on numpy sending a
+    # (1, n) @ (n, 1) matmul row to the dot kernel np.dot runs on 1-d
+    # vectors at the same strides; a numpy or BLAS that routes them
+    # otherwise would change reported values, so fail here first
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 4, 5):
+        g = rng.standard_normal((300, n, n)) * rng.uniform(0.01, 100.0, (300, 1, 1))
+        riemann = rng.standard_normal((300, n, n, n, n))
+        for i in range(n):
+            for j in range(n):
+                stacked = np.matmul(g[:, None, :, i], riemann[:, :, j, i, j, None])
+                assert stacked.shape == (300, 1, 1)
+                per_row = [np.dot(g[k][:, i], riemann[k][:, j, i, j]) for k in range(300)]
+                assert _bits(stacked) == _bits(per_row)
+        rows = g[:, 0, :]  # contiguous rows, as developed points are
+        stacked = np.matmul(rows[:, None, :-1], rows[:, :-1, None])
+        assert _bits(stacked) == _bits([row[:-1] @ row[:-1] for row in rows])
+    # and a square as a numpy scalar's ``** 2`` makes it (libm's pow)
+    values = rng.standard_normal(20000) * rng.uniform(0.01, 100.0, 20000)
+    assert _bits(np.float_power(values, 2.0)) == _bits([v**2 for v in map(np.float64, values)])
+
+
+@pytest.mark.parametrize("size", [3, STACK_MIN_POINTS + 8])
+def test_a_degenerate_plane_raises_at_the_first_point_and_plane_in_turn(size):
+    # g_ii g_jj - g_ij^2 = 1e-14 x_i x_j, degenerate where x_i x_j < 1
+    chart = Chart(("x", "y", "z"), ((0.5, 2.0),) * 3)
+    m = ChartMetric(chart, (("1e-7 * x", "0", "0"), ("0", "1e-7 * y", "0"), ("0", "0", "1e-7 * z")))
+    planes = [(0, 1), (0, 2), (1, 2)]
+    # the second point is degenerate in the last plane only, the third in the first
+    stack = np.array([(1.5, 1.5, 1.5)] * (size - 2) + [(1.5, 0.8, 0.9), (0.6, 0.9, 1.8)])
+    with pytest.raises(SingularMetricError) as stacked:
+        m.sectional_curvatures(stack, planes)
+    failures = []
+    for point in map(tuple, stack.tolist()):
+        for plane in planes:
+            try:
+                m.sectional_curvature(point, plane)
+            except SingularMetricError as exc:
+                failures.append((point, plane, str(exc)))
+    assert [f[:2] for f in failures] == [((1.5, 0.8, 0.9), (1, 2)), ((0.6, 0.9, 1.8), (0, 1))]
+    assert str(stacked.value) == failures[0][2]
+    assert str(stacked.value) == "degenerate coordinate plane at point (1.5, 0.8, 0.9)"
+    assert stacked.value.point == (1.5, 0.8, 0.9)
 
 
 def test_stacked_positive_definiteness_names_the_first_failing_point():

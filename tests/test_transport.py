@@ -1,6 +1,7 @@
 """Curves, parallel transport, holonomy, and developing maps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,44 @@ def test_parallel_transport_validates_vector_size():
 # ---------------------------------------------------------------------------
 # developing maps
 # ---------------------------------------------------------------------------
+
+
+def _quadric_residual_row_by_row(variant, points) -> float:
+    """The per-row loop: ``max()`` over each row's pairing with itself."""
+    target = -1.0 if variant_sign(variant) > 0 else 1.0
+    worst = 0.0
+    for row in np.atleast_2d(np.asarray(points, dtype=float)):
+        worst = max(worst, abs(quadric_pairing(variant, row, row) - target))
+    return worst
+
+
+@pytest.mark.parametrize("variant", ["h", "s"])
+def test_quadric_residual_is_the_row_by_row_maximum_bitwise(variant):
+    rng = np.random.default_rng(21)
+    stacks = [rng.standard_normal((rows, d)) * 3.0 for d in (2, 3, 4, 5) for rows in (1, 7, 40, 800)]
+    stacks[1][3, 1] = math.nan  # NaN loses to max()
+    stacks[2][:, 0] = math.nan  # every deviation NaN: the floor of 0.0
+    stacks[3][5, -1] = math.inf  # an infinite deviation
+    stacks[6][9, 0] = stacks[6][9, -1] = math.inf  # inf - inf: NaN again
+    stacks[7][2, -1] = 1e200  # the fiber part overflows
+    m = preset_metric("half_plane")
+    stacks += [
+        rng.standard_normal(4),  # one point, not a stack
+        rng.standard_normal((1, 4)),  # a single row
+        np.empty((0, 3)),  # no rows
+        rng.standard_normal((50, 6))[:, ::-2],  # strided rows
+        develop(variant, m, line_curve(m.chart, (0.0, 1.0), (1.0, 2.0))).points,
+    ]
+    for stack in stacks:
+        outcomes = []
+        for residual in (quadric_residual_of, _quadric_residual_row_by_row):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                outcomes.append((residual(variant, stack), [str(w.message) for w in caught]))
+        (got, got_warnings), (expected, expected_warnings) = outcomes
+        assert got_warnings == expected_warnings  # the overflow warns as it did
+        assert type(got) is float
+        assert np.float64(got).view(np.int64) == np.float64(expected).view(np.int64)
 
 
 def test_develop_starts_at_the_fiber_pole():
