@@ -48,7 +48,7 @@ from .exprlang import (
     sub,
     variables_of,
 )
-from .metricspace import Chart, ChartMetric, ExprArray, constant_curvature_tensor
+from .metricspace import Chart, ChartMetric, ExprArray, constant_curvature_action
 from .sasaki import fiber_pairing, variant_sign
 
 __all__ = [
@@ -177,15 +177,37 @@ def covariant_derivative(
 _MIN_RELATIVE_STEP = 1e-8
 
 
+def _as_stack(chart: Chart, point) -> tuple[np.ndarray, bool]:
+    """A point or an ``(m, dim)`` stack of points as a checked stack, and
+    whether it was a stack."""
+    if isinstance(point, np.ndarray) and point.ndim == 2:
+        return chart.require_stack(point), True
+    return np.array([chart.require(point)]), False
+
+
+class _StackGeometry:
+    """g, Gamma and R at a stack of points, each evaluated once, when first
+    used, which is where the point-by-point code first met each of them."""
+
+    def __init__(self, metric: ChartMetric, points: np.ndarray):
+        self.metric, self.points = metric, points
+
+    gamma = functools.cached_property(lambda self: self.metric.christoffel(self.points))
+    g = functools.cached_property(lambda self: self.metric.metric_at(self.points))
+    riemann = functools.cached_property(lambda self: self.metric.riemann(self.points))
+
+
 def _partial_by_differences(
-    values_at: Callable[[Sequence[float]], np.ndarray],
+    values_at: Callable[[np.ndarray], np.ndarray],
     chart: Chart,
-    point: tuple,
+    points: np.ndarray,
     axis: int,
     step: float | None,
-) -> np.ndarray:
-    """Central difference with one Richardson step for d_axis of a compiled
-    section, error O(h^4)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """d_axis of ``values_at`` at each point of a stack (rows) by a central
+    difference with one Richardson step, error O(h^4), and the values at the
+    points: one call of ``values_at`` on five stacked blocks of rows, the
+    points moved by +h, -h, +h/2 and -h/2, then the points themselves."""
     lo, hi = chart.box[axis]
     extent = hi - lo
     h = 1e-4 * extent if step is None else float(step)
@@ -193,20 +215,21 @@ def _partial_by_differences(
         raise StepSizeError(
             f"step {h:.3e} is below {_MIN_RELATIVE_STEP:g} of the axis extent {extent:.3e}"
         )
-    offsets = (h, -h, 0.5 * h, -0.5 * h)
-    shifted = []
-    for offset in offsets:
-        q = list(point)
-        q[axis] += offset
-        if not chart.contains(q):
-            raise StepSizeError(
-                f"difference stencil leaves the chart at {tuple(q)}; "
-                "move the point inward or pass a smaller step"
-            )
-        shifted.append(tuple(q))
-    wide = (values_at(shifted[0]) - values_at(shifted[1])) / (2.0 * h)
-    narrow = (values_at(shifted[2]) - values_at(shifted[3])) / h
-    return (4.0 * narrow - wide) / 3.0
+    m = len(points)
+    rows = np.tile(points, (5, 1))
+    rows[: 4 * m, axis] += np.repeat((h, -h, 0.5 * h, -0.5 * h), m)
+    moved = rows[: 4 * m, axis]
+    outside = ~((lo <= moved) & (moved <= hi))
+    if outside.any():  # name the first point's first offset that leaves
+        k, offset = divmod(int(outside.reshape(4, m).T.argmax()), 4)
+        raise StepSizeError(
+            f"difference stencil leaves the chart at {tuple(rows[offset * m + k].tolist())}; "
+            "move the point inward or pass a smaller step"
+        )
+    plus, minus, half_plus, half_minus, values = np.split(values_at(rows), 5)
+    wide = (plus - minus) / (2.0 * h)
+    narrow = (half_plus - half_minus) / h
+    return (4.0 * narrow - wide) / 3.0, values
 
 
 def _outer_derivative(
@@ -214,30 +237,50 @@ def _outer_derivative(
     metric: ChartMetric,
     section: BundleSection,
     direction: int,
-    point: tuple,
+    geometry: _StackGeometry,
     step: float | None,
 ) -> np.ndarray:
-    """nabla_direction of a section at a point, with the d-part taken by
-    finite differences and the connection terms exact."""
+    """nabla_direction of a section at each point of the geometry's stack
+    (rows), with the d-part taken by finite differences and the connection
+    terms exact; the products run point by point, as at a single point."""
     n = metric.dim
-    deriv = _partial_by_differences(section.at, metric.chart, point, direction, step)
-    values = section.at(point)
-    gamma = metric.christoffel(point)
-    g = metric.metric_at(point)
-    out = np.empty(n + 1)
-    out[:n] = deriv[:n] + gamma[:, direction, :] @ values[:n]
-    out[direction] += values[n]
-    out[n] = deriv[n] + variant_sign(variant) * float(g[direction] @ values[:n])
+    deriv, values = _partial_by_differences(
+        section.at, metric.chart, geometry.points, direction, step
+    )
+    gamma, g = geometry.gamma, geometry.g
+    sign = variant_sign(variant)
+    out = np.empty_like(values)
+    for k, row in enumerate(values):
+        out[k, :n] = deriv[k, :n] + gamma[k][:, direction, :] @ row[:n]
+        out[k, n] = deriv[k, n] + sign * float(g[k][direction] @ row[:n])
+    out[:, direction] += values[:, n]
     return out
 
 
 @dataclass(frozen=True)
 class BundleCurvatureValue:
     """R(d_i, d_j) applied to a section at a point: a tangent part (in
-    coordinate components) and the coefficient of e."""
+    coordinate components) and the coefficient of e; at a stack of m points,
+    an ``(m, dim)`` tangent part and m coefficients."""
 
     vector: np.ndarray
-    e_component: float
+    e_component: float | np.ndarray
+
+
+def _curvature_rows(
+    variant: str,
+    metric: ChartMetric,
+    section: BundleSection,
+    i: int,
+    j: int,
+    geometry: _StackGeometry,
+    step: float | None,
+) -> np.ndarray:
+    inner_j = covariant_derivative(variant, metric, section, j)
+    inner_i = covariant_derivative(variant, metric, section, i)
+    forward = _outer_derivative(variant, metric, inner_j, i, geometry, step)
+    backward = _outer_derivative(variant, metric, inner_i, j, geometry, step)
+    return forward - backward
 
 
 def bundle_curvature(
@@ -246,19 +289,32 @@ def bundle_curvature(
     section: BundleSection,
     i: int,
     j: int,
-    point: Sequence[float],
+    point: Sequence[float] | np.ndarray,
     step: float | None = None,
 ) -> BundleCurvatureValue:
     """R(d_i, d_j) s = nabla_i (nabla_j s) - nabla_j (nabla_i s) at a point,
-    outer derivatives by finite differences of the exact inner ones."""
-    point = metric.chart.require(point)
-    inner_j = covariant_derivative(variant, metric, section, j)
-    inner_i = covariant_derivative(variant, metric, section, i)
-    forward = _outer_derivative(variant, metric, inner_j, i, point, step)
-    backward = _outer_derivative(variant, metric, inner_i, j, point, step)
-    difference = forward - backward
+    outer derivatives by finite differences of the exact inner ones.
+
+    At an ``(m, dim)`` stack of points, one row per point, each bit-identical
+    to the value at its point."""
+    points, stack = _as_stack(metric.chart, point)
+    difference = _curvature_rows(
+        variant, metric, section, i, j, _StackGeometry(metric, points), step
+    )
     n = metric.dim
-    return BundleCurvatureValue(vector=difference[:n], e_component=float(difference[n]))
+    if stack:
+        return BundleCurvatureValue(vector=difference[:, :n], e_component=difference[:, n])
+    return BundleCurvatureValue(vector=difference[0, :n], e_component=float(difference[0, n]))
+
+
+def _reference_action(
+    variant: str, riemann: np.ndarray, g: np.ndarray, xi: np.ndarray, i: int, j: int
+) -> np.ndarray:
+    """(R - R_K)(d_i, d_j) xi from the values of R and g at one point."""
+    xi = np.asarray(xi, dtype=float)
+    basis = np.eye(len(xi))
+    tangent = riemann[:, :, i, j] @ xi
+    return tangent - constant_curvature_action(-variant_sign(variant), g, basis[i], basis[j], xi)
 
 
 def reference_curvature_action(
@@ -267,13 +323,7 @@ def reference_curvature_action(
     """(R - R_K)(d_i, d_j) xi from the Riemann tensor, the symbolic route the
     finite-difference curvature is compared against."""
     point = metric.chart.require(point)
-    n = metric.dim
-    riemann = metric.riemann(point)
-    tangent = riemann[:, :, i, j] @ np.asarray(xi, dtype=float)
-    shift = constant_curvature_tensor(
-        metric, -variant_sign(variant), np.eye(n)[i], np.eye(n)[j], xi, point
-    )
-    return tangent - shift
+    return _reference_action(variant, metric.riemann(point), metric.metric_at(point), xi, i, j)
 
 
 @_cached_on_metric(maxsize=128, metric_arg=0)
@@ -286,36 +336,54 @@ def _seeded_sections(metric: ChartMetric, count: int, seed: int) -> tuple:
 @dataclass(frozen=True)
 class IdentityResidual:
     """Worst deviation of the finite-difference curvature from (R - R_K) xi
-    over the sampled sections and all coordinate pairs."""
+    over the sampled sections and all coordinate pairs; at a stack of
+    points, two arrays with one value per point."""
 
-    vector: float
-    e_component: float
+    vector: float | np.ndarray
+    e_component: float | np.ndarray
 
     @property
-    def worst(self) -> float:
+    def worst(self) -> float | np.ndarray:
+        if np.ndim(self.vector):  # max() per point: the e part wins only if larger
+            return np.where(self.e_component > self.vector, self.e_component, self.vector)
         return max(self.vector, self.e_component)
 
 
 def identity_residual(
     variant: str,
     metric: ChartMetric,
-    point: Sequence[float],
+    point: Sequence[float] | np.ndarray,
     trials: int = 10,
     seed: int = 0,
 ) -> IdentityResidual:
-    point = metric.chart.require(point)
+    """The identity residual at a point; at an ``(m, dim)`` stack, the m
+    residuals, each bit-identical to the residual at its point.
+
+    A stack runs each stage once for all its points, in the order one point
+    meets them (stencil check, section values, Gamma with its nonsingular
+    check, g, R last), so it raises the earliest failing stage's first
+    failure, not necessarily the first point's: ``stacked_or_in_turn``
+    replays it point by point."""
+    points, stack = _as_stack(metric.chart, point)
+    geometry = _StackGeometry(metric, points)
     n = metric.dim
-    worst_vector = 0.0
-    worst_e = 0.0
+    worst_vector = [0.0] * len(points)
+    worst_e = [0.0] * len(points)
     for section in _seeded_sections(metric, trials, seed):
-        xi = section.at(point)[:n]
+        xi = section.at(points)[:, :n]
         for i in range(n):
             for j in range(i + 1, n):
-                measured = bundle_curvature(variant, metric, section, i, j, point)
-                expected = reference_curvature_action(variant, metric, xi, i, j, point)
-                worst_vector = max(worst_vector, float(np.max(np.abs(measured.vector - expected))))
-                worst_e = max(worst_e, abs(measured.e_component))
-    return IdentityResidual(worst_vector, worst_e)
+                measured = _curvature_rows(variant, metric, section, i, j, geometry, None)
+                for k, row in enumerate(measured):
+                    expected = _reference_action(
+                        variant, geometry.riemann[k], geometry.g[k], xi[k], i, j
+                    )
+                    deviation = float(np.max(np.abs(row[:n] - expected)))
+                    worst_vector[k] = max(worst_vector[k], deviation)
+                    worst_e[k] = max(worst_e[k], abs(float(row[n])))
+    if stack:
+        return IdentityResidual(np.array(worst_vector), np.array(worst_e))
+    return IdentityResidual(worst_vector[0], worst_e[0])
 
 
 def _pairing_expression(

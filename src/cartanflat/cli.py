@@ -33,7 +33,7 @@ from . import __version__
 from .bundle import identity_residual, metric_compatibility_residual
 from .errors import CartanflatError, ConfigError, ParseError
 from .exprlang import parse
-from .metricspace import Chart, ChartMetric, grid_scan, worst_point
+from .metricspace import Chart, ChartMetric, grid_scan, stacked_or_in_turn, worst_point
 from .presets import KINK_TEXT, PRESET_NAMES, catalog, get_preset
 from .sasaki import flatness_scan
 from .transport import (
@@ -348,12 +348,18 @@ def _job_section_scan(residuals, s: dict):
 
 
 def _identity_residuals(s: dict, points: np.ndarray) -> np.ndarray:
-    """The identity residual point by point: each point differences its own
-    stencil."""
-    return np.array([
-        identity_residual(s["variant"], s["metric"], point, trials=s["trials"], seed=s["seed"]).worst
-        for point in map(tuple, points.tolist())
-    ])
+    """The identity residual at a whole chunk in one stacked call, each
+    stencil, section value, g, Gamma and R evaluated once for all its
+    points; where that raises, the points replay one at a time
+    (``stacked_or_in_turn``), so the error is the first one met point by
+    point."""
+
+    def residuals(chunk: np.ndarray) -> np.ndarray:
+        return identity_residual(
+            s["variant"], s["metric"], chunk, trials=s["trials"], seed=s["seed"]
+        ).worst
+
+    return stacked_or_in_turn(residuals, points)
 
 
 def _compat_residuals(s: dict, points: np.ndarray) -> np.ndarray:

@@ -56,6 +56,7 @@ __all__ = [
     "elementwise",
     "ChartMetric",
     "constant_curvature_tensor",
+    "constant_curvature_action",
     "symbolic_determinant",
     "symbolic_inverse",
 ]
@@ -497,7 +498,10 @@ class ChartMetric:
         kernel at its strides (row-times-column ``np.matmul``; einsum would not)."""
         for plane in planes:
             _check_plane(plane)
-        return _sectional(self.definite_metric_at(points), self.riemann(points), planes, points)
+        g = self.definite_metric_at(points)
+        _check_nonsingular(g, points)  # riemann's guard, on the g just checked
+        riemann = self._riemann.at_checked(np.asarray(points, dtype=float))
+        return _sectional(g, riemann, planes, points)
 
 
 def _check_nonsingular(g: np.ndarray, points):
@@ -556,7 +560,13 @@ def constant_curvature_tensor(
 ) -> np.ndarray:
     """R_K(X, Y)Z = K (g(Y, Z) X - g(X, Z) Y), the model tensor of constant
     sectional curvature K, as coordinate components at ``point``."""
-    g = metric.metric_at(point)
+    return constant_curvature_action(curvature, metric.metric_at(point), x, y, z)
+
+
+def constant_curvature_action(
+    curvature: float, g: np.ndarray, x: Sequence[float], y: Sequence[float], z: Sequence[float]
+) -> np.ndarray:
+    """R_K(X, Y)Z from the value ``g`` of the metric at a point."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)

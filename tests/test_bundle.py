@@ -9,6 +9,7 @@ import pytest
 
 from cartanflat.bundle import (
     BundleSection,
+    _seeded_sections,
     bundle_curvature,
     bundle_pairing,
     covariant_derivative,
@@ -18,8 +19,9 @@ from cartanflat.bundle import (
     reference_curvature_action,
 )
 from cartanflat.cartan import orthonormal_frame
-from cartanflat.errors import DimensionError, StepSizeError
-from cartanflat.exprlang import Const, Var, add, differentiate, evaluate, mul, parse
+from cartanflat.errors import CartanflatError, DimensionError, SingularMetricError, StepSizeError
+from cartanflat.exprlang import STACK_MIN_POINTS, Const, Var, add, differentiate, evaluate, mul, parse
+from cartanflat.metricspace import Chart, ChartMetric, constant_curvature_tensor, stacked_or_in_turn
 from cartanflat.presets import preset_metric, random_metric
 from cartanflat.sasaki import MatrixOneForm, connection_matrix
 
@@ -262,6 +264,186 @@ def test_step_size_errors():
         bundle_curvature("h", m, s, 0, 1, (0.0, 1.0), step=1e-12)
     with pytest.raises(StepSizeError, match="leaves the chart"):
         bundle_curvature("h", m, s, 0, 1, (0.0, 0.201), step=0.01)
+
+
+# ---------------------------------------------------------------------------
+# the stacked identity route against the point-by-point loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_partial(values_at, chart, point, axis, step):
+    lo, hi = chart.box[axis]
+    extent = hi - lo
+    h = 1e-4 * extent if step is None else float(step)
+    if h < 1e-8 * extent:
+        raise StepSizeError(f"step {h:.3e} is below {1e-8:g} of the axis extent {extent:.3e}")
+    shifted = []
+    for offset in (h, -h, 0.5 * h, -0.5 * h):
+        q = list(point)
+        q[axis] += offset
+        if not chart.contains(q):
+            raise StepSizeError(
+                f"difference stencil leaves the chart at {tuple(q)}; "
+                "move the point inward or pass a smaller step"
+            )
+        shifted.append(tuple(q))
+    wide = (values_at(shifted[0]) - values_at(shifted[1])) / (2.0 * h)
+    narrow = (values_at(shifted[2]) - values_at(shifted[3])) / h
+    return (4.0 * narrow - wide) / 3.0
+
+
+def _reference_outer(variant, m, section, direction, point, step):
+    n = m.dim
+    deriv = _reference_partial(section.at, m.chart, point, direction, step)
+    values = section.at(point)
+    gamma = m.christoffel(point)
+    g = m.metric_at(point)
+    out = np.empty(n + 1)
+    out[:n] = deriv[:n] + gamma[:, direction, :] @ values[:n]
+    out[direction] += values[n]
+    out[n] = deriv[n] + (1.0 if variant == "h" else -1.0) * float(g[direction] @ values[:n])
+    return out
+
+
+def _reference_curvature(variant, m, section, i, j, point, step=None):
+    point = m.chart.require(point)
+    forward = _reference_outer(variant, m, covariant_derivative(variant, m, section, j), i, point, step)
+    backward = _reference_outer(variant, m, covariant_derivative(variant, m, section, i), j, point, step)
+    return forward - backward
+
+
+def _reference_identity_residual(variant, m, point, trials, seed):
+    """identity_residual as it was, one point at a time."""
+    point = m.chart.require(point)
+    n = m.dim
+    worst_vector = worst_e = 0.0
+    for section in _seeded_sections(m, trials, seed):
+        xi = section.at(point)[:n]
+        for i in range(n):
+            for j in range(i + 1, n):
+                measured = _reference_curvature(variant, m, section, i, j, point)
+                riemann = m.riemann(point)
+                tangent = riemann[:, :, i, j] @ np.asarray(xi, dtype=float)
+                sign = -1.0 if variant == "h" else 1.0
+                shift = constant_curvature_tensor(m, sign, np.eye(n)[i], np.eye(n)[j], xi, point)
+                expected = tangent - shift
+                worst_vector = max(worst_vector, float(np.max(np.abs(measured[:n] - expected))))
+                worst_e = max(worst_e, abs(float(measured[n])))
+    return worst_vector, worst_e
+
+
+def _identity_bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).reshape(-1).view(np.int64).tolist()
+
+
+_IDENTITY_METRICS = [
+    pytest.param(lambda name=name: preset_metric(name), id=name)
+    for name in ("hyperbolic3", "sphere3", "half_plane", "sphere2", "conformal_bump", "pseudospherical")
+] + [
+    pytest.param(lambda dim=dim, seed=seed: random_metric(dim, seed), id=f"random{dim}d{seed}")
+    for dim, seed in ((2, 0), (3, 1))
+]
+
+
+@pytest.mark.parametrize("variant", ["h", "s"])
+@pytest.mark.parametrize("make", _IDENTITY_METRICS)
+def test_stacked_identity_matches_the_point_by_point_loop_bitwise(make, variant):
+    m = make()  # a fresh metric: its arrays start on the tape
+    rng = np.random.default_rng(41)
+    # below STACK_MIN_POINTS (1, 8, 27 points) g, Gamma, R and the section
+    # values run point by point, and the stencils of 8 or more points (5
+    # rows each) as columns; at 64 points everything runs as columns.
+    # The stacks run first, in this order, so the section, derivative and
+    # geometry arrays pass TAPE_POINTS and switch to generated code between
+    # (or inside) them; the point-by-point loop runs after.
+    stacks = [np.array(m.chart.random_points(rng, size)) for size in (1, 8, 27, 64)]
+    assert 5 * 8 >= STACK_MIN_POINTS > 27
+    stacked = [identity_residual(variant, m, stack, trials=2, seed=3) for stack in stacks]
+    for stack, report in zip(stacks, stacked):
+        assert report.vector.shape == report.e_component.shape == (len(stack),)
+        expected = [
+            _reference_identity_residual(variant, m, point, trials=2, seed=3)
+            for point in map(tuple, stack.tolist())
+        ]
+        assert _identity_bits(report.vector) == _identity_bits([v for v, _ in expected])
+        assert _identity_bits(report.e_component) == _identity_bits([e for _, e in expected])
+        assert _identity_bits(report.worst) == _identity_bits([max(v, e) for v, e in expected])
+    point = tuple(stacks[1][3].tolist())
+    single = identity_residual(variant, m, point, trials=2, seed=3)
+    assert (single.vector, single.e_component) == _reference_identity_residual(
+        variant, m, point, trials=2, seed=3
+    )
+    assert isinstance(single.worst, float)
+
+
+def test_stacked_bundle_curvature_rows_are_the_point_values_bitwise():
+    m = preset_metric("hyperbolic3")
+    section = random_section(m.chart, np.random.default_rng(43))
+    stack = np.array(list(m.chart.grid(4)))
+    value = bundle_curvature("h", m, section, 0, 2, stack, step=0.01)
+    assert value.vector.shape == (64, 3) and value.e_component.shape == (64,)
+    expected = [_reference_curvature("h", m, section, 0, 2, p, 0.01) for p in stack.tolist()]
+    assert _identity_bits(value.vector) == _identity_bits([row[:3] for row in expected])
+    assert _identity_bits(value.e_component) == _identity_bits([row[3] for row in expected])
+
+
+def _first_error(fn, *args):
+    with pytest.raises(CartanflatError) as err:
+        fn(*args)
+    return type(err.value), str(err.value)
+
+
+def _identity_in_turn(variant, m, points):
+    """The identity job's chunk evaluation: stacked, replayed in turn."""
+    return stacked_or_in_turn(
+        lambda chunk: identity_residual(variant, m, chunk, trials=2, seed=0).worst, points
+    )
+
+
+def _reference_identity_loop(variant, m, points):
+    return [_reference_identity_residual(variant, m, p, 2, 0) for p in map(tuple, points.tolist())]
+
+
+def test_a_chunk_whose_stencil_leaves_a_margin_free_chart_fails_as_the_loop_did():
+    chart = Chart(("x", "y"), ((-1.0, 1.0), (0.5, 2.0)), margin=0.0)
+    m = ChartMetric(chart, [["1 + 0.1 * x^2", "0"], ["0", "y"]])
+    grid = np.array(list(chart.grid(3)))  # its corner (-1, 0.5) is on two walls
+    expected = _first_error(_reference_identity_loop, "h", m, grid)
+    assert expected[0] is StepSizeError and "(-1.0002, 0.5)" in expected[1]
+    assert _first_error(_identity_in_turn, "h", m, grid) == expected
+    # the first failing point is the fourth, on a wall of the second axis
+    # only, while the sixth leaves along the first axis, which the stacked
+    # call checks first
+    points = np.array(m.chart.random_points(np.random.default_rng(47), 8))
+    points[3, 1] = 2.0
+    points[5, 0] = 1.0
+    expected = _first_error(_reference_identity_loop, "h", m, points)
+    assert f"at ({points[3, 0].item()!r}, 2.0001" in expected[1]
+    assert _first_error(_identity_in_turn, "h", m, points) == expected
+    assert _first_error(identity_residual, "h", m, points) != expected  # the stage order shows
+
+
+def test_a_stack_below_the_step_floor_raises_below():
+    m = preset_metric("half_plane")
+    s = _constant_section(m.chart, (1.0, 0.0), 0.0)
+    stack = np.array([(0.0, 1.0), (0.1, 1.2)])
+    with pytest.raises(StepSizeError, match="below"):
+        bundle_curvature("h", m, s, 0, 1, stack, step=1e-12)
+
+
+def test_a_point_that_fails_two_ways_raises_what_the_loop_raised():
+    # at (0, 2) g = diag(x^2 + .., 1) is singular and the y stencil leaves
+    # the chart: the loop met Gamma's nonsingular check at its first outer
+    # derivative (along x), before it differenced along y
+    chart = Chart(("x", "y"), ((-1.0, 1.0), (0.5, 2.0)), margin=0.0)
+    m = ChartMetric(chart, [["x^2", "0"], ["0", "1"]])
+    point = (0.0, 2.0)
+    expected = _first_error(_reference_identity_residual, "h", m, point, 2, 0)
+    assert expected[0] is SingularMetricError
+    assert _first_error(identity_residual, "h", m, point) == expected
+    assert _first_error(identity_residual, "h", m, np.array([point])) == expected
+    points = np.array([(0.5, 1.0), point, (0.0, 1.0)])
+    assert _first_error(_identity_in_turn, "h", m, points) == expected
 
 
 # ---------------------------------------------------------------------------
