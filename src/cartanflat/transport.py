@@ -27,11 +27,21 @@ block's distinct slope times first, stacked, and then steps the state
 through the block with matrix products only.  A step's distinct times are
 its node t_k, its midpoint t_k + h/2 (shared by k2 and k3) and its end
 t_k + h, which also serves as node t_{k+1} when the two floats are equal
-bit for bit.  A block of a single curve stays below STACK_MIN_POINTS slope
-points, where compiled evaluation runs point by point.  Each block
-evaluates all its times and curves in one call (positions from the curves'
-own expressions, never recomputed as a + d t), then g and Gamma at all its
-points (ChartMetric.metric_and_christoffel), which checks every point
+bit for bit.  A block has two slope points per step and curve, plus one per
+curve for its first node.  A stack of m >= 2 curves takes GRID_CHUNK //
+(2 m) steps per block (16 for a cloud chunk of 16 targets, 528 slope
+points), so a cloud pays each block's fixed cost (one curve evaluation, the
+chart check, the guards on g) once per 16 steps rather than once per step.
+A single curve takes (STACK_MIN_POINTS - 1) // 2 = 15 steps per block, 31
+slope points, below the cutoff where compiled evaluation switches from
+point by point to stacked, so its blocks allocate no stack-sized
+temporaries.  That keeps a long single path's memory down: blocks of 512
+slope points raised the peak RSS growth of the benchmark's 768-step sphere3
+develop (develop_sphere3_s) from about 5,700 to about 6,000 KiB, at no
+clear gain in time.  Each block evaluates all its times and curves in one
+call (positions from the curves' own expressions, never recomputed as
+a + d t), then g and Gamma at all its points
+(ChartMetric.metric_and_christoffel), which checks every point
 against the chart box and g for singularity and positive definiteness,
 raising at the first point that fails, before it evaluates Gamma.  A
 block's times, in first-use order, and a cloud's chunk of targets are each
@@ -237,8 +247,11 @@ def _rk4_transport(
     steps = curves.steps
     h = (curves.t1 - curves.t0) / steps
     half = 0.5 * h
-    # a single-curve block stays below the stacked-evaluation cutoff
-    block = max(1, (STACK_MIN_POINTS - 1) // (2 * m))
+    # a stack of curves takes about GRID_CHUNK slope points per block, two
+    # per step and curve; a single curve stays below the stacked-evaluation
+    # cutoff, where a long path's peak RSS stays lower (see the module
+    # docstring for the measurement)
+    block = max(1, (STACK_MIN_POINTS - 1) // 2 if m == 1 else GRID_CHUNK // (2 * m))
     y = np.array(initial, dtype=float)
     if record is not None:
         record.append(y.copy())

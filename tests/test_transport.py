@@ -19,7 +19,13 @@ from cartanflat.errors import (
     SingularMetricError,
 )
 from cartanflat.exprlang import STACK_MIN_POINTS, parse
-from cartanflat.metricspace import Chart, ChartMetric, _check_definite, _check_nonsingular
+from cartanflat.metricspace import (
+    GRID_CHUNK,
+    Chart,
+    ChartMetric,
+    _check_definite,
+    _check_nonsingular,
+)
 from cartanflat.presets import preset_metric
 from cartanflat.sasaki import variant_sign
 from cartanflat.transport import (
@@ -485,23 +491,43 @@ def test_develop_cloud_chunks_are_develop_ends(monkeypatch, name):
 _DIPPING = (("1", "0"), ("0", "1.2 - 2*exp(-100*((x-0.6)^2 + (y-0.6)^2))"))
 
 
+def _cloud_and_in_turn_errors(base, targets, steps_per_unit):
+    """What develop_cloud raises on the dipping metric, and what developing
+    the targets one at a time raises first."""
+    m = ChartMetric(Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0))), _DIPPING)
+    with pytest.raises(CartanflatError) as in_turn:
+        for target in targets:
+            develop("h", m, line_curve(m.chart, base, target, steps_per_unit))
+    with pytest.raises(CartanflatError) as cloud:
+        develop_cloud("h", m, base, targets, steps_per_unit=steps_per_unit)
+    assert type(cloud.value) is type(in_turn.value) is SingularMetricError
+    assert str(cloud.value) == str(in_turn.value)
+    assert cloud.value.point == in_turn.value.point
+    return in_turn.value
+
+
 def test_develop_cloud_raises_the_first_error_of_developing_in_turn():
     # the 3rd and the 5th segment cross the dip where g stops being positive
     # definite; the 5th, being longer, reaches it at a smaller t, so the
     # stacked integration meets its error first
-    m = ChartMetric(Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0))), _DIPPING)
     base = (0.3, 0.3)
     targets = [(0.3, -0.5), (-0.5, 0.3), (0.9, 0.9), (0.0, 0.8), (1.0, 1.0)]
-    with pytest.raises(CartanflatError) as in_turn:
-        for target in targets:
-            develop("h", m, line_curve(m.chart, base, target, 64))
-    with pytest.raises(CartanflatError) as cloud:
-        develop_cloud("h", m, base, targets, steps_per_unit=64)
-    assert type(cloud.value) is type(in_turn.value) is SingularMetricError
-    assert str(cloud.value) == str(in_turn.value)
-    assert cloud.value.point == in_turn.value.point
-    x, y = in_turn.value.point
+    x, y = _cloud_and_in_turn_errors(base, targets, 64).point
     assert x == y  # on the third segment, the diagonal
+
+
+def test_develop_cloud_raises_the_in_turn_error_from_a_later_stacked_block():
+    # as above, with the 2nd and the 4th segment reaching the dip inside the
+    # second block of 64 steps, the 4th at an earlier step than the 2nd and
+    # at a point that differs from the 2nd's in the last bits
+    base = (-0.5, -0.5)
+    targets = [(-0.9, 0.2), (0.7, 0.7), (0.2, -0.9), (0.9, 0.9)]
+    steps = 128
+    block = _cloud_block(len(targets))
+    x, y = _cloud_and_in_turn_errors(base, targets, steps).point
+    assert x == y  # on the second segment, the diagonal
+    step = math.floor((x - base[0]) / (0.7 - base[0]) * steps - 1e-9)
+    assert block > 1 and step // block == 1 and step % block > 0
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +536,11 @@ def test_develop_cloud_raises_the_first_error_of_developing_in_turn():
 
 # steps per block of a single curve
 _BLOCK = (STACK_MIN_POINTS - 1) // 2
+
+
+def _cloud_block(count):
+    """Steps per block of a stack of count >= 2 curves."""
+    return max(1, GRID_CHUNK // (2 * count))
 
 
 def _has_unshared_end(curve):
@@ -555,9 +586,7 @@ def test_schedule_matches_the_reference_at_block_edges(steps):
     _assert_matches_the_reference(m, line_curve(m.chart, corners[0], corners[1], steps))
 
 
-@pytest.mark.parametrize("count", [1, 3, 15, 16, 33])
-@pytest.mark.parametrize("steps_per_unit", [8, 10])
-def test_develop_cloud_matches_the_reference_bit_for_bit(count, steps_per_unit):
+def _assert_cloud_matches_the_reference(count, steps_per_unit):
     m = preset_metric("hyperbolic3")
     variant, base = _CLOUDS["hyperbolic3"]
     targets = m.chart.random_points(np.random.default_rng(count), count)
@@ -568,6 +597,42 @@ def test_develop_cloud_matches_the_reference_bit_for_bit(count, steps_per_unit):
     ])
     assert np.array_equal(cloud, want)
     assert np.array_equal(np.signbit(cloud), np.signbit(want))
+
+
+@pytest.mark.parametrize("count", [1, 3, 15, 16, 33])
+@pytest.mark.parametrize("steps_per_unit", [8, 10])
+def test_develop_cloud_matches_the_reference_bit_for_bit(count, steps_per_unit):
+    _assert_cloud_matches_the_reference(count, steps_per_unit)
+
+
+def _unshared_block_edges(steps, block):
+    """The last steps of full blocks whose end time t_k + h is not the next
+    node t_{k+1} (a segment runs over t in [0, 1])."""
+    h = 1.0 / steps
+    return [k for k in range(block - 1, steps - 1, block) if k * h + h != (k + 1) * h]
+
+
+# per cloud size: one block less a step, one block, one block and a step,
+# and two blocks and three steps
+_CLOUD_EDGE_CASES = [
+    (count, steps)
+    for count in (2, 16, 17)
+    for block in [_cloud_block(count)]
+    for steps in (block - 1, block, block + 1, 2 * block + 3)
+]
+
+
+@pytest.mark.parametrize("count, steps", _CLOUD_EDGE_CASES)
+def test_develop_cloud_matches_the_reference_at_stacked_block_edges(count, steps):
+    _assert_cloud_matches_the_reference(count, steps)
+
+
+def test_the_stacked_block_edge_cases_cross_an_unshared_edge():
+    # a non-dyadic step count whose end time t_k + h at a block's last step
+    # is not the next block's first node, so that block evaluates its node
+    assert any(
+        _unshared_block_edges(steps, _cloud_block(count)) for count, steps in _CLOUD_EDGE_CASES
+    )
 
 
 def _dipping_metric():
@@ -641,3 +706,41 @@ def test_leaving_the_chart_inside_a_block_raises_the_reference_error():
     errors = _errors_of(m, curve)
     _assert_same_error(errors, ChartDomainError)
     assert "(1.025, -0.5)" in str(errors["develop"])
+
+
+# ---------------------------------------------------------------------------
+# the block sizes: one stacked evaluation per block of a cloud, and blocks
+# of a single curve below the stacked-evaluation cutoff
+# ---------------------------------------------------------------------------
+
+
+def _slope_stacks(monkeypatch):
+    """The number of points of each metric_and_christoffel call from now on."""
+    sizes = []
+    original = ChartMetric.metric_and_christoffel
+
+    def spy(self, points):
+        sizes.append(len(points))
+        return original(self, points)
+
+    monkeypatch.setattr(ChartMetric, "metric_and_christoffel", spy)
+    return sizes
+
+
+def test_a_cloud_of_16_targets_evaluates_its_slopes_16_steps_at_a_time(monkeypatch):
+    m = preset_metric("hyperbolic3")
+    variant, base = _CLOUDS["hyperbolic3"]
+    targets = m.chart.random_points(np.random.default_rng(16), 16)
+    sizes = _slope_stacks(monkeypatch)
+    develop_cloud(variant, m, base, targets, steps_per_unit=256)
+    assert len(sizes) == math.ceil(256 / 16)
+    assert min(sizes) >= STACK_MIN_POINTS
+
+
+def test_a_single_curve_evaluates_its_slopes_below_the_stacked_cutoff(monkeypatch):
+    m = preset_metric("hyperbolic3")
+    variant, base = _CLOUDS["hyperbolic3"]
+    sizes = _slope_stacks(monkeypatch)
+    develop(variant, m, line_curve(m.chart, base, (-0.5, 0.3, 2.0), 256))
+    assert len(sizes) == math.ceil(256 / _BLOCK)
+    assert max(sizes) <= STACK_MIN_POINTS - 1
