@@ -247,6 +247,8 @@ def _build_curve(spec, chart: Chart, steps_per_unit: int) -> tuple[ChartCurve, d
             start = _check_point(spec.get("start"), chart.dim, "$.curve.start")
             end = _check_point(spec.get("end"), chart.dim, "$.curve.end")
             curve = line_curve(chart, start, end, steps_per_unit)
+            if closure_gap(curve) <= CLOSURE_TOL:  # a loop of nothing: no holonomy to check
+                raise ConfigError("$.curve.end", f"must be more than {CLOSURE_TOL:g} from start")
             echo = {"kind": "line", "start": list(start), "end": list(end)}
         else:
             center = _check_point(spec.get("center"), chart.dim, "$.curve.center")

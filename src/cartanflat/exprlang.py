@@ -30,23 +30,17 @@ Evaluation is pure and deterministic.  Out-of-domain input (log of a
 non-positive value, division by zero, overflow) raises
 :class:`~cartanflat.errors.ExpressionDomainError` instead of returning NaN.
 
-The evaluation routes are kept bit-identical:
+The two evaluation routes are kept bit-identical:
 
 - :func:`evaluate`, an interpreter over Python floats: the reference;
 - :func:`compile_expressions`, which returns one function for a batch of
   expressions, called on one point (integrators, small scans) or on an
   ``(m, dim)`` stack of points, one numpy column per node (grid scans).
-  It starts on a tape, one step per distinct operation node in post-order,
-  calling what the generated code calls: cheap to build, slow to run.  Past
-  :data:`TAPE_POINTS` points (a stack counts :data:`STACK_MIN_POINTS`) it
-  ``exec``s one generated straight-line function and drops the tape.  That
-  function writes a ``+``, ``-``, ``*`` or negation used by one consumer
-  only into that consumer's expression (at most :data:`INLINE_DEPTH` levels
-  deep) and gives every other distinct node one assignment, in post-order.
-  The inlined operations cannot raise, so both tiers make the same IEEE
-  operations on the same operands, and meet the guarded ones (``/``, ``^``,
-  the functions) in the same post-order, where the first to fail is the one
-  the interpreter meets first.
+  It runs a tape: one step per distinct operation node, in the post-order
+  the interpreter walks, calling the functions the interpreter calls.  So
+  both routes make the same IEEE operations on the same operands and meet
+  the guarded ones (``/``, ``^``, the functions) in the same order, where
+  the first to fail is the one the interpreter meets first.
 
 Bit identity of the stacked route rests on which operations it hands to
 numpy.  Only the correctly rounded IEEE operations go there: ``+ - *``,
@@ -71,7 +65,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import types
 import weakref
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -96,7 +89,6 @@ __all__ = [
     "compile_expressions",
     "STACK_MIN_POINTS",
     "MAX_DEPTH",
-    "INLINE_DEPTH",
     "add",
     "sub",
     "mul",
@@ -173,7 +165,7 @@ FUNCTION_NAMES = tuple(sorted(_FUNCTION_IMPL))
 _BINARY_OPS = ("+", "-", "*", "/", "^")
 
 #: Each operation on floats, by its op: what :func:`evaluate`, constant
-#: folding and the tape call, and what the generated code calls or writes.
+#: folding and the scalar tape call.
 _OPS: dict[str, Callable] = {
     "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _guard_div,
     "^": _guard_pow, "neg": operator.neg, **_FUNCTION_IMPL,
@@ -886,23 +878,6 @@ def substitute(expression: Expression, bindings: Mapping[str, Expression]) -> Ex
 # compilation
 # ---------------------------------------------------------------------------
 
-_COMPILE_NAMESPACE = {
-    "_dv": _guard_div,
-    "_pw": _guard_pow,
-    **{f"_fn_{name}": impl for name, impl in _FUNCTION_IMPL.items()},
-}
-
-
-#: Deepest nesting of inlined operations in one generated expression; a
-#: deeper chain gets a line of its own every this many levels, so the
-#: generated source stays far from CPython's parser and compiler limits.
-INLINE_DEPTH = 12
-
-#: Points an array evaluates from its tape before it generates and ``exec``s
-#: its source (a stack counts :data:`STACK_MIN_POINTS`): of the order of the
-#: points a tape runs through an array in the time ``exec`` takes on it.
-TAPE_POINTS = 64
-
 
 def compile_expressions(
     expressions: Sequence[Expression], variables: Sequence[str]
@@ -914,10 +889,11 @@ def compile_expressions(
     (say, a factor of a symbolic inverse metric) is evaluated a single time.
     Raises KeyError at compile time for variables not in the list.
 
-    The function runs a tape (constants in a template of slots, one load
-    per variable, one ``(slot, function, operand slots)`` step per operation
-    node) until it has evaluated :data:`TAPE_POINTS` points, then the code
-    :func:`_generate` writes: the two tiers of the module docstring.
+    The function runs a tape: the constants in a template of slots, one
+    load per variable, and one ``(slot, function, operand slots)`` step per
+    operation node, in post-order.  On a stack of points the same steps run
+    on numpy columns (their functions swapped at the first stack for ones
+    that take columns), and each column is dropped after its last consumer.
 
     Called on an ``(m, len(variables))`` array of points, the function
     returns an ``(m, len(expressions))`` array whose row ``k`` is
@@ -941,20 +917,7 @@ def compile_expressions(
             loads.append((k, index[node.name]))
     roots = [slot[id(e)] for e in expressions]
     count, isfinite = len(roots), math.isfinite
-    inner, inner_stack, seen = None, None, 0
     stack_steps: list = []  # the tape on numpy columns, built at its first stack
-
-    def hot(weight: int) -> bool:
-        """Count ``weight`` points; True once the generated code runs."""
-        nonlocal inner, inner_stack, seen
-        seen += weight
-        if inner is None and seen > TAPE_POINTS:
-            inner = _generate(expressions, index)
-            # the same code object, run with numpy columns for p: no second codegen
-            inner_stack = types.FunctionType(inner.__code__, dict(_STACK_NAMESPACE))
-            for dropped in (expressions, template, loads, steps, stack_steps):
-                dropped.clear()
-        return inner is not None
 
     def run(p, tape):
         values = template.copy()
@@ -972,7 +935,7 @@ def compile_expressions(
         points = points.astype(float, copy=False)
         if len(points) < STACK_MIN_POINTS:
             return point_by_point(points)
-        if not hot(STACK_MIN_POINTS) and not stack_steps:
+        if not stack_steps:
             # a step after each column's last consumer writes None over it
             last = {a: n for n, step in enumerate(steps) for a in step[2:]}
             for a in (None, *roots):
@@ -985,8 +948,7 @@ def compile_expressions(
         columns = [c.copy() for c in points.T]
         try:
             with np.errstate(all="ignore"):
-                results = inner_stack(columns) if inner else run(columns, stack_steps)
-                for j, column in enumerate(results):
+                for j, column in enumerate(run(columns, stack_steps)):
                     out[:, j] = column
             # abs and max rather than isfinite: kernels a process has used
             # already, and each new one adds to its resident memory
@@ -999,7 +961,7 @@ def compile_expressions(
     def compiled(p):
         if isinstance(p, np.ndarray) and p.ndim == 2:
             return stacked(p)
-        out = inner(p) if hot(1) else run(p, steps)
+        out = run(p, steps)
         # a value that is not finite makes the sum so; a sum overflowing from
         # finite values is checked value by value
         if not isfinite(sum(out)) and not all(map(isfinite, out)):
@@ -1009,63 +971,8 @@ def compile_expressions(
     return compiled
 
 
-def _generate(expressions: Sequence[Expression], index: Mapping[str, int]):
-    """The straight-line function ``p -> tuple`` that a compiled array runs
-    past its tape, inlined as the module docstring says."""
-    order = _post_order(expressions)
-    consumers = _consumers(expressions, order)
-    lines: list[str] = []
-    text: dict[int, str] = {}  # what a consumer writes for the node, by id
-    nesting: dict[int, int] = {}  # levels of inlined operations in that text
-    level = nesting.get
-    for node in order:
-        key = id(node)
-        kind = type(node)
-        if kind is Binary:
-            op = node.op
-            left, right = id(node.left), id(node.right)
-            if op == "/":
-                code = f"_dv({text[left]}, {text[right]})"
-            elif op == "^":
-                code = f"_pw({text[left]}, {text[right]})"
-            else:
-                depth = max(level(left, 0), level(right, 0)) + 1
-                if depth <= INLINE_DEPTH and consumers[key] == 1:
-                    text[key] = f"({text[left]} {op} {text[right]})"
-                    nesting[key] = depth
-                    continue
-                code = f"{text[left]} {op} {text[right]}"
-        elif kind is Unary:
-            operand = id(node.operand)
-            if node.op != "neg":
-                code = f"_fn_{node.op}({text[operand]})"
-            else:
-                depth = level(operand, 0) + 1
-                if depth <= INLINE_DEPTH and consumers[key] == 1:
-                    text[key] = f"(-{text[operand]})"
-                    nesting[key] = depth
-                    continue
-                code = f"-{text[operand]}"
-        elif kind is Const:
-            value = node.value
-            text[key] = f"({value!r})" if value < 0 else repr(value)
-            continue
-        else:
-            text[key] = f"p[{index[node.name]}]"
-            continue
-        name = text[key] = f"t{len(lines)}"
-        lines.append(f"    {name} = {code}")
-
-    roots = [text[id(e)] for e in expressions]
-    tail = ", ".join(roots) + ("," if len(roots) == 1 else "")
-    source = "def _compiled(p):\n" + "\n".join(lines) + f"\n    return ({tail})\n"
-    namespace = dict(_COMPILE_NAMESPACE)
-    exec(source, namespace)  # noqa: S102 - generated from our own AST only
-    return namespace["_compiled"]
-
-
-#: Stacks with fewer points run point by point: per generated line, a numpy
-#: call costs about as much as 32 to 64 scalar evaluations of that line.
+#: Stacks with fewer points run point by point: per tape step, a numpy
+#: call costs about as much as 32 to 64 scalar evaluations of that step.
 STACK_MIN_POINTS = 32
 
 _STACK_ERRORS = (ExpressionDomainError, ArithmeticError, ValueError)
@@ -1104,18 +1011,16 @@ def _stack_pow(a, b):
     return np.fromiter(map(math.pow, a, b), float, m)
 
 
-# The scalar guards only translate the math functions' own exceptions, and
-# any exception sends a stack back to the scalar route, so the stacked
-# functions map the math functions directly.
-_STACK_NAMESPACE = {
-    "_dv": _stack_div,
-    "_pw": _stack_pow,
-    **{f"_fn_{name}": _stack_map(getattr(math, name)) for name in _FUNCTION_IMPL},
-    "_fn_sqrt": _stack_sqrt,
+#: The stacked tape's function for each guard the scalar tape calls.  The
+#: scalar guards only translate the math functions' own exceptions, and any
+#: exception sends a stack back to the scalar route, so the stacked
+#: functions map the math functions directly.
+_TO_STACK = {
+    _guard_div: _stack_div,
+    _guard_pow: _stack_pow,
+    **{impl: _stack_map(getattr(math, name)) for name, impl in _FUNCTION_IMPL.items()},
+    _guard_sqrt: _stack_sqrt,
 }
-
-#: The stacked tape's function for each guard the scalar tape calls.
-_TO_STACK = {_COMPILE_NAMESPACE[name]: fn for name, fn in _STACK_NAMESPACE.items()}
 
 
 def _released(column) -> None:

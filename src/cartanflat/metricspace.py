@@ -23,6 +23,7 @@ with R^l_kij = d_i Gamma^l_jk - d_j Gamma^l_ik
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -506,15 +507,23 @@ class ChartMetric:
 
 def _check_nonsingular(g: np.ndarray, points):
     """Raise SingularMetricError at the first point where g, one matrix or a
-    stack of them, is singular relative to its largest entry."""
+    stack of them, is singular relative to its largest entry, or where its
+    determinant or largest entry to the n-th power leaves the float range."""
     n = g.shape[-1]
     stack = g.reshape(-1, n, n)
-    scales, dets = np.abs(stack).max(axis=(1, 2)).tolist(), np.linalg.det(stack).tolist()
+    scales = np.abs(stack).max(axis=(1, 2)).tolist()
+    with np.errstate(all="ignore"):  # a determinant that overflows is refused below
+        dets = np.linalg.det(stack).tolist()
     for k, (scale, det) in enumerate(zip(scales, dets)):
-        if abs(det) < _DET_RTOL * max(scale, 1e-300) ** n:
-            raise SingularMetricError(
-                "metric is singular to tolerance", point=_nth_point(points, k)
-            )
+        try:
+            volume = max(scale, 1e-300) ** n
+        except OverflowError:
+            volume = math.inf
+        if _DET_RTOL * volume <= abs(det) < math.inf:
+            continue
+        finite = math.isfinite(det) and volume < math.inf
+        message = "is singular to tolerance" if finite else "determinant is beyond the float range"
+        raise SingularMetricError(f"metric {message}", point=_nth_point(points, k))
 
 
 def _check_definite(g: np.ndarray, points):

@@ -348,14 +348,13 @@ _IDENTITY_METRICS = [
 @pytest.mark.parametrize("variant", ["h", "s"])
 @pytest.mark.parametrize("make", _IDENTITY_METRICS)
 def test_stacked_identity_matches_the_point_by_point_loop_bitwise(make, variant):
-    m = make()  # a fresh metric: its arrays start on the tape
+    m = make()  # a fresh metric: its arrays are compiled anew
     rng = np.random.default_rng(41)
     # below STACK_MIN_POINTS (1, 8, 27 points) g, Gamma, R and the section
     # values run point by point, and the stencils of 8 or more points (5
     # rows each) as columns; at 64 points everything runs as columns.
-    # The stacks run first, in this order, so the section, derivative and
-    # geometry arrays pass TAPE_POINTS and switch to generated code between
-    # (or inside) them; the point-by-point loop runs after.
+    # The stacks run first, in this order, so the stacked tapes are built
+    # between (or inside) them; the point-by-point loop runs after.
     stacks = [np.array(m.chart.random_points(rng, size)) for size in (1, 8, 27, 64)]
     assert 5 * 8 >= STACK_MIN_POINTS > 27
     stacked = [identity_residual(variant, m, stack, trials=2, seed=3) for stack in stacks]

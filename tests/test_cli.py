@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -617,6 +618,42 @@ def test_transport_curve_validation(tmp_path, capsys):
     config.write_text(json.dumps({"preset": "half_plane"}))
     code, _, err = _run(capsys, "transport", "--config", str(config))
     assert code == 2 and "$.curve" in err
+
+
+@pytest.mark.parametrize("end", [[0.5, 1.0], [0.5, 1.0 + 1e-13]])
+def test_transport_refuses_a_line_with_nothing_to_transport_along(tmp_path, capsys, end):
+    # such a line would read as a closed loop with trivial holonomy: a pass
+    # over nothing
+    config = tmp_path / "job.json"
+    line = {"kind": "line", "start": [0.5, 1.0], "end": end}
+    config.write_text(json.dumps({"preset": "half_plane", "curve": line}))
+    code, report, err = _run(capsys, "transport", "--config", str(config))
+    assert code == 2 and report is None
+    assert err == "error: $.curve.end: must be more than 1e-12 from start\n"
+
+
+_HUGE_METRIC = {
+    "names": ["x", "y"], "box": [[1, 2], [1, 2]], "entries": [["1e300*x", "0"], ["0", "1e300*y"]],
+}
+
+
+@pytest.mark.parametrize(
+    "command, fields",
+    [
+        ("identity", {"variant": "h"}),
+        ("curvature", {}),
+        ("transport", {"curve": {"kind": "line", "start": [1.2, 1.2], "end": [1.8, 1.5]}}),
+        ("develop", {"variant": "h", "path": [{"start": [1.2, 1.2], "end": [1.8, 1.5]}]}),
+    ],
+)
+def test_a_metric_beyond_the_float_range_is_refused_without_a_warning(tmp_path, capsys, command, fields):
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"metric": _HUGE_METRIC, **fields}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be an internal error
+        code, report, err = _run(capsys, command, "--config", str(config))
+    assert code == 2 and report is None
+    assert err.startswith("error: metric determinant is beyond the float range at point (")
 
 
 def test_develop_writes_trace_and_endpoint(tmp_path, capsys):

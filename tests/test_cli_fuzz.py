@@ -41,7 +41,9 @@ _STRINGS = {
     ],
 }
 #: Diagonal metric entries: mostly positive on the box, a few not.
-_DIAGONAL = ["1", "2", "x^2 + 1", "1 + 0.1*sin(x)*cos(y)", "exp(x)", "y", "log(x)", "x", "1/x", "("]
+_DIAGONAL = [
+    "1", "2", "x^2 + 1", "1 + 0.1*sin(x)*cos(y)", "exp(x)", "y", "log(x)", "x", "1/x", "(", "1e300*x",
+]
 #: Values a mutation puts anywhere: edge numbers (huge integers, non-finite
 #: floats), drawn half the time, and wrong types.
 _EDGE_NUMBERS = [10**400, 2**64, -1, 0, -0.0, 1e-300, 1e308, math.nan, math.inf, -math.inf]

@@ -1,7 +1,6 @@
 """Parser, printer, evaluator, exact-derivative and interning tests."""
 
 import ast
-import dis
 import gc
 import math
 import weakref
@@ -15,10 +14,8 @@ from hypothesis import strategies as st
 from cartanflat import exprlang
 from cartanflat.errors import ExpressionDomainError, ParseError, UnknownIdentifierError
 from cartanflat.exprlang import (
-    INLINE_DEPTH,
     MAX_DEPTH,
     STACK_MIN_POINTS,
-    TAPE_POINTS,
     Binary,
     Const,
     Unary,
@@ -35,7 +32,6 @@ from cartanflat.exprlang import (
     to_text,
     variables_of,
 )
-from cartanflat.metricspace import Chart, grid_scan
 from cartanflat.presets import random_metric
 from cartanflat.sasaki import flatness_scan
 from genexpr import central_difference, check_derivative_against_fd, random_expression
@@ -431,62 +427,33 @@ def test_each_derivative_is_taken_once():
     assert differentiate(e, "y") is not first
 
 
-def _generated_code(expressions, variables=XY):
-    """The code object compile_expressions generates for ``expressions``
-    once they have run past the tape."""
-    return exprlang._generate(list(expressions), {name: i for i, name in enumerate(variables)}).__code__
+def _cells(fn) -> dict:
+    return dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))
 
 
-def _assignments(expressions) -> int:
-    """Lines of the generated function that assign a ``tN`` temporary."""
-    return sum(name.startswith("t") for name in _generated_code(expressions).co_varnames)
-
-
-def _calls_to(expressions, guard: str) -> int:
-    return sum(
-        ins.opname == "LOAD_GLOBAL" and ins.argval == guard
-        for ins in dis.get_instructions(_generated_code(expressions))
-    )
+def _steps_calling(fn, op: str) -> int:
+    """Steps of a compiled function's scalar tape that call ``op``."""
+    return sum(f is exprlang._OPS[op] for _, f, _, _ in _cells(fn)["steps"])
 
 
 def test_compiling_two_copies_of_a_subtree_emits_it_once():
     def copy():  # built afresh each call, never through a shared name
         return Binary("+", Unary("sqrt", Binary("*", Var("x"), Var("x"))), Unary("exp", Var("y")))
 
-    once = [copy()]
-    twice = [Binary("*", copy(), Var("x")), Binary("-", copy(), Var("y"))]
-    for batch in (once, twice):
-        assert _calls_to(batch, "_fn_sqrt") == 1
-        assert _calls_to(batch, "_fn_exp") == 1
-    once, twice = compile_expressions(once, XY), compile_expressions(twice, XY)
+    once = compile_expressions([copy()], XY)
+    twice = compile_expressions([Binary("*", copy(), Var("x")), Binary("-", copy(), Var("y"))], XY)
+    for fn in (once, twice):
+        assert _steps_calling(fn, "sqrt") == 1
+        assert _steps_calling(fn, "exp") == 1
     assert twice((1.5, 0.25)) == (once((1.5, 0.25))[0] * 1.5, once((1.5, 0.25))[0] - 0.25)
-
-
-def test_single_use_arithmetic_gets_no_line_of_its_own():
-    assert _assignments([parse("-(x*y + x) - y*(x - 2)", XY)]) == 0
-    # the guarded sqrt keeps its line; the arithmetic around it does not
-    assert _assignments([parse("2 * sqrt(x*x + y*y) - x", XY)]) == 1
-    # a node with two consumers keeps its line, whether they are nodes or roots
-    product = parse("x * y", XY)
-    assert _assignments([product + 1.0, product - 1.0]) == 1
-    assert _assignments([product + 1.0, product]) == 1
-    assert _assignments([product, product]) == 1
-
-
-def test_inlining_stops_at_the_depth_cap():
-    chain = Var("x")
-    for k in range(INLINE_DEPTH):
-        chain = Binary("+", chain, Const(k + 1.0))
-    assert _assignments([chain]) == 0
-    assert _assignments([Binary("*", chain, Var("y"))]) == 1
 
 
 def test_a_single_use_chain_far_deeper_than_the_cap_compiles_bitwise():
     total = Const(0.0)
     for k in range(500):
         total = add(total, mul(Const(1.0 + 0.37 * k), Var(XY[k % 2])))
+    assert total.depth > MAX_DEPTH
     fn = compile_expressions([total], XY)
-    assert 0 < _assignments([total]) < 100
     stack = np.random.default_rng(500).uniform(-2.0, 2.0, (3 * STACK_MIN_POINTS, 2))
     expected = [evaluate(total, {"x": x, "y": y}) for x, y in stack.tolist()]
     assert _bits([fn(tuple(row))[0] for row in stack.tolist()]) == _bits(expected)
@@ -498,7 +465,7 @@ def test_a_single_use_chain_far_deeper_than_the_cap_compiles_bitwise():
     [
         (["(x*y - log(x)) * 2 + 1/y"], "log of non-positive value -1.0"),
         (["(x*y - 1/y) * 2 + log(x)"], "division by zero"),
-        # the shared 1/y has a line of its own, which must come after log's
+        # the shared 1/y has a tape step of its own, which comes after log's
         (["log(x) + 1/y", "1/y"], "log of non-positive value -1.0"),
         (["sqrt(x) * (2 - 1/y)", "1/y + x"], "sqrt of negative value -1.0"),
     ],
@@ -520,104 +487,8 @@ def test_where_two_guards_fail_both_routes_raise_the_interpreters_error(texts, m
 
 
 # ---------------------------------------------------------------------------
-# tiered evaluation: the tape, then the generated code
+# one function, called many times
 # ---------------------------------------------------------------------------
-
-
-def _cells(fn) -> dict:
-    return dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))
-
-
-@pytest.fixture
-def generated(monkeypatch) -> list:
-    """The batches whose source has been generated, in order."""
-    batches = []
-    generate = exprlang._generate
-
-    def counting(expressions, index):
-        batches.append(expressions)
-        return generate(expressions, index)
-
-    monkeypatch.setattr(exprlang, "_generate", counting)
-    return batches
-
-
-def _outcome(fn, point):
-    try:
-        return _bits(fn(point))
-    except Exception as exc:  # noqa: BLE001 - any class must match
-        return type(exc), str(exc)
-
-
-def test_generated_code_matches_interpreter_bitwise(monkeypatch):
-    # the arrays above run fewer than TAPE_POINTS points, all on the tape
-    monkeypatch.setattr(exprlang, "TAPE_POINTS", 0)
-    test_compiled_matches_interpreter_bitwise()
-
-
-def test_the_switch_leaves_scalar_values_and_errors_as_they_were(monkeypatch):
-    rng = np.random.default_rng(12)
-    points = [tuple(p) for p in rng.uniform(0.3, 1.7, (TAPE_POINTS + 16, 2)).tolist()]
-    batches = [[random_expression(rng, XY, depth=4) for _ in range(3)] for _ in range(12)]
-    tiered = [[_outcome(compile_expressions(b, XY), p) for p in points] for b in batches]
-    tiered_in_one = [compile_expressions(b, XY) for b in batches]
-    tiered_in_one = [[_outcome(fn, p) for p in points] for fn in tiered_in_one]
-    monkeypatch.setattr(exprlang, "TAPE_POINTS", 0)
-    generated_only = [compile_expressions(b, XY) for b in batches]
-    generated_only = [[_outcome(fn, p) for p in points] for fn in generated_only]
-    # one function crosses the switch after TAPE_POINTS points; fresh ones stay on the tape
-    assert tiered_in_one == generated_only
-    assert tiered == generated_only
-    errors = [o for outcomes in generated_only for o in outcomes if isinstance(o[0], type)]
-    assert 0 < len(errors) < len(batches) * len(points) / 2
-    for batch, outcomes in zip(batches, tiered_in_one):
-        for p, outcome in zip(points, outcomes):
-            if not isinstance(outcome[0], type):
-                assert outcome == _bits([evaluate(e, dict(zip(XY, p))) for e in batch])
-
-
-def test_a_grid_scan_that_crosses_the_switch_stays_bitwise(generated):
-    batch = [
-        parse(text, XY)
-        for text in (
-            "sin(x)*exp(y) - tanh(x/2) + x^3",
-            "sqrt(x*x + y*y) / (1 + log(y))",
-            "atan(x - y) * cosh(y) - sinh(x)^2 / tan(y)",
-            "x*x + y*y",
-        )
-    ]
-    fn = compile_expressions(batch, XY)
-    chart = Chart(XY, ((0.3, 1.7), (0.3, 1.7)))
-    chunks = 0
-    for points, values in grid_scan(chart, 33, fn):  # chunks of 512, 512 and 65 points
-        chunks += 1
-        # each stack counts STACK_MIN_POINTS: the third is past TAPE_POINTS
-        assert len(generated) == (chunks * STACK_MIN_POINTS > TAPE_POINTS)
-        for j, e in enumerate(batch):
-            expected = [evaluate(e, {"x": x, "y": y}) for x, y in points.tolist()]
-            assert _bits(values[:, j]) == _bits(expected)
-    assert chunks == 3
-    # the tape is dropped at the switch
-    state = {**_cells(fn), **_cells(_cells(fn)["hot"])}
-    assert all(state[name] == [] for name in ("steps", "template", "loads", "expressions"))
-
-
-def test_source_is_generated_only_past_TAPE_POINTS_points(generated):
-    fn = compile_expressions([parse("x / y", XY)], XY)
-    for _ in range(TAPE_POINTS):
-        fn((1.0, 2.0))
-    assert generated == []
-    fn((1.0, 2.0))
-    assert len(generated) == 1
-    assert fn((1.0, 2.0)) == (0.5,) and len(generated) == 1
-    stack = np.full((STACK_MIN_POINTS, 2), 2.0)
-    fn = compile_expressions([parse("x / y", XY)], XY)
-    fn(stack[:5])  # a small stack runs, and counts, point by point
-    for _ in range(TAPE_POINTS // STACK_MIN_POINTS - 1):
-        fn(stack)
-    assert generated[1:] == []
-    fn(stack)
-    assert len(generated) == 2
 
 
 def test_where_two_guards_fail_the_tape_and_the_generated_code_raise_alike():
@@ -629,7 +500,9 @@ def test_where_two_guards_fail_the_tape_and_the_generated_code_raise_alike():
     for texts, message in cases:
         fn = compile_expressions([parse(text, XY) for text in texts], XY)
         good = np.random.default_rng(2).uniform(0.5, 1.5, (3 * STACK_MIN_POINTS, 2))
-        for bad in (3, 40):  # before the switch (the tape), and after it
+        # three failing stacks through one function, each after 96 good points
+        for bad in (3, 40, 90):
+            rows = [fn(tuple(row)) for row in good.tolist()]
             with pytest.raises(ExpressionDomainError) as scalar:
                 fn((-1.0, 0.0))
             stack = good.copy()
@@ -637,21 +510,18 @@ def test_where_two_guards_fail_the_tape_and_the_generated_code_raise_alike():
             with pytest.raises(ExpressionDomainError) as stacked:
                 fn(stack)
             assert str(scalar.value) == str(stacked.value) == message
-            assert (_cells(fn)["inner"] is None) == (bad == 3)
-            for row in good[: TAPE_POINTS + 1].tolist():
-                fn(tuple(row))
+            # a failed stack leaves the function as it was
+            assert _bits(fn(good).ravel()) == _bits([v for row in rows for v in row])
 
 
 def test_the_scalar_finite_check_on_both_tiers():
     overflow = compile_expressions([parse("x * y", XY), parse("-(x * y)", XY), Var("y")], XY)
     big_sum = compile_expressions([Var("x"), Var("y")], XY)
-    for _ in range(TAPE_POINTS + 2):  # the tape, then the generated code
-        # inf - inf is nan: a sum over values that are not finite is not finite
-        with pytest.raises(ExpressionDomainError, match="expression value is not finite"):
-            overflow((1e200, 1e200))
-        # a sum that overflows from finite values passes
-        assert big_sum((1e308, 1e308)) == (1e308, 1e308)
-    assert _cells(overflow)["inner"] is not None and _cells(big_sum)["inner"] is not None
+    # inf - inf is nan: a sum over values that are not finite is not finite
+    with pytest.raises(ExpressionDomainError, match="expression value is not finite"):
+        overflow((1e200, 1e200))
+    # a sum that overflows from finite values passes
+    assert big_sum((1e308, 1e308)) == (1e308, 1e308)
 
 
 def test_variables_of_several_expressions_is_their_union():
@@ -697,7 +567,6 @@ def test_every_pass_takes_a_chain_far_deeper_than_the_recursion_limit():
     assert differentiate(e, "x") is de
     expected = [evaluate(e, {"x": 0.5}), evaluate(de, {"x": 0.5})]
     assert _bits(compile_expressions([e, de], ("x",))((0.5,))) == _bits(expected)
-    assert _bits(exprlang._generate([e, de], {"x": 0})((0.5,))) == _bits(expected)
     shallow = e  # the innermost 20 levels, which the parser's bound admits
     for _ in range(3000 - 20):
         shallow = shallow.right.right.left

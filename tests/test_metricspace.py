@@ -8,6 +8,7 @@ closed forms of the constant-curvature presets.
 import ast
 import inspect
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from cartanflat.metricspace import (
     GRID_CHUNK,
     Chart,
     ChartMetric,
+    _check_nonsingular,
     constant_curvature_tensor,
     grid_scan,
     stacked_or_in_turn,
@@ -260,6 +262,72 @@ def test_inverse_at_is_inverse():
     assert np.allclose(m.inverse_at(p) @ m.metric_at(p), np.eye(3), atol=1e-12)
 
 
+@pytest.mark.parametrize("scale", ["1e160", "1e300"])
+def test_a_metric_beyond_the_float_range_is_refused_at_its_point(scale):
+    chart = Chart(("x", "y"), ((1.0, 2.0), (1.0, 2.0)))
+    m = ChartMetric(chart, ((f"{scale}*x", "0"), ("0", f"{scale}*y")))
+    stack = np.array([(1.5, 1.5), (1.25, 1.75)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning included
+        with pytest.raises(SingularMetricError) as alone:
+            m.inverse_at((1.5, 1.5))
+        with pytest.raises(SingularMetricError) as stacked:
+            m.riemann(stack)
+    assert str(alone.value) == str(stacked.value)
+    assert str(alone.value) == "metric determinant is beyond the float range at point (1.5, 1.5)"
+
+
+def test_a_finite_determinant_under_an_overflowing_scale_is_refused():
+    # max |g| squared overflows, det g (1e155 * 1e140) does not
+    g = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1e155, 1e155], [1e155, 1e155 + 1e140]]])
+    assert math.isfinite(float(np.linalg.det(g[1])))
+    with pytest.raises(SingularMetricError, match="beyond the float range") as err:
+        _check_nonsingular(g, np.array([[0.0], [1.0]]))
+    assert err.value.point == (1.0,)
+
+
+def _singular_by_the_finite_rule(g) -> list[bool]:
+    """abs(det g) < 1e-12 max|g|^n, matrix by matrix, over Python floats."""
+    n = g.shape[-1]
+    dets = np.linalg.det(g).tolist()
+    scales = np.abs(g).max(axis=(1, 2)).tolist()
+    return [abs(det) < 1e-12 * max(scale, 1e-300) ** n for det, scale in zip(dets, scales)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_singularity_decisions_where_everything_is_finite_are_unchanged(n):
+    rng = np.random.default_rng(100 + n)
+    # random symmetric matrices over 160 orders of magnitude, and rank-one
+    # ones plus a multiple of the identity straddling the tolerance
+    a = rng.normal(size=(200, n, n))
+    spread = (a + a.transpose(0, 2, 1)) * 10.0 ** rng.uniform(-80, 80, (200, 1, 1))
+    v = rng.normal(size=(200, n, 1))
+    ones = v @ v.transpose(0, 2, 1)
+    ratio = 10.0 ** (rng.uniform(-15, -9, (200, 1, 1)) / (n - 1))
+    near = (ones + ratio * np.abs(ones).max(axis=(1, 2), keepdims=True) * np.eye(n)) * 10.0 ** rng.uniform(
+        -60, 60, (200, 1, 1)
+    )
+    assert 0 < sum(_singular_by_the_finite_rule(near)) < len(near)
+    for g in (spread, near):
+        expected = _singular_by_the_finite_rule(g)
+        decided = []
+        for k in range(len(g)):
+            try:
+                _check_nonsingular(g[k], (float(k),))
+                decided.append(False)
+            except SingularMetricError as exc:
+                assert str(exc) == f"metric is singular to tolerance at point ({float(k)},)"
+                decided.append(True)
+        assert decided == expected
+        points = np.arange(len(g), dtype=float)[:, None]
+        if any(expected):
+            with pytest.raises(SingularMetricError) as err:
+                _check_nonsingular(g, points)
+            assert err.value.point == (float(expected.index(True)),)
+        else:
+            _check_nonsingular(g, points)
+
+
 def test_grid_is_row_major_and_respects_margin():
     chart = Chart(("x1", "x2"), ((0.0, 1.0), (0.0, 2.0)), margin=0.1)
     points = list(chart.grid(3))
@@ -334,12 +402,12 @@ def _nearly_rank_one_metric() -> ChartMetric:
     + [pytest.param(_nearly_rank_one_metric, id="nearly_rank_one")],
 )
 def test_sectional_curvatures_match_the_per_value_formula_bitwise(make):
-    m = make()  # a fresh metric: its arrays start on the tape
+    m = make()  # a fresh metric: its arrays are compiled anew
     assert m.dim in (2, 3)
     planes = [(i, j) for i in range(m.dim) for j in range(i + 1, m.dim)]
     rng = np.random.default_rng(11)
-    # small stacks run point by point, larger ones as columns; the arrays
-    # switch from the tape to generated code part of the way through
+    # small stacks run point by point, larger ones as columns, alternately
+    # through the same arrays
     sizes = (5, STACK_MIN_POINTS + 8, STACK_MIN_POINTS + 8, STACK_MIN_POINTS + 8, 5)
     stacks = [np.array(m.chart.random_points(rng, size)) for size in sizes]
     results = [m.sectional_curvatures(stack, planes) for stack in stacks]
