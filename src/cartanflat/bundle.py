@@ -23,16 +23,16 @@ with no e-component, where R_K(X, Y)Z = K (g(Y,Z) X - g(X,Z) Y).
 
 Covariant derivatives (512 per metric), the seeded sections the identity
 and compatibility checks draw (128 per metric) and the compatibility
-residual arrays (128 per metric) are cached in the metric's own ``memo``,
-least recently used out first, so they live exactly as long as the metric.
+residual arrays (128 per metric) are cached in the metric's own ``memo``
+(``metricspace.cached_on_metric``), least recently used out first, so they
+live exactly as long as the metric.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -48,7 +48,13 @@ from .exprlang import (
     sub,
     variables_of,
 )
-from .metricspace import Chart, ChartMetric, ExprArray, constant_curvature_action
+from .metricspace import (
+    Chart,
+    ChartMetric,
+    ExprArray,
+    cached_on_metric,
+    constant_curvature_action,
+)
 from .sasaki import fiber_pairing, variant_sign
 
 __all__ = [
@@ -109,45 +115,7 @@ def random_section(chart: Chart, rng: np.random.Generator) -> BundleSection:
     return BundleSection(chart, tuple(components[:n]), components[n])
 
 
-class _CacheInfo(NamedTuple):
-    hits: int
-    misses: int
-    maxsize: int
-
-
-def _cached_on_metric(maxsize: int, metric_arg: int = 1):
-    """Cache a function in the own ``memo`` of the metric it takes as
-    positional argument ``metric_arg``, keyed on its other arguments, least
-    recently used out first past ``maxsize`` entries per metric, so each
-    entry lives exactly as long as the metric it describes.
-    ``cache_info()`` counts hits and misses over all metrics."""
-
-    def decorate(fn):
-        hits = misses = 0
-
-        @functools.wraps(fn)
-        def cached(*args):
-            nonlocal hits, misses
-            metric = args[metric_arg]
-            memo = metric.memo.setdefault(fn.__name__, OrderedDict())
-            key = args[:metric_arg] + args[metric_arg + 1 :]
-            if key in memo:
-                hits += 1
-                memo.move_to_end(key)
-                return memo[key]
-            misses += 1
-            value = memo[key] = fn(*args)
-            if len(memo) > maxsize:
-                memo.popitem(last=False)
-            return value
-
-        cached.cache_info = lambda: _CacheInfo(hits, misses, maxsize)
-        return cached
-
-    return decorate
-
-
-@_cached_on_metric(maxsize=512)
+@cached_on_metric(maxsize=512)
 def covariant_derivative(
     variant: str, metric: ChartMetric, section: BundleSection, direction: int
 ) -> BundleSection:
@@ -326,7 +294,7 @@ def reference_curvature_action(
     return _reference_action(variant, metric.riemann(point), metric.metric_at(point), xi, i, j)
 
 
-@_cached_on_metric(maxsize=128, metric_arg=0)
+@cached_on_metric(maxsize=128, metric_arg=0)
 def _seeded_sections(metric: ChartMetric, count: int, seed: int) -> tuple:
     chart = metric.chart
     rng = np.random.default_rng([2208, seed, count, chart.dim])
@@ -408,7 +376,7 @@ def bundle_pairing(
     return fiber_pairing(variant, tangent, float(s_value[n] * t_value[n]))
 
 
-@_cached_on_metric(maxsize=128)
+@cached_on_metric(maxsize=128)
 def _compatibility_residuals(variant: str, metric: ChartMetric, trials: int, seed: int) -> ExprArray:
     """The residuals d_k <s,t> - <nabla_k s, t> - <s, nabla_k t> for seeded
     section pairs, one entry per (trial, direction)."""

@@ -1,5 +1,12 @@
-"""Moving orthonormal frames, scalar differential forms, and the 2D structure
+"""Differential forms, moving orthonormal frames, and the 2D structure
 equations.
+
+One exterior calculus serves scalar and matrix-valued forms: a OneForm or
+TwoForm has coefficients that are expressions or equally shaped matrices of
+expressions.  exterior_derivative acts entry by entry, and wedge multiplies
+coefficients, as matrices where they are matrices, so the curvature of a
+matrix one-form A is exterior_derivative(A) + wedge(A, A).  Every sum is
+seeded with 0.0 and added left to right.
 
 Conventions, fixed once and used everywhere downstream:
 
@@ -20,7 +27,7 @@ exactly as long as the metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -37,11 +44,18 @@ from .exprlang import (
     neg,
     sub,
 )
-from .metricspace import Chart, ChartMetric, ExprArray, elementwise, symbolic_inverse
+from .metricspace import (
+    Chart,
+    ChartMetric,
+    ExprArray,
+    cached_on_metric,
+    elementwise,
+    symbolic_inverse,
+)
 
 __all__ = [
-    "ScalarOneForm",
-    "ScalarTwoForm",
+    "OneForm",
+    "TwoForm",
     "exterior_derivative",
     "wedge",
     "FrameField",
@@ -54,72 +68,113 @@ __all__ = [
 ]
 
 
-class ScalarOneForm(ExprArray):
-    """A 1-form sum_k comps[k] dx^k."""
+def _entrywise(fn):
+    """A form's method applying ``fn`` entry by entry to it and the other
+    forms given, over its whole coefficient table."""
+
+    def apply(self, *others):
+        return type(self)(self.chart, elementwise(fn, self.comps, *(o.comps for o in others)))
+
+    return apply
+
+
+class OneForm(ExprArray):
+    """A 1-form sum_k comps[k] dx^k whose coefficients comps[k] are
+    expressions, or equally shaped matrices of them; at() gives them all at
+    a point, shape (dim, *coefficient shape)."""
 
     def __init__(self, chart: Chart, comps):
         super().__init__(chart, comps)
-        if self.shape != (chart.dim,):
-            raise DimensionError("one component per coordinate required")
+        if self.shape[:1] != (chart.dim,):
+            raise DimensionError("one coefficient per coordinate required")
 
-    def __add__(self, other: "ScalarOneForm") -> "ScalarOneForm":
-        return ScalarOneForm(self.chart, elementwise(add, self.comps, other.comps))
+    __add__, __sub__, __neg__ = _entrywise(add), _entrywise(sub), _entrywise(neg)
 
-    def __sub__(self, other: "ScalarOneForm") -> "ScalarOneForm":
-        return ScalarOneForm(self.chart, elementwise(sub, self.comps, other.comps))
+    def entry_form(self, row: int, col: int) -> "OneForm":
+        """The scalar 1-form of one entry of matrix coefficients."""
+        return OneForm(self.chart, tuple(m[row][col] for m in self.comps))
 
-    def __neg__(self) -> "ScalarOneForm":
-        return ScalarOneForm(self.chart, elementwise(neg, self.comps))
-
-
-def antisymmetric(n: int, upper: dict, zero) -> tuple:
-    """The n x n table with the given (i < j) blocks above the diagonal, their
-    negatives below it, and ``zero`` elsewhere."""
-    table = [[zero] * n for _ in range(n)]
-    for (i, j), block in upper.items():
-        table[i][j] = block
-        table[j][i] = elementwise(neg, block)
-    return tuple(tuple(row) for row in table)
+    def value(self, point: Sequence[float], velocity: Sequence[float]) -> np.ndarray:
+        """The coefficient A(X) for the tangent vector X = velocity at the point."""
+        v = np.asarray(velocity, dtype=float)
+        if v.shape != (self.chart.dim,):
+            raise DimensionError("velocity must have one component per coordinate")
+        return np.tensordot(v, self.at(point), axes=(0, 0))
 
 
-class ScalarTwoForm(ExprArray):
-    """A 2-form with exactly antisymmetric coefficient matrix:
-    value on (d_i, d_j) is comps[i][j]."""
+class TwoForm(ExprArray):
+    """A 2-form with coefficients comps[i][j], its value on (d_i, d_j),
+    exactly antisymmetric in (i, j); each is an expression or a matrix of
+    them, as for OneForm; at() gives them all at a point, shape
+    (dim, dim, *coefficient shape)."""
 
     @staticmethod
-    def from_upper(chart: Chart, upper: dict[tuple[int, int], Expression]) -> "ScalarTwoForm":
-        return ScalarTwoForm(chart, antisymmetric(chart.dim, upper, Const(0.0)))
+    def from_upper(chart: Chart, upper: dict, zero) -> "TwoForm":
+        """The 2-form with the given (i < j) coefficients, their negatives
+        at (j, i) and ``zero`` on the diagonal."""
+        table = [[zero] * chart.dim for _ in range(chart.dim)]
+        for (i, j), block in upper.items():
+            table[i][j] = block
+            table[j][i] = elementwise(neg, block)
+        return TwoForm(chart, table)
 
-    def __add__(self, other: "ScalarTwoForm") -> "ScalarTwoForm":
-        return ScalarTwoForm(self.chart, elementwise(add, self.comps, other.comps))
+    __add__, __sub__ = _entrywise(add), _entrywise(sub)
 
-    def __sub__(self, other: "ScalarTwoForm") -> "ScalarTwoForm":
-        return ScalarTwoForm(self.chart, elementwise(sub, self.comps, other.comps))
-
-
-def exterior_derivative(form: ScalarOneForm) -> ScalarTwoForm:
-    """(d a)_ij = d_i a_j - d_j a_i."""
-    chart = form.chart
-    names = chart.names
-    n = chart.dim
-    upper = {
-        (i, j): sub(differentiate(form.comps[j], names[i]), differentiate(form.comps[i], names[j]))
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
-    return ScalarTwoForm.from_upper(chart, upper)
+    def value(self, point: Sequence[float], u: Sequence[float], v: Sequence[float]) -> np.ndarray:
+        """The coefficient Omega(X, Y) for tangent vectors X = u, Y = v."""
+        n = self.chart.dim
+        uu = np.asarray(u, dtype=float)
+        vv = np.asarray(v, dtype=float)
+        if uu.shape != (n,) or vv.shape != (n,):
+            raise DimensionError("vectors must have one component per coordinate")
+        return np.einsum("k,l,kl...->...", uu, vv, self.at(point))
 
 
-def wedge(a: ScalarOneForm, b: ScalarOneForm) -> ScalarTwoForm:
-    """(a /\\ b)_ij = a_i b_j - a_j b_i."""
-    chart = a.chart
-    n = chart.dim
-    upper = {
-        (i, j): sub(mul(a.comps[i], b.comps[j]), mul(a.comps[j], b.comps[i]))
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
-    return ScalarTwoForm.from_upper(chart, upper)
+def _sum(terms) -> Expression:
+    """0.0 + t_1 + t_2 + ..., added left to right."""
+    return reduce(add, terms, Const(0.0))
+
+
+def _times(x, y):
+    """x y for expressions; the matrix product for matrices of them."""
+    if isinstance(x, Expression):
+        return mul(x, y)
+    return tuple(
+        tuple(_sum(mul(x_row[c], y[c][b]) for c in range(len(y))) for b in range(len(y[0])))
+        for x_row in x
+    )
+
+
+def _upper_form(form: OneForm, coefficient) -> TwoForm:
+    """The 2-form with ``coefficient(i, j)`` at each i < j, and zero
+    coefficients shaped like the form's on the diagonal."""
+    n = form.chart.dim
+    upper = {(i, j): coefficient(i, j) for i in range(n) for j in range(i + 1, n)}
+    zero = elementwise(lambda _: Const(0.0), form.comps[0])
+    return TwoForm.from_upper(form.chart, upper, zero=zero)
+
+
+def exterior_derivative(form: OneForm) -> TwoForm:
+    """(d a)_ij = d_i a_j - d_j a_i, entry by entry."""
+    names, comps = form.chart.names, form.comps
+
+    def coefficient(i: int, j: int):
+        return elementwise(
+            lambda a_j, a_i: sub(differentiate(a_j, names[i]), differentiate(a_i, names[j])),
+            comps[j],
+            comps[i],
+        )
+
+    return _upper_form(form, coefficient)
+
+
+def wedge(a: OneForm, b: OneForm) -> TwoForm:
+    """(a /\\ b)_ij = a_i b_j - a_j b_i, matrix coefficients multiplying as
+    matrices."""
+    def coefficient(i: int, j: int):
+        return elementwise(sub, _times(a.comps[i], b.comps[j]), _times(a.comps[j], b.comps[i]))
+
+    return _upper_form(a, coefficient)
 
 
 def _coordinate_vector(n: int, j: int) -> tuple[Expression, ...]:
@@ -128,11 +183,8 @@ def _coordinate_vector(n: int, j: int) -> tuple[Expression, ...]:
 
 def g_pair(metric: ChartMetric, u: Sequence[Expression], v: Sequence[Expression]) -> Expression:
     """g(u, v) = sum_ab g_ab u^a v^b, for vectors in coordinate components."""
-    total: Expression = Const(0.0)
-    for a in range(metric.dim):
-        for b in range(metric.dim):
-            total = add(total, mul(mul(metric.entries[a][b], u[a]), v[b]))
-    return total
+    n = metric.dim
+    return _sum(mul(mul(metric.entries[a][b], u[a]), v[b]) for a in range(n) for b in range(n))
 
 
 class FrameField:
@@ -173,10 +225,10 @@ class FrameField:
             return self._coframe.at(point)
         return np.linalg.inv(self.frame_at(point))
 
-    def coframe_form(self, i: int) -> ScalarOneForm:
+    def coframe_form(self, i: int) -> OneForm:
         if self.coframe_entries is None:
             raise DimensionError("symbolic coframe only available for n <= 3")
-        return ScalarOneForm(self.chart, self.coframe_entries[i])
+        return OneForm(self.chart, self.coframe_entries[i])
 
     @cached_property
     def connection(self) -> "ConnectionForms":
@@ -209,25 +261,19 @@ class ConnectionForms:
     assembled independently from g(nabla e_i, e_j)."""
 
     frame: FrameField
-    omega: tuple[tuple[ScalarOneForm, ...], ...]
+    omega: tuple[tuple[OneForm, ...], ...]
 
     @property
-    def phi(self) -> ScalarOneForm:
+    def phi(self) -> OneForm:
         if self.frame.dim != 2:
             raise DimensionError("phi = omega_2^1 is the n=2 connection form")
         return self.omega[1][0]
 
 
+@cached_on_metric(maxsize=1, metric_arg=0)
 def orthonormal_frame(metric: ChartMetric) -> FrameField:
     """The metric's orthonormal frame: index-ordered Gram-Schmidt over the
     coordinate fields, built on first request and kept in ``metric.memo``."""
-    frame = metric.memo.get("orthonormal_frame")
-    if frame is None:
-        frame = metric.memo["orthonormal_frame"] = _gram_schmidt(metric)
-    return frame
-
-
-def _gram_schmidt(metric: ChartMetric) -> FrameField:
     n = metric.dim
     frame_vectors: list[tuple[Expression, ...]] = []
     for j in range(n):
@@ -269,14 +315,14 @@ def _build_connection(f: FrameField) -> ConnectionForms:
                     for b in range(n):
                         total = add(total, mul(mul(g[a][b], covariant), e[b][j]))
                 comps.append(total)
-            row.append(ScalarOneForm(f.chart, tuple(comps)))
+            row.append(OneForm(f.chart, tuple(comps)))
         table.append(tuple(row))
     return ConnectionForms(f, tuple(table))
 
 
 def structure_forms(
-    omega1: ScalarOneForm, omega2: ScalarOneForm, phi: ScalarOneForm
-) -> tuple[ScalarTwoForm, ScalarTwoForm]:
+    omega1: OneForm, omega2: OneForm, phi: OneForm
+) -> tuple[TwoForm, TwoForm]:
     """d omega1 - omega2 /\\ phi and d omega2 + omega1 /\\ phi: both vanish
     exactly when (omega1, omega2, phi) satisfy the 2D structure equations."""
     first = exterior_derivative(omega1) - wedge(omega2, phi)

@@ -274,9 +274,12 @@ def _build_path(spec, chart: Chart, steps_per_unit: int) -> tuple[tuple, list]:
         start = _check_point(seg.get("start"), chart.dim, f"$.path[{k}].start")
         end = _check_point(seg.get("end"), chart.dim, f"$.path[{k}].end")
         try:
-            segments.append(line_curve(chart, start, end, steps_per_unit))
+            segment = line_curve(chart, start, end, steps_per_unit)
         except CartanflatError as exc:
             raise ConfigError(f"$.path[{k}]", str(exc)) from exc
+        if closure_gap(segment) <= CLOSURE_TOL:  # nothing to develop along
+            raise ConfigError(f"$.path[{k}].end", f"must be more than {CLOSURE_TOL:g} from start")
+        segments.append(segment)
         echo.append({"start": list(start), "end": list(end)})
     return tuple(segments), echo
 

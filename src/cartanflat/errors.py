@@ -27,7 +27,17 @@ class UnknownIdentifierError(ParseError):
         self.name = name
 
 
-class ExpressionDomainError(CartanflatError):
+class _AtPoint(CartanflatError):
+    """An error that may name the point where it happened (``.point``)."""
+
+    def __init__(self, message: str, point=None):
+        if point is not None:
+            message = f"{message} at point {tuple(point)}"
+        super().__init__(message)
+        self.point = tuple(point) if point is not None else None
+
+
+class ExpressionDomainError(_AtPoint):
     """Evaluation left the real domain (log of a non-positive number, division
     by zero, overflow to a non-finite value, ...)."""
 
@@ -36,15 +46,9 @@ class ChartDomainError(CartanflatError):
     """A point (or a curve sample) lies outside the chart's coordinate box."""
 
 
-class SingularMetricError(CartanflatError):
+class SingularMetricError(_AtPoint):
     """The metric matrix is singular or indefinite at a point, or a derived
     volume/normalization degenerates there."""
-
-    def __init__(self, message: str, point=None):
-        if point is not None:
-            message = f"{message} at point {tuple(point)}"
-        super().__init__(message)
-        self.point = tuple(point) if point is not None else None
 
 
 class DimensionError(CartanflatError):

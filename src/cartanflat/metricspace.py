@@ -22,15 +22,23 @@ with R^l_kij = d_i Gamma^l_jk - d_j Gamma^l_ik
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CartanflatError, ChartDomainError, DimensionError, SingularMetricError
+from .errors import (
+    CartanflatError,
+    ChartDomainError,
+    DimensionError,
+    ExpressionDomainError,
+    SingularMetricError,
+)
 from .exprlang import (
     Const,
     Expression,
@@ -56,6 +64,7 @@ __all__ = [
     "ExprArray",
     "elementwise",
     "ChartMetric",
+    "cached_on_metric",
     "constant_curvature_tensor",
     "constant_curvature_action",
     "symbolic_determinant",
@@ -202,11 +211,21 @@ def worst_point(
 def grid_scan(chart: Chart, resolution: int, evaluate) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``(points, evaluate(points))`` for each chunk of the chart's grid,
     evaluated by :func:`stacked_or_in_turn`.  ``evaluate`` maps a stack of
-    points to an array with one leading row per point."""
+    points to an array with one leading row per point.  An
+    ExpressionDomainError met at one point is raised again naming it."""
+
+    def at_named_point(points: np.ndarray) -> np.ndarray:
+        try:
+            return evaluate(points)
+        except ExpressionDomainError as exc:
+            if len(points) != 1 or exc.point is not None:
+                raise
+            raise ExpressionDomainError(str(exc), point=_nth_point(points, 0)) from exc
+
     grid = chart.grid(resolution)
     while chunk := list(itertools.islice(grid, GRID_CHUNK)):
         points = np.array(chunk)
-        yield points, stacked_or_in_turn(evaluate, points)
+        yield points, stacked_or_in_turn(at_named_point, points)
 
 
 def _nest(entries) -> tuple:
@@ -328,6 +347,44 @@ def symbolic_inverse(matrix: Sequence[Sequence[Expression]]) -> list[list[Expres
     return inverse
 
 
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+
+
+def cached_on_metric(maxsize: int, metric_arg: int = 1):
+    """Cache a function in the ``memo`` of the metric it takes as positional
+    argument ``metric_arg``, keyed on its other arguments, least recently
+    used out first past ``maxsize`` entries per metric, so each entry lives
+    exactly as long as the metric it describes.  ``cache_info()`` counts
+    hits and misses over all metrics."""
+
+    def decorate(fn):
+        hits = misses = 0
+
+        @functools.wraps(fn)
+        def cached(*args):
+            nonlocal hits, misses
+            metric = args[metric_arg]
+            memo = metric.memo.setdefault(fn.__name__, OrderedDict())
+            key = args[:metric_arg] + args[metric_arg + 1 :]
+            if key in memo:
+                hits += 1
+                memo.move_to_end(key)
+                return memo[key]
+            misses += 1
+            value = memo[key] = fn(*args)
+            if len(memo) > maxsize:
+                memo.popitem(last=False)
+            return value
+
+        cached.cache_info = lambda: _CacheInfo(hits, misses, maxsize)
+        return cached
+
+    return decorate
+
+
 class ChartMetric:
     """Immutable by contract: entries are fixed at construction, everything
     else is derived lazily and cached."""
@@ -370,8 +427,9 @@ class ChartMetric:
 
     @cached_property
     def memo(self) -> dict:
-        """Results other modules derive from this metric, one entry or table
-        per deriving function (its orthonormal frame, covariant derivatives,
+        """Results other modules derive from this metric, one table per
+        function decorated with :func:`cached_on_metric` (its orthonormal
+        frame, the curvature of each connection, covariant derivatives,
         seeded sections, compatibility residuals); they live exactly as long
         as the metric."""
         return {}

@@ -2,9 +2,9 @@
 
 Given an orthonormal frame e_1..e_n with coframe omega^1..omega^n and
 connection forms omega_i^j, the extended bundle carries two natural
-connections, written as (n+1) x (n+1) matrices of scalar one-forms in the
-column convention  nabla E_j = sum_i A[i][j] E_i  (E_1..E_n the frame,
-E_{n+1} the distinguished unit section):
+connections, written as one-forms with (n+1) x (n+1) matrix coefficients
+(cartan.OneForm) in the column convention  nabla E_j = sum_i A[i][j] E_i
+(E_1..E_n the frame, E_{n+1} the distinguished unit section):
 
     A[i][j] = omega_j^i            (tangent block)
     A[i][n] = omega^i              (last column)
@@ -12,7 +12,9 @@ E_{n+1} the distinguished unit section):
 
 The "h" matrix is so(n,1)-valued (A^T eta + eta A = 0 with
 eta = diag(1,..,1,-1)); the "s" matrix is so(n+1)-valued (antisymmetric).
-Curvature is Omega = dA + A ^ A.
+Curvature is Omega = dA + A ^ A, from cartan's exterior_derivative and
+wedge, the same two that act on scalar forms; MatrixOneForm and
+MatrixTwoForm are other names of cartan.OneForm and cartan.TwoForm.
 
 For n = 2 the same connections can be written in a three-generator basis,
 
@@ -42,10 +44,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .cartan import FrameField, ScalarOneForm, antisymmetric, orthonormal_frame
+from .cartan import (
+    FrameField,
+    OneForm,
+    TwoForm,
+    _sum,
+    exterior_derivative,
+    orthonormal_frame,
+    wedge,
+)
 from .errors import DimensionError
-from .exprlang import Const, Expression, add, differentiate, mul, sub
-from .metricspace import Chart, ChartMetric, ExprArray, grid_scan, worst_point
+from .exprlang import Const, add, mul
+from .metricspace import Chart, ChartMetric, cached_on_metric, elementwise, grid_scan, worst_point
 
 __all__ = [
     "LieBasis",
@@ -166,52 +176,8 @@ def basis_coefficients(value: np.ndarray, basis: LieBasis) -> tuple[np.ndarray, 
     return coeffs, residual
 
 
-class MatrixOneForm(ExprArray):
-    """A matrix-valued 1-form: comps[k] is the coefficient matrix of dx^k;
-    at() gives all of them at a point, shape (dim, size, size)."""
-
-    def __init__(self, chart: Chart, comps):
-        super().__init__(chart, comps)
-        if self.shape[:1] != (chart.dim,):
-            raise DimensionError("one coefficient matrix per coordinate required")
-
-    @property
-    def size(self) -> int:
-        return self.shape[1]
-
-    def entry_form(self, row: int, col: int) -> ScalarOneForm:
-        return ScalarOneForm(self.chart, tuple(m[row][col] for m in self.comps))
-
-    def value(self, point: Sequence[float], velocity: Sequence[float]) -> np.ndarray:
-        """The matrix A(X) for the tangent vector X = velocity at the point."""
-        v = np.asarray(velocity, dtype=float)
-        if v.shape != (self.chart.dim,):
-            raise DimensionError("velocity must have one component per coordinate")
-        return np.tensordot(v, self.at(point), axes=(0, 0))
-
-
-class MatrixTwoForm(ExprArray):
-    """A matrix-valued 2-form; comps[i][j] (antisymmetric in i, j) is the
-    coefficient matrix of dx^i ^ dx^j evaluated on (d_i, d_j); at() gives
-    all of them at a point, shape (dim, dim, size, size)."""
-
-    @staticmethod
-    def from_upper(chart: Chart, size: int, upper: dict) -> "MatrixTwoForm":
-        zero = tuple(tuple(Const(0.0) for _ in range(size)) for _ in range(size))
-        return MatrixTwoForm(chart, antisymmetric(chart.dim, upper, zero))
-
-    @property
-    def size(self) -> int:
-        return self.shape[2]
-
-    def value(self, point: Sequence[float], u: Sequence[float], v: Sequence[float]) -> np.ndarray:
-        """The matrix Omega(X, Y) for tangent vectors X = u, Y = v."""
-        n = self.chart.dim
-        uu = np.asarray(u, dtype=float)
-        vv = np.asarray(v, dtype=float)
-        if uu.shape != (n,) or vv.shape != (n,):
-            raise DimensionError("vectors must have one component per coordinate")
-        return np.einsum("k,l,klij->ij", uu, vv, self.at(point))
+# the matrix-valued forms are the forms with matrix coefficients
+MatrixOneForm, MatrixTwoForm = OneForm, TwoForm
 
 
 def variant_sign(variant: str) -> float:
@@ -230,25 +196,19 @@ def fiber_pairing(variant: str, tangent, fiber):
     return tangent - fiber if variant_sign(variant) > 0 else tangent + fiber
 
 
-def basis_form(chart: Chart, forms: Sequence[ScalarOneForm], basis: LieBasis) -> MatrixOneForm:
+def basis_form(chart: Chart, forms: Sequence[OneForm], basis: LieBasis) -> OneForm:
     """The matrix one-form sum_m basis.matrices[m] forms[m]."""
-    size = basis.size
-    comps = []
-    for k in range(chart.dim):
-        mat = []
-        for a in range(size):
-            row = []
-            for b in range(size):
-                total: Expression = Const(0.0)
-                for m, form in enumerate(forms):
-                    total = add(total, mul(Const(float(basis.matrices[m][a][b])), form.comps[k]))
-                row.append(total)
-            mat.append(tuple(row))
-        comps.append(tuple(mat))
-    return MatrixOneForm(chart, tuple(comps))
+    size = range(basis.size)
+
+    def entry(k: int, a: int, b: int):
+        terms = zip(basis.matrices, forms)
+        return _sum(mul(Const(float(m[a][b])), form.comps[k]) for m, form in terms)
+
+    comps = (tuple(tuple(entry(k, a, b) for b in size) for a in size) for k in range(chart.dim))
+    return OneForm(chart, tuple(comps))
 
 
-def sasaki_form(frame: FrameField, basis: LieBasis) -> MatrixOneForm:
+def sasaki_form(frame: FrameField, basis: LieBasis) -> OneForm:
     """The n=2 connection written in a three-generator basis:
     A = m_1 omega^1 + m_2 omega^2 + m_3 phi."""
     if frame.dim != 2:
@@ -261,7 +221,7 @@ def sasaki_form(frame: FrameField, basis: LieBasis) -> MatrixOneForm:
     return basis_form(frame.chart, forms, basis)
 
 
-def connection_matrix(frame: FrameField, variant: str) -> MatrixOneForm:
+def connection_matrix(frame: FrameField, variant: str) -> OneForm:
     """The (n+1) x (n+1) connection matrix in the column convention
     nabla E_j = sum_i A[i][j] E_i (see the module docstring for the layout)."""
     sign = variant_sign(variant)
@@ -278,46 +238,20 @@ def connection_matrix(frame: FrameField, variant: str) -> MatrixOneForm:
             mat[i][n] = coframe_comp
             mat[n][i] = mul(Const(sign), coframe_comp)
         comps.append(tuple(tuple(row) for row in mat))
-    return MatrixOneForm(frame.chart, tuple(comps))
+    return OneForm(frame.chart, tuple(comps))
 
 
-def _matrix_product(m1, m2, size: int):
-    out = []
-    for a in range(size):
-        row = []
-        for b in range(size):
-            total: Expression = Const(0.0)
-            for c in range(size):
-                total = add(total, mul(m1[a][c], m2[c][b]))
-            row.append(total)
-        out.append(row)
-    return out
-
-
-def curvature_form(a_form: MatrixOneForm) -> MatrixTwoForm:
-    """Omega = dA + A ^ A."""
-    chart = a_form.chart
-    names = chart.names
-    n = chart.dim
-    size = a_form.size
-    upper = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            a_i, a_j = a_form.comps[i], a_form.comps[j]
-            forward = _matrix_product(a_i, a_j, size)
-            backward = _matrix_product(a_j, a_i, size)
-            mat = []
-            for a in range(size):
-                row = []
-                for b in range(size):
-                    d_entry = sub(
-                        differentiate(a_j[a][b], names[i]),
-                        differentiate(a_i[a][b], names[j]),
-                    )
-                    row.append(add(d_entry, sub(forward[a][b], backward[a][b])))
-                mat.append(tuple(row))
-            upper[(i, j)] = tuple(mat)
-    return MatrixTwoForm.from_upper(chart, size, upper)
+def curvature_form(a_form: OneForm) -> TwoForm:
+    """Omega = dA + A ^ A, built from its upper coefficients
+    (dA)_ij + (A ^ A)_ij, i < j."""
+    d, w = exterior_derivative(a_form), wedge(a_form, a_form)
+    n = a_form.chart.dim
+    upper = {
+        (i, j): elementwise(add, d.comps[i][j], w.comps[i][j])
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    return TwoForm.from_upper(a_form.chart, upper, zero=d.comps[0][0])  # dA's zero diagonal
 
 
 @dataclass(frozen=True)
@@ -329,16 +263,12 @@ class FlatnessReport:
     argmax_point: tuple[float, ...]
 
 
-def _curvature_of(metric: ChartMetric, variant: str) -> MatrixTwoForm:
+@cached_on_metric(maxsize=2, metric_arg=0)
+def _curvature_of(metric: ChartMetric, variant: str) -> TwoForm:
     """The curvature of the variant's connection built on the metric's
     frame, built on first request and kept in ``metric.memo``, so its
     array compiles once per metric and variant."""
-    key = ("curvature_form", variant)
-    omega_form = metric.memo.get(key)
-    if omega_form is None:
-        a_form = connection_matrix(orthonormal_frame(metric), variant)
-        omega_form = metric.memo[key] = curvature_form(a_form)
-    return omega_form
+    return curvature_form(connection_matrix(orthonormal_frame(metric), variant))
 
 
 def _on_frame_pair(coefficient: np.ndarray, frame_matrix: np.ndarray, a: int, b: int):

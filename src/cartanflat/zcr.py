@@ -53,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cartan import ScalarOneForm, ScalarTwoForm
+from .cartan import OneForm, TwoForm
 from .cartan import structure_forms as _structure_forms
 from .errors import DimensionError
 from .exprlang import (
@@ -69,7 +69,7 @@ from .exprlang import (
     variables_of,
 )
 from .metricspace import Chart, ChartMetric, ExprArray, grid_scan
-from .sasaki import MatrixOneForm, MatrixTwoForm, basis_form, curvature_form, so21_basis
+from .sasaki import basis_form, curvature_form, so21_basis
 
 __all__ = [
     "DEFAULT_NAMES",
@@ -118,29 +118,29 @@ class SineGordonRep:
         object.__setattr__(self, "u", _as_field(self.u, self.chart))
 
     @cached_property
-    def triple(self) -> tuple[ScalarOneForm, ScalarOneForm, ScalarOneForm]:
+    def triple(self) -> tuple[OneForm, OneForm, OneForm]:
         half = mul(Const(0.5), self.u)
         cos_half = call("cos", half)
         sin_half = call("sin", half)
         d1, d2 = (differentiate(self.u, name) for name in self.chart.names)
-        omega1 = ScalarOneForm(self.chart, (cos_half, cos_half))
-        omega2 = ScalarOneForm(self.chart, (sin_half, simplify(neg(sin_half))))
-        phi = ScalarOneForm(
+        omega1 = OneForm(self.chart, (cos_half, cos_half))
+        omega2 = OneForm(self.chart, (sin_half, simplify(neg(sin_half))))
+        phi = OneForm(
             self.chart,
             (simplify(mul(Const(-0.5), d1)), simplify(mul(Const(0.5), d2))),
         )
         return omega1, omega2, phi
 
     @cached_property
-    def connection(self) -> MatrixOneForm:
+    def connection(self) -> OneForm:
         return basis_form(self.chart, self.triple, so21_basis())
 
     @cached_property
-    def curvature(self) -> MatrixTwoForm:
+    def curvature(self) -> TwoForm:
         return curvature_form(self.connection)
 
     @cached_property
-    def structure_forms(self) -> tuple[ScalarTwoForm, ScalarTwoForm]:
+    def structure_forms(self) -> tuple[TwoForm, TwoForm]:
         """d omega1 - omega2 ^ phi and d omega2 + omega1 ^ phi; both are
         identically zero whatever u is, so evaluating them only measures
         floating-point cancellation."""
@@ -214,17 +214,13 @@ def equivalence_scan(u, chart: Chart | None = None, resolution: int = 21) -> Equ
     rep = representation(u, chart)
     chart = rep.chart
 
-    axes = [axis.tolist() for axis in chart.axes(resolution)]  # the floats of chart.grid
+    def over_grid(evaluate) -> tuple[np.ndarray, np.ndarray]:
+        """The grid's points, and evaluate's values at them."""
+        points, values = zip(*grid_scan(chart, resolution, evaluate))
+        return np.concatenate(points), np.concatenate(values)
 
-    def over_grid(evaluate) -> np.ndarray:
-        return np.concatenate([values for _, values in grid_scan(chart, resolution, evaluate)])
-
-    def grid_point(index: int) -> tuple[float, ...]:
-        position = np.unravel_index(index, (resolution,) * chart.dim)
-        return tuple(axis[i] for axis, i in zip(axes, position))
-
-    zcr_values = over_grid(rep.zcr_residual)
-    pde_values = np.abs(over_grid(rep.pde_residual))
+    points, zcr_values = over_grid(rep.zcr_residual)
+    pde_values = np.abs(over_grid(rep.pde_residual)[1])
     i_zcr = int(np.argmax(zcr_values))
     i_pde = int(np.argmax(pde_values))
     correlation = None
@@ -240,9 +236,9 @@ def equivalence_scan(u, chart: Chart | None = None, resolution: int = 21) -> Equ
         resolution=resolution,
         points=len(zcr_values),
         max_zcr=float(zcr_values[i_zcr]),
-        argmax_zcr=grid_point(i_zcr),
+        argmax_zcr=tuple(points[i_zcr].tolist()),
         max_pde=float(pde_values[i_pde]),
-        argmax_pde=grid_point(i_pde),
+        argmax_pde=tuple(points[i_pde].tolist()),
         correlation=correlation,
         ratio_low=ratio_low,
         ratio_high=ratio_high,

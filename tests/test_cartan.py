@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cartanflat.cartan import (
-    ScalarOneForm,
+    OneForm,
     exterior_derivative,
     gauss_curvature,
     orthonormal_frame,
@@ -137,7 +137,7 @@ def test_connection_antisymmetry_random_3d():
 
 def test_exterior_derivative_polar_example():
     chart = preset_metric("sphere2").chart
-    form = ScalarOneForm(chart, (parse("0", chart.names), parse("-cos(x1)", chart.names)))
+    form = OneForm(chart, (parse("0", chart.names), parse("-cos(x1)", chart.names)))
     d = exterior_derivative(form)
     theta = math.pi / 6
     assert d.at((theta, 1.0))[0, 1] == pytest.approx(math.sin(theta), abs=1e-14)
@@ -146,7 +146,7 @@ def test_exterior_derivative_polar_example():
 
 def test_exterior_derivative_half_plane_example():
     chart = preset_metric("half_plane").chart
-    form = ScalarOneForm(chart, (parse("1/x2", chart.names), parse("0", chart.names)))
+    form = OneForm(chart, (parse("1/x2", chart.names), parse("0", chart.names)))
     d = exterior_derivative(form)
     # (d form)_12 = -d_y (1/y) = 1/y^2
     assert d.at((0.0, 2.0))[0, 1] == pytest.approx(0.25, abs=1e-15)
@@ -158,7 +158,7 @@ def test_d_of_d_vanishes_on_random_functions():
     checked = 0
     for _ in range(30):
         func = random_expression(rng, chart.names, depth=3)
-        df = ScalarOneForm(chart, tuple(differentiate(func, n) for n in chart.names))
+        df = OneForm(chart, tuple(differentiate(func, n) for n in chart.names))
         dd = exterior_derivative(df)
         for point in chart.grid(3):
             try:
@@ -173,8 +173,8 @@ def test_d_of_d_vanishes_on_random_functions():
 
 def test_wedge_antisymmetry_and_self_annihilation():
     chart = Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
-    a = ScalarOneForm(chart, (parse("x", chart.names), parse("y^2", chart.names)))
-    b = ScalarOneForm(chart, (parse("sin(y)", chart.names), parse("x*y", chart.names)))
+    a = OneForm(chart, (parse("x", chart.names), parse("y^2", chart.names)))
+    b = OneForm(chart, (parse("sin(y)", chart.names), parse("x*y", chart.names)))
     p = (0.4, -0.3)
     assert np.allclose(wedge(a, b).at(p), -wedge(b, a).at(p), atol=1e-15)
     assert np.allclose(wedge(a, a).at(p), 0.0, atol=1e-15)
@@ -199,7 +199,7 @@ def test_structural_residual_detects_corruption():
     omega1 = f.coframe_form(0)
     omega2 = f.coframe_form(1)
     chart = m.chart
-    corrupted_phi = f.connection.phi + ScalarOneForm(
+    corrupted_phi = f.connection.phi + OneForm(
         chart, (parse("0.1", chart.names), parse("0", chart.names))
     )
     r1 = exterior_derivative(omega1) - wedge(omega2, corrupted_phi)

@@ -632,6 +632,25 @@ def test_transport_refuses_a_line_with_nothing_to_transport_along(tmp_path, caps
     assert err == "error: $.curve.end: must be more than 1e-12 from start\n"
 
 
+@pytest.mark.parametrize(
+    "path, field",
+    [
+        ([{"start": [0.5, 1.0], "end": [0.5, 1.0]}], "$.path[0].end"),
+        (
+            [{"start": [0.5, 1.0], "end": [0.7, 1.2]}, {"start": [0.7, 1.2], "end": [0.7, 1.2 + 1e-13]}],
+            "$.path[1].end",
+        ),
+    ],
+)
+def test_develop_refuses_a_segment_with_nothing_to_develop_along(tmp_path, capsys, path, field):
+    # its nodes would all be one point, trivially on the quadric: a pass over nothing
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"preset": "half_plane", "variant": "h", "path": path}))
+    code, report, err = _run(capsys, "develop", "--config", str(config))
+    assert code == 2 and report is None
+    assert err == f"error: {field}: must be more than 1e-12 from start\n"
+
+
 _HUGE_METRIC = {
     "names": ["x", "y"], "box": [[1, 2], [1, 2]], "entries": [["1e300*x", "0"], ["0", "1e300*y"]],
 }
@@ -654,6 +673,17 @@ def test_a_metric_beyond_the_float_range_is_refused_without_a_warning(tmp_path, 
         code, report, err = _run(capsys, command, "--config", str(config))
     assert code == 2 and report is None
     assert err.startswith("error: metric determinant is beyond the float range at point (")
+
+
+def test_a_domain_error_in_a_flatness_scan_names_its_point(tmp_path, capsys):
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"metric": _HUGE_METRIC, "variant": "h"}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be an internal error
+        code, report, err = _run(capsys, "flatness", "--config", str(config))
+    assert code == 2 and report is None
+    # the first grid point, where the scan's in-turn replay meets the error
+    assert err == "error: division by zero at point (1.05, 1.05)\n"
 
 
 def test_develop_writes_trace_and_endpoint(tmp_path, capsys):

@@ -17,6 +17,7 @@ import pytest
 from cartanflat.errors import (
     ChartDomainError,
     DimensionError,
+    ExpressionDomainError,
     SingularMetricError,
     StepSizeError,
 )
@@ -25,6 +26,7 @@ from cartanflat.metricspace import (
     GRID_CHUNK,
     Chart,
     ChartMetric,
+    ExprArray,
     _check_nonsingular,
     constant_curvature_tensor,
     grid_scan,
@@ -525,6 +527,20 @@ def test_grid_scan_raises_the_error_a_point_by_point_scan_meets_first():
     with pytest.raises(ChartDomainError, match="second stage at 0.4"):
         for _ in grid_scan(chart, 11, evaluate):
             pass
+
+
+def test_grid_scan_names_the_point_of_a_domain_error():
+    chart = Chart(("x", "y"), ((0.0, 1.0), (0.0, 1.0)), margin=0.0)
+    reciprocal = ExprArray(chart, (Var("x") - 0.5) ** -1.0)
+    with pytest.raises(ExpressionDomainError) as caught:
+        for _ in grid_scan(chart, 3, reciprocal.at):
+            pass
+    # the first grid point, in point order, where x = 0.5
+    assert caught.value.point == (0.5, 0.0)
+    assert str(caught.value).endswith(" at point (0.5, 0.0)")
+    with pytest.raises(ExpressionDomainError) as alone:
+        reciprocal.at((0.5, 0.0))
+    assert alone.value.point is None and str(caught.value) == f"{alone.value} at point (0.5, 0.0)"
 
 
 def test_worst_point_keeps_the_first_of_equal_values_across_chunks():

@@ -5,6 +5,7 @@ import pytest
 
 from cartanflat.cartan import gauss_curvature, orthonormal_frame, wedge
 from cartanflat.errors import DimensionError
+from cartanflat.exprlang import Const, add, differentiate, mul, neg, sub
 from cartanflat import metricspace
 from cartanflat.presets import PRESET_NAMES, preset_metric, random_metric
 from cartanflat.sasaki import (
@@ -246,6 +247,64 @@ def test_curvature_e_row_and_column_vanish():
                 values = omega.at(point)
                 assert np.max(np.abs(values[:, :, 2, :])) <= 1e-10
                 assert np.max(np.abs(values[:, :, :, 2])) <= 1e-10
+
+
+def _textbook_curvature(a_form):
+    """Omega[i][j][a][b] of dA + A ^ A, written out entry by entry: each sum
+    seeded with 0.0, each lower entry the negation of its upper one."""
+    names, comps = a_form.chart.names, a_form.comps
+    n, size = a_form.chart.dim, len(comps[0])
+
+    def product(x, y, a, b):
+        total = Const(0.0)
+        for c in range(size):
+            total = add(total, mul(x[a][c], y[c][b]))
+        return total
+
+    def upper(i, j, a, b):
+        d = sub(differentiate(comps[j][a][b], names[i]), differentiate(comps[i][a][b], names[j]))
+        return add(d, sub(product(comps[i], comps[j], a, b), product(comps[j], comps[i], a, b)))
+
+    return [
+        [
+            [
+                [
+                    upper(i, j, a, b) if i < j else neg(upper(j, i, a, b)) if i > j else Const(0.0)
+                    for b in range(size)
+                ]
+                for a in range(size)
+            ]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def _is_textbook_curvature(a_form) -> bool:
+    # interning makes `is` a check of the structure, so of every compiled value
+    built = curvature_form(a_form).comps
+    expected = _textbook_curvature(a_form)
+    n, size = a_form.chart.dim, len(a_form.comps[0])
+    return all(
+        built[i][j][a][b] is expected[i][j][a][b]
+        for i in range(n)
+        for j in range(n)
+        for a in range(size)
+        for b in range(size)
+    )
+
+
+@pytest.mark.parametrize("variant", ["h", "s"])
+@pytest.mark.parametrize("name", ["half_plane", "sphere3", "random3_1"])
+def test_curvature_form_is_the_textbook_node_for_node(name, variant):
+    metric = random_metric(3, 1) if name == "random3_1" else preset_metric(name)
+    assert _is_textbook_curvature(connection_matrix(orthonormal_frame(metric), variant))
+
+
+@pytest.mark.parametrize("basis", ["sl2", "so21", "so3"])
+def test_curvature_of_sasaki_form_is_the_textbook_node_for_node(basis):
+    frame = orthonormal_frame(preset_metric("conformal_bump"))
+    assert _is_textbook_curvature(sasaki_form(frame, lie_basis(basis)))
 
 
 # ---------------------------------------------------------------------------
