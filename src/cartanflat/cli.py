@@ -20,6 +20,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -286,7 +287,7 @@ def _build_path(spec, chart: Chart, steps_per_unit: int) -> tuple[tuple, list]:
 
 # ---------------------------------------------------------------------------
 # the jobs; each takes the settings `_settings` read and returns
-# (payload, passed, csv_rows)
+# (payload, passed, csv_rows), the rows an iterator read only for --out
 # ---------------------------------------------------------------------------
 
 
@@ -396,10 +397,10 @@ def _job_transport(s: dict):
     }
     size = matrices.shape[1]
     header = ["t"] + [f"m{a}{b}" for a in range(size) for b in range(size)]
-    rows = [header] + [
+    rows = itertools.chain([header], (
         [f"{t:.12g}"] + [f"{v:.17g}" for v in matrix.ravel()]
         for t, matrix in zip(times, matrices)
-    ]
+    ))
     passed = None if identity_gap is None else identity_gap <= tol
     return payload, passed, rows
 
@@ -423,9 +424,9 @@ def _job_develop(s: dict):
     }
     width = developed.points.shape[1]
     header = ["node"] + [f"phi{a}" for a in range(width)]
-    rows = [header] + [
+    rows = itertools.chain([header], (
         [str(k)] + [f"{v:.17g}" for v in row] for k, row in enumerate(developed.points)
-    ]
+    ))
     return payload, residual <= tol, rows
 
 

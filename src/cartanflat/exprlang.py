@@ -998,7 +998,10 @@ def _stack_sqrt(x):
 
 
 def _stack_div(a, b):
-    if np.any(b == 0.0):
+    # count_nonzero rather than b == 0.0, with the same decision (-0.0 is
+    # zero, NaN is not): a process's first comparison kernel adds to its
+    # resident memory, and the tapes of RK4 slopes need no other
+    if (np.count_nonzero(b) < len(b) if isinstance(b, np.ndarray) else b == 0.0):
         raise ExpressionDomainError("division by zero")
     return a / b
 

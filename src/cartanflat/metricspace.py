@@ -569,10 +569,18 @@ def _check_nonsingular(g: np.ndarray, points):
     determinant or largest entry to the n-th power leaves the float range."""
     n = g.shape[-1]
     stack = g.reshape(-1, n, n)
-    scales = np.abs(stack).max(axis=(1, 2)).tolist()
+    scales = np.abs(stack).max(axis=(1, 2))
     with np.errstate(all="ignore"):  # a determinant that overflows is refused below
-        dets = np.linalg.det(stack).tolist()
-    for k, (scale, det) in enumerate(zip(scales, dets)):
+        dets = np.linalg.det(stack)
+        # decide "every point passes" for the whole stack first: float_power
+        # is the libm pow the loop's float ** calls, and for these
+        # non-negative values a - b >= 0 exactly when a >= b; a NaN or an
+        # infinity fails here and goes to the loop, which names the point
+        sizes = np.abs(dets)
+        margins = sizes - _DET_RTOL * np.float_power(np.maximum(scales, 1e-300), n)
+        if margins.min(initial=0.0) >= 0.0 and sizes.max(initial=0.0) < math.inf:
+            return
+    for k, (scale, det) in enumerate(zip(scales.tolist(), dets.tolist())):
         try:
             volume = max(scale, 1e-300) ** n
         except OverflowError:
@@ -587,8 +595,10 @@ def _check_nonsingular(g: np.ndarray, points):
 def _check_definite(g: np.ndarray, points):
     """Raise SingularMetricError at the first point where g, one matrix or a
     stack of them, is not positive definite."""
-    lowest = np.linalg.eigvalsh(g).min(axis=-1).reshape(-1).tolist()
-    for k, value in enumerate(lowest):
+    lowest = np.linalg.eigvalsh(g).min(axis=-1).reshape(-1)
+    if lowest.min(initial=math.inf) > _PD_MIN_EIGENVALUE:  # every point passes
+        return
+    for k, value in enumerate(lowest.tolist()):
         if value <= _PD_MIN_EIGENVALUE:
             raise SingularMetricError(
                 f"metric is not positive definite (min eigenvalue {value:.3e})",

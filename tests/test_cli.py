@@ -36,6 +36,10 @@ def _run(capsys, *argv):
     return code, report, out.err
 
 
+#: --out CSV traces recorded from earlier runs of the same jobs
+RECORDED = Path(__file__).parent / "recorded"
+
+
 def _stable(text: str) -> str:
     return "\n".join(line for line in text.splitlines() if "wall_time_s" not in line)
 
@@ -574,6 +578,7 @@ def test_transport_flat_loop_passes(tmp_path, capsys):
     assert rows[0] == ["t"] + [f"m{a}{b}" for a in range(3) for b in range(3)]
     assert len(rows) == report["steps"] + 2
     assert [float(v) for v in rows[1][1:]] == [1, 0, 0, 0, 1, 0, 0, 0, 1]
+    assert out.read_bytes() == (RECORDED / "transport_half_plane_circle.csv").read_bytes()
 
 
 def test_transport_levi_civita_loop_detects_curvature(tmp_path, capsys):
@@ -713,6 +718,7 @@ def test_develop_writes_trace_and_endpoint(tmp_path, capsys):
     assert rows[0] == ["node", "phi0", "phi1", "phi2"]
     assert len(rows) == report["nodes"] + 1
     assert [float(v) for v in rows[1][1:]] == [0.0, 0.0, 1.0]
+    assert out.read_bytes() == (RECORDED / "develop_half_plane_two_segments.csv").read_bytes()
 
 
 def test_develop_rejects_broken_paths(tmp_path, capsys):

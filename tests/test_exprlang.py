@@ -486,6 +486,53 @@ def test_where_two_guards_fail_both_routes_raise_the_interpreters_error(texts, m
     assert str(scalar.value) == str(stacked.value) == message
 
 
+def _divided_in_turn(a, b) -> list | None:
+    """The scalar guard's quotients, element by element, or None where it
+    refuses some element."""
+    try:
+        return [exprlang._guard_div(x, y) for x, y in zip(a, b)]
+    except ExpressionDomainError:
+        return None
+
+
+def _assert_stacked_division_is_the_guards(a, b, want):
+    if want is None:
+        with pytest.raises(ExpressionDomainError, match="division by zero"):
+            exprlang._stack_div(a, b)
+    else:
+        assert _bits(exprlang._stack_div(a, b)) == _bits(want)
+
+
+@pytest.mark.parametrize("special", [0.0, -0.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("row", [0, 17, 3 * STACK_MIN_POINTS - 1])
+def test_stacked_division_by_a_column_decides_as_the_scalar_guard(special, row):
+    rng = np.random.default_rng(row)
+    stack = rng.uniform(0.5, 1.5, (3 * STACK_MIN_POINTS, 2))
+    stack[row, 1] = special
+    x, y = stack[:, 0].copy(), stack[:, 1].copy()
+    want = _divided_in_turn(x.tolist(), y.tolist())
+    assert (want is None) == (special == 0.0)  # -0.0 is zero, NaN is not
+    _assert_stacked_division_is_the_guards(x, y, want)
+    # through the tape: bit for bit the scalar route's, or its first error
+    # (a NaN quotient is not finite)
+    expressions = [parse("x / y", XY), parse("1 / y", XY)]
+    fn = compile_expressions(expressions, XY)
+    assert _check_stacked_route(fn, expressions, stack) == math.isinf(special)
+
+
+@pytest.mark.parametrize("text", ["x / 2", "x / 0", "x / -0"])
+def test_stacked_division_by_a_constant_decides_as_the_scalar_guard(text):
+    e = parse(text, XY)
+    divisor = e.right.value
+    stack = np.random.default_rng(5).uniform(-2.0, 2.0, (3 * STACK_MIN_POINTS, 2))
+    x = stack[:, 0].copy()
+    want = _divided_in_turn(x.tolist(), [divisor] * len(x))
+    assert (want is None) == (divisor == 0.0)
+    _assert_stacked_division_is_the_guards(x, divisor, want)
+    fn = compile_expressions([e], XY)
+    assert _check_stacked_route(fn, [e], stack) == (want is not None)
+
+
 # ---------------------------------------------------------------------------
 # one function, called many times
 # ---------------------------------------------------------------------------

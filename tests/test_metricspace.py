@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cartanflat import metricspace
 from cartanflat.errors import (
     ChartDomainError,
     DimensionError,
@@ -27,6 +28,7 @@ from cartanflat.metricspace import (
     Chart,
     ChartMetric,
     ExprArray,
+    _check_definite,
     _check_nonsingular,
     constant_curvature_tensor,
     grid_scan,
@@ -328,6 +330,128 @@ def test_singularity_decisions_where_everything_is_finite_are_unchanged(n):
             assert err.value.point == (float(expected.index(True)),)
         else:
             _check_nonsingular(g, points)
+
+
+def _nonsingular_in_turn(g):
+    """The per-point rule of _check_nonsingular over Python floats: None, or
+    the message and index of the first matrix it refuses."""
+    n = g.shape[-1]
+    with np.errstate(all="ignore"):
+        dets = np.linalg.det(g).tolist()
+    for k, (scale, det) in enumerate(zip(np.abs(g).max(axis=(1, 2)).tolist(), dets)):
+        try:
+            volume = max(scale, 1e-300) ** n
+        except OverflowError:
+            volume = math.inf
+        if not 1e-12 * volume <= abs(det) < math.inf:
+            finite = math.isfinite(det) and volume < math.inf
+            return ("metric is singular to tolerance" if finite else
+                    "metric determinant is beyond the float range"), k
+    return None
+
+
+def _definite_in_turn(g):
+    """The per-point rule of _check_definite: None, or the message and index
+    of the first matrix it refuses."""
+    for k, value in enumerate(np.linalg.eigvalsh(g).min(axis=-1).tolist()):
+        if value <= 1e-10:
+            return f"metric is not positive definite (min eigenvalue {value:.3e})", k
+    return None
+
+
+def _guard_stacks(n: int, count: int):
+    """Seeded stacks of 1 to 6 symmetric n x n matrices: random ones over 320
+    orders of magnitude, rank-one ones plus a perturbation near the
+    singularity threshold (det about 1e-12 scale^n), positive definite ones
+    near the eigenvalue threshold, and any of them with NaN, +-inf or +-0
+    entries poisoned in."""
+    rng = np.random.default_rng(1000 + n)
+    specials = (math.nan, math.inf, -math.inf, 0.0, -0.0)
+    for _ in range(count):
+        kind, m = rng.integers(3), rng.integers(1, 7)
+        scale = 10.0 ** rng.uniform(-160, 160, (m, 1, 1))
+        if kind == 0:
+            a = rng.normal(size=(m, n, n))
+            g = (a + a.transpose(0, 2, 1)) * scale
+        elif kind == 1:
+            v = rng.normal(size=(m, n, 1))
+            ones = v @ v.transpose(0, 2, 1)
+            ratio = 10.0 ** (rng.uniform(-13, -11, (m, 1, 1)) / max(n - 1, 1))
+            g = (ones + ratio * np.abs(ones).max(axis=(1, 2), keepdims=True) * np.eye(n)) * scale
+        else:  # rank n - 1 plus a small multiple of the identity
+            a = rng.normal(size=(m, n, n - 1))
+            g = a @ a.transpose(0, 2, 1) + 10.0 ** rng.uniform(-11, -9, (m, 1, 1)) * np.eye(n)
+        for _ in range(rng.integers(3)):
+            k, i, j = rng.integers(m), rng.integers(n), rng.integers(n)
+            g[k, i, j] = g[k, j, i] = specials[rng.integers(len(specials))]
+        yield g
+
+
+def _outcome(check, g, points):
+    try:
+        check(g, points)
+    except (SingularMetricError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc), getattr(exc, "point", None)
+    return None
+
+
+def _loop_runs(monkeypatch) -> list:
+    """Records each run of the checks' per-point loops, the only callers of
+    enumerate in metricspace's guards, from now on."""
+    runs = []
+
+    def spy(items):
+        runs.append(True)
+        return enumerate(items)
+
+    monkeypatch.setattr(metricspace, "enumerate", spy, raising=False)
+    return runs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_guards_decide_each_stack_as_their_per_point_loops(monkeypatch, n):
+    loops = _loop_runs(monkeypatch)
+    refused = {"nonsingular": 0, "definite": 0, "beyond": 0}
+    stacks = list(_guard_stacks(n, 700))
+    # the 1e300 metric, diag(1e300 x, ...): for n >= 2 its determinant
+    # leaves the float range
+    huge = np.array([np.diag(np.full(n, 1e300 * (k + 1.0))) for k in range(6)])
+    assert (_nonsingular_in_turn(huge) is None) == (n == 1)
+    stacks.append(huge)
+    if n > 1:  # a determinant that overflows where max|g|^n does not
+        signs = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])[:n, :n]
+        scale = {2: 1.3e154, 3: 5e102}[n]
+        overflowing = np.array([np.eye(n), scale * signs])
+        assert math.isfinite(scale**n) and _nonsingular_in_turn(overflowing)[1] == 1
+        stacks.append(overflowing)
+    for g in stacks:
+        points = np.arange(len(g), dtype=float)[:, None]
+        for name, check, in_turn in (
+            ("nonsingular", _check_nonsingular, _nonsingular_in_turn),
+            ("definite", _check_definite, _definite_in_turn),
+        ):
+            loops.clear()
+            try:
+                want = in_turn(g)
+            except np.linalg.LinAlgError as exc:
+                assert _outcome(check, g, points) == (type(exc), str(exc), None)
+                continue
+            got = _outcome(check, g, points)
+            # the whole-stack check passes the stacks the loop passes, and
+            # the loop keeps the message and the point; the one exception:
+            # the loop passes a NaN eigenvalue, which the whole-stack check
+            # leaves to it
+            nan_eigenvalue = name == "definite" and np.isnan(np.linalg.eigvalsh(g)).any()
+            assert bool(loops) == (want is not None or nan_eigenvalue)
+            if want is None:
+                assert got is None
+            else:
+                message, k = want
+                assert got == (SingularMetricError, f"{message} at point ({float(k)},)", (float(k),))
+                refused[name] += 1
+                refused["beyond"] += "beyond" in message
+    assert all(count > 30 for count in refused.values()), refused
+    assert refused["nonsingular"] < len(stacks) - 40 and refused["definite"] < len(stacks) - 40
 
 
 def test_grid_is_row_major_and_respects_margin():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cartanflat import transport
+from cartanflat import exprlang, transport
 from cartanflat.bundle import bundle_pairing
 from cartanflat.cartan import orthonormal_frame
 from cartanflat.errors import (
@@ -523,7 +523,7 @@ def test_develop_cloud_raises_the_in_turn_error_from_a_later_stacked_block():
     base = (-0.5, -0.5)
     targets = [(-0.9, 0.2), (0.7, 0.7), (0.2, -0.9), (0.9, 0.9)]
     steps = 128
-    block = _cloud_block(len(targets))
+    block = _block(len(targets))
     x, y = _cloud_and_in_turn_errors(base, targets, steps).point
     assert x == y  # on the second segment, the diagonal
     step = math.floor((x - base[0]) / (0.7 - base[0]) * steps - 1e-9)
@@ -534,13 +534,23 @@ def test_develop_cloud_raises_the_in_turn_error_from_a_later_stacked_block():
 # the block schedule: shared slope times, block edges, errors inside a block
 # ---------------------------------------------------------------------------
 
-# steps per block of a single curve
-_BLOCK = (STACK_MIN_POINTS - 1) // 2
+def _block(count, chunk=GRID_CHUNK):
+    """Steps per block of a stack of count curves."""
+    return max(1, chunk // (2 * count))
 
 
-def _cloud_block(count):
-    """Steps per block of a stack of count >= 2 curves."""
-    return max(1, GRID_CHUNK // (2 * count))
+#: GRID_CHUNK under the small_blocks fixture, where a single curve's block
+#: edges and its second block lie a few dozen steps in
+_SMALL_CHUNK = 30
+_BLOCK = _block(1, _SMALL_CHUNK)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of _BLOCK steps for a single curve, whose 2 _BLOCK + 1 slope
+    points run on the stacked tape, as a default block's 513 do."""
+    monkeypatch.setattr(transport, "GRID_CHUNK", _SMALL_CHUNK)
+    monkeypatch.setattr(exprlang, "STACK_MIN_POINTS", _BLOCK)
 
 
 def _has_unshared_end(curve):
@@ -580,7 +590,7 @@ def test_schedule_matches_the_reference_on_non_dyadic_steps(name, steps_per_unit
 @pytest.mark.parametrize(
     "steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 3 * _BLOCK + 2]
 )
-def test_schedule_matches_the_reference_at_block_edges(steps):
+def test_schedule_matches_the_reference_at_block_edges(small_blocks, steps):
     m = preset_metric("sphere3")
     corners = _PATHS["sphere3"][0]
     _assert_matches_the_reference(m, line_curve(m.chart, corners[0], corners[1], steps))
@@ -617,7 +627,7 @@ def _unshared_block_edges(steps, block):
 _CLOUD_EDGE_CASES = [
     (count, steps)
     for count in (2, 16, 17)
-    for block in [_cloud_block(count)]
+    for block in [_block(count)]
     for steps in (block - 1, block, block + 1, 2 * block + 3)
 ]
 
@@ -631,7 +641,7 @@ def test_the_stacked_block_edge_cases_cross_an_unshared_edge():
     # a non-dyadic step count whose end time t_k + h at a block's last step
     # is not the next block's first node, so that block evaluates its node
     assert any(
-        _unshared_block_edges(steps, _cloud_block(count)) for count, steps in _CLOUD_EDGE_CASES
+        _unshared_block_edges(steps, _block(count)) for count, steps in _CLOUD_EDGE_CASES
     )
 
 
@@ -671,7 +681,7 @@ def _assert_same_error(errors, kind):
         assert getattr(error, "point", None) == getattr(reference, "point", None), label
 
 
-def test_a_dip_inside_a_block_raises_the_reference_error():
+def test_a_dip_inside_a_block_raises_the_reference_error(small_blocks):
     m = _dipping_metric()
     curve = _diagonal(m.chart, 1.0, 64)
     errors = _errors_of(m, curve)
@@ -684,7 +694,7 @@ def test_a_dip_inside_a_block_raises_the_reference_error():
     assert step == 26 and 0 < step % _BLOCK < _BLOCK - 1
 
 
-def test_a_dip_before_the_chart_exit_in_one_block_raises_the_dip():
+def test_a_dip_before_the_chart_exit_in_one_block_raises_the_dip(small_blocks):
     # the dip (midpoint of step 3, t = 0.4375) and the exit (midpoint of
     # step 9, t = 1.1875) lie in the first block, whose stacked evaluation
     # checks the chart box at all its points first and so meets the exit
@@ -698,7 +708,7 @@ def test_a_dip_before_the_chart_exit_in_one_block_raises_the_dip():
     assert errors["develop"].point == (0.5625, 0.5625)
 
 
-def test_leaving_the_chart_inside_a_block_raises_the_reference_error():
+def test_leaving_the_chart_inside_a_block_raises_the_reference_error(small_blocks):
     # x = 0.5 t leaves the box at t = 2, inside the second block of steps
     m = _dipping_metric()
     line = line_curve(m.chart, (0.0, -0.5), (0.5, -0.5))
@@ -709,8 +719,8 @@ def test_leaving_the_chart_inside_a_block_raises_the_reference_error():
 
 
 # ---------------------------------------------------------------------------
-# the block sizes: one stacked evaluation per block of a cloud, and blocks
-# of a single curve below the stacked-evaluation cutoff
+# the block sizes: one stacked evaluation per block of about GRID_CHUNK
+# slope points, for a cloud and for a single curve
 # ---------------------------------------------------------------------------
 
 
@@ -737,10 +747,9 @@ def test_a_cloud_of_16_targets_evaluates_its_slopes_16_steps_at_a_time(monkeypat
     assert min(sizes) >= STACK_MIN_POINTS
 
 
-def test_a_single_curve_evaluates_its_slopes_below_the_stacked_cutoff(monkeypatch):
+def test_a_single_curve_of_256_steps_evaluates_its_slopes_in_one_block(monkeypatch):
     m = preset_metric("hyperbolic3")
     variant, base = _CLOUDS["hyperbolic3"]
     sizes = _slope_stacks(monkeypatch)
     develop(variant, m, line_curve(m.chart, base, (-0.5, 0.3, 2.0), 256))
-    assert len(sizes) == math.ceil(256 / _BLOCK)
-    assert max(sizes) <= STACK_MIN_POINTS - 1
+    assert sizes == [2 * 256 + 1]
