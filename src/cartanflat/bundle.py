@@ -89,6 +89,16 @@ class BundleSection(ExprArray):
                     raise ValueError(f"section uses undeclared variables: {sorted(stray)}")
 
 
+def _derived_section(chart: Chart, vector: tuple, scalar: Expression) -> BundleSection:
+    """A section built here from a checked section, the metric's entries and
+    Christoffel symbols and the chart's names: it uses no other variable, so
+    it skips the walk over its components that the public constructor runs."""
+    section = BundleSection.__new__(BundleSection)
+    ExprArray.__init__(section, chart, (*vector, scalar))
+    section.vector, section.scalar = vector, scalar
+    return section
+
+
 def _normalized_axis(chart: Chart, axis: int) -> Expression:
     lo, hi = chart.box[axis]
     mid = 0.5 * (lo + hi)
@@ -139,7 +149,7 @@ def covariant_derivative(
     new_scalar = differentiate(section.scalar, name)
     for c in range(n):
         new_scalar = add(new_scalar, mul(Const(sign), mul(g[direction][c], section.vector[c])))
-    return BundleSection(metric.chart, tuple(new_vector), new_scalar)
+    return _derived_section(metric.chart, tuple(new_vector), new_scalar)
 
 
 _MIN_RELATIVE_STEP = 1e-8

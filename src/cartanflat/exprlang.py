@@ -5,15 +5,17 @@ exponent of ``^`` must be constant), unary minus, and the functions
 sin, cos, tan, sinh, cosh, tanh, exp, log, sqrt, atan.
 
 AST nodes are immutable and interned (hash-consed): every constructor looks
-its node up in one weak table first, so two nodes equal in structure are one
-object, wherever and however often they were built, and ``==`` and ``hash``
-are identity.  Constants key on their value and its sign bit, so ``Const(0.0)``
-and ``Const(-0.0)`` stay two nodes, as their bits differ; variables on their
-name; operators on their op and the identities of their children.  Each node
-caches its derivatives by variable, so a derivative is taken once while the
-node lives, and the compiler, which evaluates each distinct node once,
-evaluates each distinct subexpression once.  The table holds nodes weakly: a
-node goes when nothing else uses it.
+its node up in one table first, a dict of weak entries keyed by structure, so
+two nodes equal in structure are one object, wherever and however often they
+were built, and ``==`` and ``hash`` are identity.  Constants key on their
+value and its sign bit, so ``Const(0.0)`` and ``Const(-0.0)`` stay two nodes,
+as their bits differ; variables on their name; operators on their op and the
+identities of their children.  Each node caches its derivatives by variable,
+so a derivative is taken once while the node lives, and the compiler, which
+evaluates each distinct node once, evaluates each distinct subexpression
+once.  The table holds nodes weakly: a node goes when nothing else uses it,
+and a callback on its entry drops its key, unless an equal node has been
+entered under that key since.
 
 The printer/parser pair is a round trip: ``parse(to_text(e), vars) is e``
 for any AST built by the parser or the smart constructors (a negative zero
@@ -179,11 +181,23 @@ _OPS: dict[str, Callable] = {
 
 #: Every live node, under its key: ``(class, value, sign of value)`` for a
 #: constant, ``(class, name)`` for a variable, ``(class, op, *child ids)``
-#: otherwise.  Nodes are held weakly, so one lives as long as something
-#: else uses it.  A live node keeps its children, and so their ids, alive;
-#: keys hold ids rather than the children, so a derivative cached on the
-#: node it contains (d exp(u) = exp(u) du) is a cycle gc can free.
-_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+#: otherwise, as a weak reference that carries its key, so a node lives as
+#: long as something else uses it.  When a node dies, one shared callback
+#: drops its key, but only while the key still maps to that dead entry: a
+#: node freed late by gc may have a successor under its key by then.  A live
+#: node keeps its children, and so their ids, alive; keys hold ids rather
+#: than the children, so a derivative cached on the node it contains
+#: (d exp(u) = exp(u) du) is a cycle gc can free.
+_INTERNED: dict = {}
+
+
+class _Entry(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _evict(entry: _Entry) -> None:
+    if _INTERNED.get(entry.key) is entry:
+        del _INTERNED[entry.key]
 
 
 class Expression:
@@ -207,48 +221,55 @@ class Expression:
         return f"{type(self).__name__}({fields})"
 
     def __add__(self, other):
-        return add(self, _coerce(other))
+        return add(self, other)
 
     def __radd__(self, other):
-        return add(_coerce(other), self)
+        return add(other, self)
 
     def __sub__(self, other):
-        return sub(self, _coerce(other))
+        return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(_coerce(other), self)
+        return sub(other, self)
 
     def __mul__(self, other):
-        return mul(self, _coerce(other))
+        return mul(self, other)
 
     def __rmul__(self, other):
-        return mul(_coerce(other), self)
+        return mul(other, self)
 
     def __truediv__(self, other):
-        return div(self, _coerce(other))
+        return div(self, other)
 
     def __rtruediv__(self, other):
-        return div(_coerce(other), self)
+        return div(other, self)
 
     def __pow__(self, other):
-        return power(self, _coerce(other))
+        return power(self, other)
 
     def __neg__(self):
         return neg(self)
 
 
 _set = object.__setattr__
+_alloc = object.__new__
+
+
+def _enter(key, node: Expression) -> Expression:
+    entry = _Entry(node, _evict)
+    entry.key = key
+    _INTERNED[key] = entry
+    return node
 
 
 def _new_node(cls, key, depth: int, *fields) -> Expression:
     """A node of ``cls`` with ``fields`` in its slots, entered under ``key``."""
-    node = object.__new__(cls)
+    node = _alloc(cls)
     _set(node, "depth", depth)
     _set(node, "_derivatives", None)
     for name, value in zip(cls.__slots__, fields):
         _set(node, name, value)
-    _INTERNED[key] = node
-    return node
+    return _enter(key, node)
 
 
 class Const(Expression):
@@ -259,7 +280,8 @@ class Const(Expression):
         # 0.0 == -0.0, so the sign is part of the key: constants are equal
         # only when their bits are
         key = (cls, value, math.copysign(1.0, value))
-        node = _INTERNED.get(key)
+        entry = _INTERNED.get(key)
+        node = None if entry is None else entry()
         if node is None:
             if not math.isfinite(value):
                 raise ValueError("constants must be finite")
@@ -272,7 +294,8 @@ class Var(Expression):
 
     def __new__(cls, name):
         key = (cls, name)
-        node = _INTERNED.get(key)
+        entry = _INTERNED.get(key)
+        node = None if entry is None else entry()
         if node is None:
             node = _new_node(cls, key, 1, name)
         return node
@@ -283,7 +306,8 @@ class Unary(Expression):
 
     def __new__(cls, op, operand):
         key = (cls, op, id(operand))
-        node = _INTERNED.get(key)
+        entry = _INTERNED.get(key)
+        node = None if entry is None else entry()
         if node is None:
             if op != "neg" and op not in _FUNCTION_IMPL:
                 raise ValueError(f"unknown unary op {op!r}")
@@ -296,12 +320,18 @@ class Binary(Expression):
 
     def __new__(cls, op, left, right):
         key = (cls, op, id(left), id(right))
-        node = _INTERNED.get(key)
+        entry = _INTERNED.get(key)
+        node = None if entry is None else entry()
         if node is None:
             if op not in _BINARY_OPS:
                 raise ValueError(f"unknown binary op {op!r}")
-            depth = max(left.depth, right.depth) + 1
-            node = _new_node(cls, key, depth, op, left, right)
+            node = _alloc(cls)  # most nodes are binary: no loop over slots
+            _set(node, "depth", max(left.depth, right.depth) + 1)
+            _set(node, "_derivatives", None)
+            _set(node, "op", op)
+            _set(node, "left", left)
+            _set(node, "right", right)
+            _enter(key, node)
         return node
 
 
@@ -313,8 +343,12 @@ def _coerce(x) -> Expression:
     raise TypeError(f"cannot use {type(x).__name__} as an expression")
 
 
+_NODES = (Const, Var, Unary, Binary)
+
+
 # ---------------------------------------------------------------------------
-# smart constructors: constant folding and 0/1 identities only
+# smart constructors: constant folding and 0/1 identities only (-0.0 is a
+# zero); most operands are nodes that are not constants, so types come first
 # ---------------------------------------------------------------------------
 
 
@@ -328,98 +362,122 @@ def _fold_binary(op: str, a: Const, b: Const) -> Const | None:
     return Const(value)
 
 
-def _is_const(e: Expression, value: float) -> bool:
-    return isinstance(e, Const) and e.value == value
-
-
 def add(a, b) -> Expression:
-    a, b = _coerce(a), _coerce(b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        folded = _fold_binary("+", a, b)
-        if folded is not None:
-            return folded
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
-        return a
+    if type(a) not in _NODES:
+        a = _coerce(a)
+    if type(b) not in _NODES:
+        b = _coerce(b)
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca or cb:
+        if ca and cb:
+            folded = _fold_binary("+", a, b)
+            if folded is not None:
+                return folded
+        if ca and a.value == 0.0:
+            return b
+        if cb and b.value == 0.0:
+            return a
     return Binary("+", a, b)
 
 
 def sub(a, b) -> Expression:
-    a, b = _coerce(a), _coerce(b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        folded = _fold_binary("-", a, b)
-        if folded is not None:
-            return folded
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
-        return neg(b)
+    if type(a) not in _NODES:
+        a = _coerce(a)
+    if type(b) not in _NODES:
+        b = _coerce(b)
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca or cb:
+        if ca and cb:
+            folded = _fold_binary("-", a, b)
+            if folded is not None:
+                return folded
+        if cb and b.value == 0.0:
+            return a
+        if ca and a.value == 0.0:
+            return neg(b)
     return Binary("-", a, b)
 
 
 def mul(a, b) -> Expression:
-    a, b = _coerce(a), _coerce(b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        folded = _fold_binary("*", a, b)
-        if folded is not None:
-            return folded
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return Const(0.0)
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(a, -1.0):
-        return neg(b)
-    if _is_const(b, -1.0):
-        return neg(a)
+    if type(a) not in _NODES:
+        a = _coerce(a)
+    if type(b) not in _NODES:
+        b = _coerce(b)
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca or cb:
+        if ca and cb:
+            folded = _fold_binary("*", a, b)
+            if folded is not None:
+                return folded
+        x = a.value if ca else None
+        y = b.value if cb else None
+        if x == 0.0 or y == 0.0:
+            return Const(0.0)
+        if x == 1.0:
+            return b
+        if y == 1.0:
+            return a
+        if x == -1.0:
+            return neg(b)
+        if y == -1.0:
+            return neg(a)
     return Binary("*", a, b)
 
 
 def div(a, b) -> Expression:
-    a, b = _coerce(a), _coerce(b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        folded = _fold_binary("/", a, b)
-        if folded is not None:
-            return folded
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(a, 0.0) and not _is_const(b, 0.0):
-        return Const(0.0)
-    if _is_const(b, -1.0):
-        return neg(a)
+    if type(a) not in _NODES:
+        a = _coerce(a)
+    if type(b) not in _NODES:
+        b = _coerce(b)
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca or cb:
+        if ca and cb:
+            folded = _fold_binary("/", a, b)
+            if folded is not None:
+                return folded
+        y = b.value if cb else None
+        if y == 1.0:
+            return a
+        if ca and a.value == 0.0 and y != 0.0:
+            return Const(0.0)
+        if y == -1.0:
+            return neg(a)
     return Binary("/", a, b)
 
 
 def neg(a) -> Expression:
-    a = _coerce(a)
-    if isinstance(a, Const):
+    if type(a) not in _NODES:
+        a = _coerce(a)
+    if type(a) is Const:
         return Const(-a.value)
-    if isinstance(a, Unary) and a.op == "neg":
+    if type(a) is Unary and a.op == "neg":
         return a.operand
     return Unary("neg", a)
 
 
 def power(a, exponent) -> Expression:
-    a = _coerce(a)
-    exponent = _coerce(exponent)
-    if isinstance(a, Const) and isinstance(exponent, Const):
-        folded = _fold_binary("^", a, exponent)
-        if folded is not None:
-            return folded
-    if _is_const(exponent, 1.0):
-        return a
-    if _is_const(exponent, 0.0):
-        return Const(1.0)
+    if type(a) not in _NODES:
+        a = _coerce(a)
+    if type(exponent) not in _NODES:
+        exponent = _coerce(exponent)
+    if type(exponent) is Const:
+        if type(a) is Const:
+            folded = _fold_binary("^", a, exponent)
+            if folded is not None:
+                return folded
+        if exponent.value == 1.0:
+            return a
+        if exponent.value == 0.0:
+            return Const(1.0)
     return Binary("^", a, exponent)
 
 
 def call(name: str, arg) -> Expression:
-    arg = _coerce(arg)
+    if type(arg) not in _NODES:
+        arg = _coerce(arg)
     if name not in _FUNCTION_IMPL:
         raise ValueError(f"unknown function {name!r}")
-    if isinstance(arg, Const):
+    if type(arg) is Const:
         try:
             value = _FUNCTION_IMPL[name](arg.value)
         except ExpressionDomainError:

@@ -1,6 +1,7 @@
 """Parser, printer, evaluator, exact-derivative and interning tests."""
 
 import ast
+import functools
 import gc
 import math
 import weakref
@@ -18,22 +19,28 @@ from cartanflat.exprlang import (
     STACK_MIN_POINTS,
     Binary,
     Const,
+    Expression,
     Unary,
     Var,
     add,
+    call,
     compile_expressions,
     differentiate,
+    div,
     evaluate,
     mul,
     neg,
     parse,
+    power,
     simplify,
+    sub,
     substitute,
     to_text,
     variables_of,
 )
-from cartanflat.presets import random_metric
-from cartanflat.sasaki import flatness_scan
+from cartanflat.cartan import orthonormal_frame
+from cartanflat.presets import PRESET_NAMES, preset_metric, random_metric
+from cartanflat.sasaki import connection_matrix, flatness_scan
 from genexpr import central_difference, check_derivative_against_fd, random_expression
 
 XY = ("x", "y")
@@ -590,6 +597,299 @@ def test_nodes_are_released_with_the_metrics_that_use_them():
     gc.collect()
     assert probe() is None
     assert len(exprlang._INTERNED) - before < 50
+
+
+# ---------------------------------------------------------------------------
+# node construction: the smart constructors' decision table, the intern
+# table's lifecycle and the structure of derivatives, against references
+# ---------------------------------------------------------------------------
+
+# The smart constructors as they were before they tested their operands'
+# types once, kept verbatim apart from a ``ref_`` prefix on every name they
+# define and call: each decision of the constructors must be theirs.
+
+
+def ref_coerce(x) -> Expression:
+    if isinstance(x, Expression):
+        return x
+    if isinstance(x, (int, float)):
+        return Const(float(x))
+    raise TypeError(f"cannot use {type(x).__name__} as an expression")
+
+
+def ref_fold_binary(op: str, a: Const, b: Const) -> Const | None:
+    try:
+        value = exprlang._OPS[op](a.value, b.value)
+    except ExpressionDomainError:
+        return None
+    if not math.isfinite(value):
+        return None
+    return Const(value)
+
+
+def ref_is_const(e: Expression, value: float) -> bool:
+    return isinstance(e, Const) and e.value == value
+
+
+def ref_add(a, b) -> Expression:
+    a, b = ref_coerce(a), ref_coerce(b)
+    if isinstance(a, Const) and isinstance(b, Const):
+        folded = ref_fold_binary("+", a, b)
+        if folded is not None:
+            return folded
+    if ref_is_const(a, 0.0):
+        return b
+    if ref_is_const(b, 0.0):
+        return a
+    return Binary("+", a, b)
+
+
+def ref_sub(a, b) -> Expression:
+    a, b = ref_coerce(a), ref_coerce(b)
+    if isinstance(a, Const) and isinstance(b, Const):
+        folded = ref_fold_binary("-", a, b)
+        if folded is not None:
+            return folded
+    if ref_is_const(b, 0.0):
+        return a
+    if ref_is_const(a, 0.0):
+        return ref_neg(b)
+    return Binary("-", a, b)
+
+
+def ref_mul(a, b) -> Expression:
+    a, b = ref_coerce(a), ref_coerce(b)
+    if isinstance(a, Const) and isinstance(b, Const):
+        folded = ref_fold_binary("*", a, b)
+        if folded is not None:
+            return folded
+    if ref_is_const(a, 0.0) or ref_is_const(b, 0.0):
+        return Const(0.0)
+    if ref_is_const(a, 1.0):
+        return b
+    if ref_is_const(b, 1.0):
+        return a
+    if ref_is_const(a, -1.0):
+        return ref_neg(b)
+    if ref_is_const(b, -1.0):
+        return ref_neg(a)
+    return Binary("*", a, b)
+
+
+def ref_div(a, b) -> Expression:
+    a, b = ref_coerce(a), ref_coerce(b)
+    if isinstance(a, Const) and isinstance(b, Const):
+        folded = ref_fold_binary("/", a, b)
+        if folded is not None:
+            return folded
+    if ref_is_const(b, 1.0):
+        return a
+    if ref_is_const(a, 0.0) and not ref_is_const(b, 0.0):
+        return Const(0.0)
+    if ref_is_const(b, -1.0):
+        return ref_neg(a)
+    return Binary("/", a, b)
+
+
+def ref_neg(a) -> Expression:
+    a = ref_coerce(a)
+    if isinstance(a, Const):
+        return Const(-a.value)
+    if isinstance(a, Unary) and a.op == "neg":
+        return a.operand
+    return Unary("neg", a)
+
+
+def ref_power(a, exponent) -> Expression:
+    a = ref_coerce(a)
+    exponent = ref_coerce(exponent)
+    if isinstance(a, Const) and isinstance(exponent, Const):
+        folded = ref_fold_binary("^", a, exponent)
+        if folded is not None:
+            return folded
+    if ref_is_const(exponent, 1.0):
+        return a
+    if ref_is_const(exponent, 0.0):
+        return Const(1.0)
+    return Binary("^", a, exponent)
+
+
+def ref_call(name: str, arg) -> Expression:
+    arg = ref_coerce(arg)
+    if name not in exprlang._FUNCTION_IMPL:
+        raise ValueError(f"unknown function {name!r}")
+    if isinstance(arg, Const):
+        try:
+            value = exprlang._FUNCTION_IMPL[name](arg.value)
+        except ExpressionDomainError:
+            value = None
+        if value is not None and math.isfinite(value):
+            return Const(value)
+    return Unary(name, arg)
+
+
+_CONSTRUCTORS = {
+    "add": (add, ref_add),
+    "sub": (sub, ref_sub),
+    "mul": (mul, ref_mul),
+    "div": (div, ref_div),
+    "power": (power, ref_power),
+}
+
+#: Signed zeros and units as constants, Python numbers, bools and numpy
+#: floats; a constant that is none of those; the three kinds of node that
+#: are not constants; and operands whose folds overflow (1e308 * 10) or
+#: raise (1 / 0, (-1) ^ 0.5, 0 ^ -2).
+_OPERANDS = (
+    Const(0.0), Const(-0.0), Const(1.0), Const(-1.0), Const(2.5), Const(1e308),
+    Var("x"), Unary("sin", Var("x")), Binary("*", Var("x"), Var("y")),
+    0, 1, -1, 10, -2, 0.0, -0.0, 1.0, -1.0, 0.5, 2.5, 1e308, True, False,
+    np.float64(0.0), np.float64(-0.0), np.float64(1.0), np.float64(-1.0), np.float64(2.5),
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the reference's failure is an outcome to match
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", sorted(_CONSTRUCTORS))
+def test_binary_constructors_decide_as_the_reference_on_every_operand_pair(name):
+    new, ref = _CONSTRUCTORS[name]
+    for a in _OPERANDS:
+        for b in _OPERANDS:
+            assert _outcome(new, a, b) is _outcome(ref, a, b), (name, a, b)
+
+
+def test_unary_constructors_decide_as_the_reference_on_every_operand():
+    for a in _OPERANDS:
+        assert _outcome(neg, a) is _outcome(ref_neg, a), a
+        for fn in ("exp", "log", "sqrt", "sinh", "atan"):
+            assert _outcome(call, fn, a) is _outcome(ref_call, fn, a), (fn, a)
+    assert Const(-0.0) is not Const(0.0)
+    assert neg(Const(0.0)) is Const(-0.0) and mul(Const(-0.0), Var("x")) is Const(0.0)
+
+
+def test_constructors_refuse_what_is_not_a_number():
+    for new, ref in _CONSTRUCTORS.values():
+        for a, b in (("x", Var("x")), (Var("x"), "x"), ("1", 1.0), (np.int64(2), Var("x"))):
+            with pytest.raises(TypeError):
+                new(a, b)
+            assert _outcome(ref, a, b) is TypeError
+    for fn in (neg, functools.partial(call, "exp")):
+        with pytest.raises(TypeError):
+            fn("x")
+    with pytest.raises(TypeError):
+        Var("x") + "y"
+    with pytest.raises(TypeError):
+        "y" * Var("x")
+
+
+def test_a_dead_entry_never_evicts_its_live_successor():
+    u = Var("lifecycle_u")
+    cycle = call("exp", u)
+    assert differentiate(cycle, "lifecycle_u") is cycle  # d exp(u) = exp(u) du: a cycle
+    seen = {}
+
+    def rebuild(_):
+        # runs inside gc, after the dead node's entry is cleared and before
+        # that entry's own callback: the successor goes in under its key
+        seen["dead entries"] = sum(entry() is None for entry in exprlang._INTERNED.values())
+        seen["successor"] = call("exp", u)
+
+    probe = weakref.ref(cycle, rebuild)  # a later callback runs first
+    del cycle
+    gc.collect()
+    assert probe() is None and seen["dead entries"] >= 1
+    successor = seen.pop("successor")
+    assert call("exp", u) is successor
+    assert Unary("exp", u) is successor
+
+
+def test_the_intern_table_returns_to_its_size_once_nodes_are_collected():
+    gc.collect()
+    before = len(exprlang._INTERNED)
+    s, t = Var("lifecycle_s"), Var("lifecycle_t")
+    built = [call("exp", mul(s, t)), div(call("log", add(s, 2.0)), power(t, 3.0)), Const(0.125)]
+    for e in built:
+        differentiate(e, "lifecycle_s")  # cycles: exp's derivative holds exp
+    assert len(exprlang._INTERNED) > before
+    del s, t, built, e
+    gc.collect()
+    assert len(exprlang._INTERNED) == before
+    assert Const(0.0) is not Const(-0.0)
+
+
+def ref_differentiate(e: Expression, v: str, memo: dict) -> Expression:
+    """The recursive differentiator on the reference constructors."""
+    if id(e) in memo:
+        return memo[id(e)]
+    kind = type(e)
+    if kind is Const:
+        result = Const(0.0)
+    elif kind is Var:
+        result = Const(1.0) if e.name == v else Const(0.0)
+    elif kind is Unary:
+        u, du = e.operand, ref_differentiate(e.operand, v, memo)
+        result = {
+            "neg": lambda: ref_neg(du),
+            "sin": lambda: ref_mul(ref_call("cos", u), du),
+            "cos": lambda: ref_neg(ref_mul(ref_call("sin", u), du)),
+            "tan": lambda: ref_div(du, ref_power(ref_call("cos", u), 2.0)),
+            "sinh": lambda: ref_mul(ref_call("cosh", u), du),
+            "cosh": lambda: ref_mul(ref_call("sinh", u), du),
+            "tanh": lambda: ref_div(du, ref_power(ref_call("cosh", u), 2.0)),
+            "exp": lambda: ref_mul(ref_call("exp", u), du),
+            "log": lambda: ref_div(du, u),
+            "sqrt": lambda: ref_div(du, ref_mul(2.0, ref_call("sqrt", u))),
+            "atan": lambda: ref_div(du, ref_add(1.0, ref_power(u, 2.0))),
+        }[e.op]()
+    else:
+        a, b = e.left, e.right
+        da = ref_differentiate(a, v, memo)
+        if e.op == "^":
+            c = evaluate(b, {})
+            result = ref_mul(ref_mul(Const(c), ref_power(a, c - 1.0)), da)
+        else:
+            db = ref_differentiate(b, v, memo)
+            result = {
+                "+": lambda: ref_add(da, db),
+                "-": lambda: ref_sub(da, db),
+                "*": lambda: ref_add(ref_mul(da, b), ref_mul(a, db)),
+                "/": lambda: ref_div(
+                    ref_sub(ref_mul(da, b), ref_mul(a, db)), ref_power(b, 2.0)
+                ),
+            }[e.op]()
+    memo[id(e)] = result
+    return result
+
+
+def _assert_derivatives_match_the_reference(expressions, names):
+    for name in names:
+        memo: dict = {}
+        for e in expressions:
+            assert differentiate(e, name) is ref_differentiate(e, name, memo), (to_text(e), name)
+
+
+def test_derivatives_of_random_expressions_are_the_references_nodes():
+    rng = np.random.default_rng(20)
+    expressions = [random_expression(rng, XY, depth=4) for _ in range(300)]
+    _assert_derivatives_match_the_reference(expressions, XY)
+
+
+@pytest.mark.parametrize("source", [*PRESET_NAMES, "random2", "random3"])
+def test_derivatives_of_connection_forms_are_the_references_nodes(source):
+    if source.startswith("random"):
+        metric = random_metric(int(source[-1]), 3)
+    else:
+        metric = preset_metric(source)
+    frame = orthonormal_frame(metric)
+    for variant in ("h", "s"):
+        form = connection_matrix(frame, variant)
+        entries = [entry for k in form.comps for row in k for entry in row]
+        _assert_derivatives_match_the_reference(entries, metric.chart.names)
 
 
 # ---------------------------------------------------------------------------
