@@ -514,9 +514,12 @@ class ChartMetric:
         return self._g.at(point)
 
     def definite_metric_at(self, point) -> np.ndarray:
-        """metric_at, checked positive definite at the point (at every point
-        of a stack); raises SingularMetricError at the first where it is not."""
+        """metric_at, checked nonsingular and then positive definite at the
+        point (at every point of a stack), the guards of
+        metric_and_christoffel in its order; raises SingularMetricError at
+        the first point where one fails."""
         g = self.metric_at(point)
+        _check_nonsingular(g, point)
         _check_definite(g, point)
         return g
 
@@ -557,8 +560,7 @@ class ChartMetric:
         kernel at its strides (row-times-column ``np.matmul``; einsum would not)."""
         for plane in planes:
             _check_plane(plane)
-        g = self.definite_metric_at(points)
-        _check_nonsingular(g, points)  # riemann's guard, on the g just checked
+        g = self.definite_metric_at(points)  # riemann's guard included
         riemann = self._riemann.at_checked(np.asarray(points, dtype=float))
         return _sectional(g, riemann, planes, points)
 

@@ -18,32 +18,36 @@ chosen connection is flat, Phi lands on the quadric <v,v> = -1 (hyperboloid
 upper sheet) or <v,v> = +1 (sphere) and is independent of the path; the
 quadric residual and path_dependence() quantify both claims numerically.
 
-There is one integrator, and it integrates a stack of m curves that share
-t0, t1 and the step count at once, with state ``(m, size, size)``:
-transport, holonomy and develop pass one curve, develop_cloud the segments
-of up to GRID_CHUNK targets.  M depends on t and the curves only, never on
-the state, so the integrator runs in blocks of steps: it evaluates M at a
-block's distinct slope times first, stacked, and then steps the state
-through the block with matrix products only.  A step's distinct times are
-its node t_k, its midpoint t_k + h/2 (shared by k2 and k3) and its end
-t_k + h, which also serves as node t_{k+1} when the two floats are equal
-bit for bit.  A block has two slope points per step and curve, plus one per
-curve for its first node.  A stack of m curves takes
-max(1, GRID_CHUNK // (2 m)) steps per block: 256 for a single curve (513
-slope points), 16 for a cloud chunk of 16 targets (528), so a path or a
-cloud pays each block's fixed cost (one curve evaluation, the chart check,
-the guards on g) once per block of about GRID_CHUNK slope points rather
-than once per step.  Each block evaluates all its times and curves in one
-call (positions from the curves' own expressions, never recomputed as
-a + d t), then g and Gamma at all its points
-(ChartMetric.metric_and_christoffel), which checks every point against the
-chart box and g for singularity and positive definiteness, raising at the
-first point that fails, before it evaluates Gamma.  A block's times, in
-first-use order, and a cloud's chunk of targets are each evaluated through
+One integrator integrates a stack of m curves that share t0, t1 and the
+step count at once, with state ``(m, size, size)``: transport, holonomy and
+develop pass one curve, develop_cloud the segments of up to GRID_CHUNK
+targets.  M depends on t and the curves only, so an RK4 step is Y -> P Y
+(forward) or Y -> Y P (inverse), with P a polynomial in h and the actions
+A1, A2, A4 at the step's node t_k, midpoint and end t_k + h (the linear case
+of the Lie-group methods of Iserles, Munthe-Kaas, Norsett and Zanna, Acta
+Numerica 9, 2000); the inverse takes each product transposed:
+
+    S1 = -A1,  S2 = -A2 (I + h/2 S1),  S3 = -A2 (I + h/2 S2),
+    S4 = -A4 (I + h S3),  P = I + h/6 (S1 + 2 S2 + 2 S3 + S4).
+
+The steps run in blocks: M at a block's distinct times first, stacked, then
+its propagators in three batched products, then one product per step.  A
+step's end serves as the next node when the two floats are equal bit for
+bit, so a block has two slope points per step and curve, plus one per curve
+for its first node.  A stack of m curves takes max(1, GRID_CHUNK // (2 m))
+steps per block (256 for one curve, 16 for a cloud chunk of 16 targets),
+paying a block's fixed cost (one curve evaluation, the chart check, the
+guards on g) once per about GRID_CHUNK slope points.  A block evaluates its
+curves at all its times in one call (_CurveStack.at), then g and Gamma at
+all its points (ChartMetric.metric_and_christoffel: chart box, g singular, g
+not positive definite, each raising at the first point that fails).  Its
+times, in first-use order, and a cloud's chunk of targets each go through
 metricspace.stacked_or_in_turn, so the error that escapes is the one
-stepping slope by slope, target by target, meets first.  Every stacked
-product is the per-curve product at each row, so results are bit-identical
-to integrating the curves one at a time, slope by slope.
+stepping time by time, target by target, meets first.  Each stacked product
+is the per-curve product at each row: results are bit-identical to stepping
+each curve alone with its propagators.  Accuracy contract: the truncation
+error is RK4's; only the rounding order differs from slope-form RK4 (four
+slopes on the state per step), matched within 64 steps eps max(1, |Y|_inf).
 """
 
 from __future__ import annotations
@@ -235,8 +239,8 @@ def _rk4_transport(
         actions = _action_matrices(connection, metric, points, velocities)
         return actions.reshape(len(times), m, *actions.shape[1:])
 
-    def slope(action: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return -np.matmul(action, y) if forward else np.matmul(y, action)
+    def stage(action: np.ndarray, factor: np.ndarray) -> np.ndarray:  # slope at factor y
+        return -np.matmul(action, factor) if forward else np.matmul(factor, action)
 
     steps = curves.steps
     h = (curves.t1 - curves.t0) / steps
@@ -244,31 +248,33 @@ def _rk4_transport(
     # about GRID_CHUNK slope points per block, two per step and curve
     block = max(1, GRID_CHUNK // (2 * m))
     y = np.array(initial, dtype=float)
+    eye = np.eye(y.shape[-2])
     if record is not None:
-        record.append(y.copy())
+        record.append(y)
     end_time, end_action = None, None  # of the step before
     for first in range(0, steps, block):
         times: list[float] = []
-        shares: list[bool] = []  # per step: its node is the step before's end
+        nodes = []  # per step: where its node's action is; its midpoint's and end's follow
         for k in range(first, min(first + block, steps)):
             t = curves.t0 + k * h
-            share = end_time is not None and t.hex() == end_time.hex()  # bit for bit
-            if not share:
+            if end_time is None or t.hex() != end_time.hex():  # bit for bit
                 times.append(t)
+            nodes.append(len(times) - 1)  # -1: the end of the block before
             times += (t + half, t + h)
-            shares.append(share)
             end_time = t + h
-        actions = iter(stacked_or_in_turn(actions_at, times))
-        for share in shares:
-            node = end_action if share else next(actions)
-            mid, end_action = next(actions), next(actions)
-            k1 = slope(node, y)
-            k2 = slope(mid, y + half * k1)
-            k3 = slope(mid, y + half * k2)
-            k4 = slope(end_action, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        actions = stacked_or_in_turn(actions_at, times)
+        node, mid, end = (actions[np.add(nodes, offset)] for offset in range(3))
+        if nodes[0] < 0:
+            node[0] = end_action
+        end_action = end[-1]
+        s1 = -node if forward else node
+        s2 = stage(mid, eye + half * s1)
+        s3 = stage(mid, eye + half * s2)
+        s4 = stage(end, eye + h * s3)
+        for propagator in eye + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4):
+            y = np.matmul(propagator, y) if forward else np.matmul(y, propagator)
             if record is not None:
-                record.append(y.copy())
+                record.append(y)
     return y
 
 
@@ -309,9 +315,7 @@ CLOSURE_TOL = 1e-12
 def closure_gap(curve: ChartCurve) -> float:
     """Max-abs gap between the curve's end and start in chart coordinates;
     the curve is a loop where this is at most CLOSURE_TOL."""
-    start = np.array(curve.point_at(curve.t0))
-    end = np.array(curve.point_at(curve.t1))
-    return float(np.max(np.abs(end - start)))
+    return float(np.max(np.abs(np.subtract(curve.point_at(curve.t1), curve.point_at(curve.t0)))))
 
 
 def holonomy(connection: str, metric: ChartMetric, curve: ChartCurve) -> np.ndarray:
@@ -374,12 +378,8 @@ def _as_segments(path) -> tuple:
     if not segments:
         raise ValueError("develop needs at least one curve segment")
     for previous, current in zip(segments, segments[1:]):
-        gap = np.max(
-            np.abs(
-                np.array(previous.point_at(previous.t1))
-                - np.array(current.point_at(current.t0))
-            )
-        )
+        end, start = previous.point_at(previous.t1), current.point_at(current.t0)
+        gap = np.max(np.abs(np.subtract(end, start)))
         if gap > 1e-9:
             raise ValueError(f"path segments do not join (gap {gap:.3e})")
     return segments

@@ -677,12 +677,52 @@ def test_a_metric_beyond_the_float_range_is_refused_without_a_warning(tmp_path, 
         warnings.simplefilter("error")  # a numpy warning would be an internal error
         code, report, err = _run(capsys, command, "--config", str(config))
     assert code == 2 and report is None
-    assert err.startswith("error: metric determinant is beyond the float range at point (")
+    assert err.startswith("error: $.metric: metric determinant is beyond the float range at point (")
+
+
+#: per command that takes a metric, the fields it needs besides the metric
+_METRIC_JOBS = {
+    "curvature": {},
+    "flatness": {"variant": "h"},
+    "identity": {"variant": "h"},
+    "compat": {"variant": "h"},
+    "transport": {"curve": {"kind": "line", "start": [1.2, 1.2], "end": [1.8, 1.5]}},
+    "develop": {"variant": "h", "path": [{"start": [1.2, 1.2], "end": [1.8, 1.5]}]},
+}
+
+#: metrics no command may check, each with the quantity its refusal names
+_BAD_METRICS = {
+    "singular": ([["x", "x"], ["x", "x"]], "metric is singular to tolerance"),
+    "indefinite": ([["x", "0"], ["0", "-y"]], "metric is not positive definite (min eigenvalue"),
+    "overflowing": (_HUGE_METRIC["entries"], "metric determinant is beyond the float range"),
+}
+
+
+def test_the_metric_jobs_are_every_command_that_takes_a_metric():
+    assert set(_METRIC_JOBS) == {name for name, c in _COMMANDS.items() if c.min_dim}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_METRICS))
+@pytest.mark.parametrize("command", sorted(_METRIC_JOBS))
+def test_every_metric_command_refuses_a_bad_metric_at_its_point(tmp_path, capsys, command, bad):
+    entries, quantity = _BAD_METRICS[bad]
+    metric = {**_HUGE_METRIC, "entries": entries}
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"metric": metric, **_METRIC_JOBS[command]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be an internal error
+        code, report, err = _run(capsys, command, "--config", str(config))
+    assert code == 2 and report is None
+    # g is checked as every scan checks it, first at the first sample point
+    assert err.startswith(f"error: $.metric: {quantity}")
+    assert err.endswith(" at point (1.05, 1.05)\n")
 
 
 def test_a_domain_error_in_a_flatness_scan_names_its_point(tmp_path, capsys):
+    # g passes its checks everywhere; its x-derivative divides by zero at x = 1.05
+    metric = {**_HUGE_METRIC, "entries": [["1 + sqrt(x - 1.05)", "0"], ["0", "1"]]}
     config = tmp_path / "job.json"
-    config.write_text(json.dumps({"metric": _HUGE_METRIC, "variant": "h"}))
+    config.write_text(json.dumps({"metric": metric, "variant": "h"}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning would be an internal error
         code, report, err = _run(capsys, "flatness", "--config", str(config))

@@ -267,9 +267,16 @@ def test_inverse_at_is_inverse():
 
 
 @pytest.mark.parametrize("scale", ["1e160", "1e300"])
-def test_a_metric_beyond_the_float_range_is_refused_at_its_point(scale):
+def test_a_metric_beyond_the_float_range_is_refused_at_its_point(monkeypatch, scale):
     chart = Chart(("x", "y"), ((1.0, 2.0), (1.0, 2.0)))
-    m = ChartMetric(chart, ((f"{scale}*x", "0"), ("0", f"{scale}*y")))
+    entries = ((f"{scale}*x", "0"), ("0", f"{scale}*y"))
+    # the build-time sample checks g as every scan does: its first point fails
+    with pytest.raises(SingularMetricError) as built:
+        ChartMetric(chart, entries)
+    assert str(built.value) == "metric determinant is beyond the float range at point (1.05, 1.05)"
+    # past the sample, each point query still refuses at its own point
+    monkeypatch.setattr(ChartMetric, "_check_positive_definite", lambda self: None)
+    m = ChartMetric(chart, entries)
     stack = np.array([(1.5, 1.5), (1.25, 1.75)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's overflow warning included

@@ -356,8 +356,40 @@ def _reference_action(connection, metric, point, velocity):
 
 
 def _reference_rk4(connection, metric, curve, initial, forward, record=None):
-    """RK4 along one curve, one point query per slope: the reference for
-    the stacked integrator."""
+    """RK4 along one curve in propagator form, one point query per slope
+    time and 2-D products: the reference for the stacked integrator.  A
+    step is y -> P y (forward) or y -> y P with P a polynomial in the
+    actions at its node, midpoint and end."""
+
+    def action(t):
+        return _reference_action(connection, metric, curve.point_at(t), curve.velocity_at(t))
+
+    def stage(a, factor):
+        return -(a @ factor) if forward else factor @ a
+
+    steps = curve.steps
+    h = (curve.t1 - curve.t0) / steps
+    y = np.array(initial, dtype=float)
+    eye = np.eye(len(y))
+    if record is not None:
+        record.append(y.copy())
+    for k in range(steps):
+        t = curve.t0 + k * h
+        node, mid, end = action(t), action(t + 0.5 * h), action(t + h)
+        s1 = -node if forward else node
+        s2 = stage(mid, eye + 0.5 * h * s1)
+        s3 = stage(mid, eye + 0.5 * h * s2)
+        s4 = stage(end, eye + h * s3)
+        p = eye + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+        y = p @ y if forward else y @ p
+        if record is not None:
+            record.append(y.copy())
+    return y
+
+
+def _slope_rk4(connection, metric, curve, initial, forward, record=None):
+    """Classical RK4 in slope form, four slopes per step on the state: the
+    accuracy oracle the propagator form is held to."""
 
     def slope(t, y):
         m = _reference_action(connection, metric, curve.point_at(t), curve.velocity_at(t))
@@ -380,7 +412,7 @@ def _reference_rk4(connection, metric, curve, initial, forward, record=None):
     return y
 
 
-def _reference_develop(variant, metric, segments):
+def _reference_develop(variant, metric, segments, rk4=_reference_rk4):
     n = metric.dim
     normalizer = np.eye(n + 1)
     base = segments[0].point_at(segments[0].t0)
@@ -389,7 +421,7 @@ def _reference_develop(variant, metric, segments):
     u = np.eye(n + 1)
     for index, segment in enumerate(segments):
         record = []
-        u = _reference_rk4(variant, metric, segment, u, False, record)
+        u = rk4(variant, metric, segment, u, False, record)
         rows.extend(normalizer @ step[:, n] for step in (record[1:] if index else record))
     return np.array(rows)
 
@@ -437,6 +469,60 @@ def test_stacked_integrator_matches_the_reference_bit_for_bit(name):
     for variant in ("h", "s"):
         got = develop(variant, m, segments).points
         assert np.array_equal(got, _reference_develop(variant, m, segments))
+
+
+def _assert_within_the_contract(got, want, steps):
+    """The integrator's accuracy contract against slope-form RK4: a max-abs
+    gap of at most 64 steps eps max(1, |want|_inf)."""
+    bound = 64 * steps * np.finfo(float).eps * max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(np.asarray(got) - want)) <= bound
+
+
+@pytest.mark.parametrize("name", sorted(_PATHS))
+def test_the_propagators_agree_with_slope_form_rk4_within_the_contract(name):
+    m = preset_metric(name)
+    corners, (center, radius) = _PATHS[name]
+    segments = [line_curve(m.chart, a, b, 16) for a, b in zip(corners, corners[1:])]
+    loop = _loop(m.chart, center, radius, 16)
+    for connection in CONNECTIONS:
+        identity = np.eye(m.dim if connection == "lc" else m.dim + 1)
+        for curve in (*segments, loop):
+            want = _slope_rk4(connection, m, curve, identity, True)
+            _assert_within_the_contract(transport_matrix(connection, m, curve), want, curve.steps)
+    for variant in ("h", "s"):
+        for path in (segments, [loop]):
+            want = _reference_develop(variant, m, path, _slope_rk4)
+            steps = sum(curve.steps for curve in path)
+            _assert_within_the_contract(develop(variant, m, path).points, want, steps)
+
+
+def test_a_16_target_cloud_agrees_with_slope_form_rk4_within_the_contract():
+    m = preset_metric("hyperbolic3")
+    variant, base = _CLOUDS["hyperbolic3"]
+    targets = m.chart.random_points(np.random.default_rng(21), 16)
+    cloud = develop_cloud(variant, m, base, targets, steps_per_unit=64)
+    for row, target in zip(cloud, targets):
+        segment = line_curve(m.chart, base, target, 64)
+        want = _reference_develop(variant, m, [segment], _slope_rk4)[-1]
+        _assert_within_the_contract(row, want, segment.steps)
+
+
+@pytest.mark.parametrize("forward", [True, False])
+def test_recorded_nodes_are_distinct_arrays(forward):
+    # each node is recorded without a copy, so no later step may write into
+    # an earlier record (or into the caller's initial state)
+    m = preset_metric("half_plane")
+    curve = line_curve(m.chart, (0.0, 1.0), (1.0, 2.0), 8)
+    initial = np.eye(3)[None]
+    record, want = [], []
+    transport._rk4_transport("h", m, transport._CurveStack((curve,)), initial, forward, record)
+    _reference_rk4("h", m, curve, np.eye(3), forward, want)
+    assert len(record) == curve.steps + 1
+    for k, node in enumerate(record):
+        assert not np.shares_memory(node, initial)
+        assert not any(np.shares_memory(node, later) for later in record[k + 1 :])
+        assert np.array_equal(node[0], want[k])
+    assert np.array_equal(initial[0], np.eye(3))
 
 
 _CLOUDS = {
