@@ -514,10 +514,8 @@ class ChartMetric:
         return self._g.at(point)
 
     def definite_metric_at(self, point) -> np.ndarray:
-        """metric_at, checked nonsingular and then positive definite at the
-        point (at every point of a stack), the guards of
-        metric_and_christoffel in its order; raises SingularMetricError at
-        the first point where one fails."""
+        """metric_at, checked nonsingular and then positive definite at the point
+        (at every point of a stack); raises SingularMetricError at the first that fails."""
         g = self.metric_at(point)
         _check_nonsingular(g, point)
         _check_definite(g, point)
