@@ -517,8 +517,7 @@ class ChartMetric:
         """metric_at, checked nonsingular and then positive definite at the point
         (at every point of a stack); raises SingularMetricError at the first that fails."""
         g = self.metric_at(point)
-        _check_nonsingular(g, point)
-        _check_definite(g, point)
+        _check_metric(g, point)
         return g
 
     def inverse_at(self, point) -> np.ndarray:
@@ -542,8 +541,7 @@ class ChartMetric:
         its guards, then Gamma, so a failure is the one christoffel meets."""
         points = self.chart.require_stack(points)
         g = self._g.at_checked(points)
-        _check_nonsingular(g, points)
-        _check_definite(g, points)
+        _check_metric(g, points)
         return g, self._gamma.at_checked(points)
 
     def sectional_curvature(self, point: Sequence[float], plane: tuple[int, int] = (0, 1)) -> float:
@@ -563,10 +561,42 @@ class ChartMetric:
         return _sectional(g, riemann, planes, points)
 
 
+def _check_metric(g: np.ndarray, points):
+    """_check_nonsingular, then _check_definite: one set of closed-form
+    minors (:func:`_certified`) passes the stack for both, or both LAPACK
+    routes decide it in that order."""
+    if not _certified(g):
+        _nonsingular_by_lapack(g, points)
+        _definite_by_lapack(g, points)
+
+
 def _check_nonsingular(g: np.ndarray, points):
     """Raise SingularMetricError at the first point where g, one matrix or a
     stack of them, is singular relative to its largest entry, or where its
-    determinant or largest entry to the n-th power leaves the float range."""
+    determinant or largest entry to the n-th power leaves the float range.
+
+    For n <= 3 a certificate from closed-form leading minors passes most
+    metrics without LAPACK (:func:`_certified`).  It passes only stacks that
+    LAPACK's determinant provably passes, and LAPACK decides every stack it
+    declines, so each decision, message and named point is LAPACK's."""
+    if not _certified(g):
+        _nonsingular_by_lapack(g, points)
+
+
+def _check_definite(g: np.ndarray, points):
+    """Raise SingularMetricError at the first point where g, one matrix or a
+    stack of them, is not positive definite: where eigvalsh's lowest
+    eigenvalue is at most 1e-10.
+
+    For n <= 3 a certificate from closed-form leading minors
+    (:func:`_certified`) passes only stacks that eigvalsh provably passes,
+    and eigvalsh decides every stack it declines, so each decision, message
+    and named point is eigvalsh's."""
+    if not _certified(g):
+        _definite_by_lapack(g, points)
+
+
+def _nonsingular_by_lapack(g: np.ndarray, points):
     n = g.shape[-1]
     stack = g.reshape(-1, n, n)
     scales = np.abs(stack).max(axis=(1, 2))
@@ -592,9 +622,7 @@ def _check_nonsingular(g: np.ndarray, points):
         raise SingularMetricError(f"metric {message}", point=_nth_point(points, k))
 
 
-def _check_definite(g: np.ndarray, points):
-    """Raise SingularMetricError at the first point where g, one matrix or a
-    stack of them, is not positive definite."""
+def _definite_by_lapack(g: np.ndarray, points):
     lowest = np.linalg.eigvalsh(g).min(axis=-1).reshape(-1)
     if lowest.min(initial=math.inf) > _PD_MIN_EIGENVALUE:  # every point passes
         return
@@ -604,6 +632,113 @@ def _check_definite(g: np.ndarray, points):
                 f"metric is not positive definite (min eigenvalue {value:.3e})",
                 point=_nth_point(points, k),
             )
+
+
+# The certificate passes a stack of n x n matrices, n <= 3, only where every
+# g in it is symmetric, its largest entry s lies in _CERTIFIED_SCALES, and
+# its leading principal minors d_k, computed in closed form, satisfy
+#   (a)  d_k >= (1 + _DET_MARGIN) 1e-12 s^k            for k = 1..n,
+#   (b)  d_n (n-1)^(n-1) >= (1 + _EIG_MARGIN) 1e-10 tr^(n-1),  tr = trace g.
+# Why both LAPACK checks then pass (u = 2^-53; rounding bounds as in
+# N. J. Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+# SIAM 2002, ch. 9 and 14):
+# - Inside the window s^n and the thresholds are normal floats, and an
+#   underflowing product adds an error far below u s^n.  Each minor is a
+#   sum of at most three products of an entry and a 2 x 2 minor, so its
+#   computed value is within 30 u s^k < 3.4e-15 s^k of d_k.  By (a) every
+#   exact d_k >= 1.99e-12 s^k > 0: g is positive definite (Sylvester's
+#   criterion) and det g >= 1.99e-12 s^n.
+# - np.linalg.det: LU with partial pivoting is the exact LU of g + E,
+#   |E| <= gamma_n n 2^(n-1) s entrywise (growth factor at most 2^(n-1)), so
+#   by multilinearity over columns of norm at most sqrt(n) s,
+#   |det(g + E) - det g| <= 6.3e-14 s^n for n <= 3.  numpy returns
+#   sign * exp(sum log |U_ii|), here with |log |U_ii|| < 240, within 1e-12
+#   relative of det(g + E).  So |det| >= 1.9e-12 s^n and finite: the
+#   threshold 1e-12 max(s, 1e-300)^n passes with a factor 1.9 to spare.
+# - np.linalg.eigvalsh: the other n - 1 eigenvalues' product is at most
+#   (tr / (n-1))^(n-1) (AM-GM), so lambda_min >= d_n ((n-1) / tr)^(n-1),
+#   and by (b) lambda_min >= 3.99e-10 (the trace and the products round by
+#   a few u, d_n by under 0.2%).  By (a), ||g||_2 <= n s <= n^n lambda_min /
+#   1.99e-12; eigvalsh returns the eigenvalues of some g + F with ||F||_2 <=
+#   p(n) u ||g||_2 (backward stability), so by Weyl's inequality its lowest
+#   is at least lambda_min (1 - 1.51e-3 p(n)) > 1e-10 for any p(n) < 490.
+# Every other stack (n >= 4, an entry outside the window, NaN or infinite,
+# anything near either threshold) goes to LAPACK.
+_CERTIFIED_SCALES = (1e-90, 1e90)
+_DET_MARGIN = 1.0  # (a): det g >= 1.99e-12 s^n; LAPACK errs by at most 6.3e-14 s^n
+_EIG_MARGIN = 3.0  # (b): lambda_min >= 3.99e-10; eigvalsh may err by 74% of it
+_CERTIFIED_DET = (1.0 + _DET_MARGIN) * _DET_RTOL
+_CERTIFIED_EIGENVALUE = (1.0 + _EIG_MARGIN) * _PD_MIN_EIGENVALUE
+
+# Below this many matrices the certificate runs on Python floats, one matrix
+# at a time (about 2 us each), which costs less than numpy's per-call
+# overhead on a stack's columns (about 40 us for any stack up to 512
+# matrices).
+_CERTIFY_STACK_MIN = 16
+
+
+def _certified(g: np.ndarray) -> bool:
+    """Whether every matrix of g, one or a stack, passes the certificate
+    above, so that both LAPACK checks pass it."""
+    n = g.shape[-1]
+    if not 0 < n <= 3:
+        return False
+    passes = _MINORS_PASS[n]
+    low, high = _CERTIFIED_SCALES
+    flat = g.reshape(-1, n * n)
+    if len(flat) < _CERTIFY_STACK_MIN:
+        for entries in flat.tolist():
+            # a NaN that max() skips makes the determinant, which every
+            # entry enters, NaN, and NaN fails every comparison
+            scale = max(map(abs, entries))
+            if not (low <= scale <= high and passes(entries, scale)):
+                return False
+        return True
+    columns = flat.T.copy()  # one contiguous row per entry
+    scales = np.abs(columns).max(axis=0)
+    if not (scales.min() >= low and scales.max() <= high):  # NaN fails too
+        return False
+    return bool(passes(columns, scales).all())
+
+
+# (a), (b) and symmetry for one matrix, its entries row-major as floats and
+# its largest entry s (a bool), or for a stack, its entries' columns and
+# largest entries (a bool array); the same operations run in both cases.
+
+
+def _minors_pass_1(a, s):
+    (a0,) = a
+    return (a0 >= _CERTIFIED_DET * s) & (a0 >= _CERTIFIED_EIGENVALUE)
+
+
+def _minors_pass_2(a, s):
+    a0, a1, a2, a3 = a
+    det = a0 * a3 - a1 * a2
+    return (
+        (a1 == a2)
+        & (a0 >= _CERTIFIED_DET * s)
+        & (det >= _CERTIFIED_DET * (s * s))
+        & (det >= _CERTIFIED_EIGENVALUE * (a0 + a3))
+    )
+
+
+def _minors_pass_3(a, s):
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    det = a0 * (a4 * a8 - a5 * a7) + a1 * (a5 * a6 - a3 * a8) + a2 * (a3 * a7 - a4 * a6)
+    trace = a0 + a4 + a8
+    square = s * s
+    return (
+        (a1 == a3)
+        & (a2 == a6)
+        & (a5 == a7)
+        & (a0 >= _CERTIFIED_DET * s)
+        & (a0 * a4 - a1 * a3 >= _CERTIFIED_DET * square)
+        & (det >= _CERTIFIED_DET * (square * s))
+        & (det * 4.0 >= _CERTIFIED_EIGENVALUE * (trace * trace))
+    )
+
+
+_MINORS_PASS = (None, _minors_pass_1, _minors_pass_2, _minors_pass_3)
 
 
 def _check_plane(plane: tuple[int, int]):

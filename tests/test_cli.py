@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import cartanflat
 from cartanflat.cli import (
     _COMMANDS,
     _FIELDS,
@@ -850,6 +851,14 @@ def test_bad_flag_values_exit_2(capsys):
     assert info.value.code == 2
 
 
+def _package_env() -> dict:
+    """The environment with the imported package's source directory first on
+    PYTHONPATH, so a ``python -m cartanflat.cli`` child runs this package
+    whether or not the caller set PYTHONPATH."""
+    src = str(Path(cartanflat.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [
@@ -858,6 +867,7 @@ def test_module_entry_point():
         ],
         capture_output=True,
         text=True,
+        env=_package_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
@@ -876,6 +886,7 @@ def test_a_reader_that_stops_early_leaves_the_exit_code_to_the_job(tmp_path):
                 stdout=write,
                 stderr=subprocess.PIPE,
                 timeout=120,
+                env=_package_env(),
             )
         finally:
             os.close(write)
@@ -894,6 +905,7 @@ def test_a_closed_stderr_leaves_a_refused_job_exit_2():
             stdout=subprocess.PIPE,
             stderr=write,
             timeout=120,
+            env=_package_env(),
         )
     finally:
         os.close(write)

@@ -7,6 +7,7 @@ closed forms of the constant-curvature presets.
 
 import ast
 import inspect
+import itertools
 import math
 import warnings
 from pathlib import Path
@@ -36,6 +37,8 @@ from cartanflat.metricspace import (
     worst_point,
 )
 from cartanflat.presets import PRESET_NAMES, get_preset, preset_metric, random_metric
+from cartanflat.sasaki import flatness_scan
+from cartanflat.transport import circle_curve, develop_cloud, holonomy
 
 RANDOM_SEEDS = (0, 1, 2, 3, 4)
 
@@ -459,6 +462,130 @@ def test_the_guards_decide_each_stack_as_their_per_point_loops(monkeypatch, n):
                 refused["beyond"] += "beyond" in message
     assert all(count > 30 for count in refused.values()), refused
     assert refused["nonsingular"] < len(stacks) - 40 and refused["definite"] < len(stacks) - 40
+
+
+def _rotated(q, eigenvalues):
+    """q diag(eigenvalues) q^T made exactly symmetric: for a random
+    orthogonal q, a non-diagonal matrix with about those eigenvalues."""
+    g = (q * eigenvalues) @ q.T
+    return np.triu(g) + np.triu(g, 1).T
+
+
+def _near_threshold_matrices(n: int) -> list:
+    """Seeded symmetric n x n matrices: the lowest eigenvalue at 1e-10
+    times 1 +- 10^-k (k = 1..12), 1, 2, 4, 10, 100 or 1e4, with the other
+    eigenvalues equal (where the certificate's bound is tightest) or
+    spread; |det| at 1e-12 s^n times the same factors, scaled exactly by
+    2^p to a largest entry s from about 1e-120 to 1e120; indefinite and
+    negative definite ones at those scales; and some of each with a NaN or
+    +-inf entry, or with a large entry below the diagonal that its mirror
+    above does not match."""
+    rng = np.random.default_rng(2200 + n)
+    factors = [1.0 + sign * 10.0**-k for k in range(1, 13) for sign in (1.0, -1.0)]
+    factors += [1.0, 2.0, 4.0, 10.0, 100.0, 1e4]
+    out = []
+    for factor in factors:
+        for _ in range(3):
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            mu = 10.0 ** rng.uniform(-2, 1)
+            spread = 10.0 ** rng.uniform(0, 1, n - 1) if rng.integers(2) else np.ones(n - 1)
+            out.append(_rotated(q, np.r_[1e-10 * factor, mu * spread]))
+            if n > 1:  # the small eigenvalue barely moves s
+                others = 10.0 ** rng.uniform(-0.5, 0.5, n - 1)
+                s = np.abs(_rotated(q, np.r_[0.0, others])).max()
+                small = 1e-12 * factor * s**n / np.prod(others)
+                out.append(np.ldexp(_rotated(q, np.r_[small, others]), int(rng.integers(-400, 400))))
+    for _ in range(24):
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        eigenvalues = 10.0 ** rng.uniform(-3, 3, n) * rng.choice((-1.0, 1.0), n)
+        if n > 1:
+            eigenvalues[:2] = np.abs(eigenvalues[:2]) * (1.0, -1.0)  # indefinite
+        out.append(np.ldexp(_rotated(q, eigenvalues), int(rng.integers(-400, 400))))
+        out.append(np.ldexp(_rotated(q, -np.abs(eigenvalues)), int(rng.integers(-400, 400))))
+    bad = (math.nan, math.inf, -math.inf) + (("asymmetric",) if n > 1 else ())
+    for g, special in zip(out[::5], itertools.cycle(bad)):
+        g = g.copy()
+        i, j = rng.integers(n), rng.integers(n)
+        if special == "asymmetric":  # eigvalsh reads g[j, i], i < j: indefinite there
+            i, j = (0, 1) if i == j else sorted((i, j))
+            g[j, i] = -10.0 * np.abs(g).max() * (1.0 if g[i, j] >= 0.0 else -1.0)
+        else:
+            g[i, j] = g[j, i] = special
+        out.append(g)
+    return out
+
+
+def _expected(in_turn, g):
+    """What the check of a per-point rule raises on the stack g at points
+    0, 1, ...: None, or the error's type, message and point."""
+    try:
+        want = in_turn(g)
+    except np.linalg.LinAlgError as exc:
+        return type(exc), str(exc), None
+    if want is None:
+        return None
+    message, k = want
+    return SingularMetricError, f"{message} at point ({float(k)},)", (float(k),)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_certificate_decides_near_the_thresholds_as_the_per_point_loops(monkeypatch, n):
+    """Each probe of _near_threshold_matrices alone (the certificate on
+    Python floats) and in place of one of 24 comfortable matrices (on numpy
+    columns): both checks and _check_metric raise what the per-point rules
+    raise, with the same message and point, and run the per-point loop only
+    where they refuse."""
+    loops = _loop_runs(monkeypatch)
+    decisions = []
+    certified = metricspace._certified
+    monkeypatch.setattr(metricspace, "_certified", lambda g: decisions.append(certified(g)) or decisions[-1])
+    rng = np.random.default_rng(2300 + n)
+    rotations = [np.linalg.qr(rng.normal(size=(n, n)))[0] for _ in range(24)]
+    comfortable = [_rotated(q, np.arange(1.0, n + 1.0)) for q in rotations]
+    assert 1 < metricspace._CERTIFY_STACK_MIN <= len(comfortable)  # both paths run
+    passed = {"alone": 0, "among": 0}
+    for k, probe in enumerate(_near_threshold_matrices(n)):
+        among = np.array(comfortable)
+        among[k % len(among)] = probe
+        for where, g in (("alone", probe[None]), ("among", among)):
+            points = np.arange(len(g), dtype=float)[:, None]
+            nonsingular = _expected(_nonsingular_in_turn, g)
+            definite = _expected(_definite_in_turn, g)
+            for check, want in ((_check_nonsingular, nonsingular), (_check_definite, definite)):
+                loops.clear()
+                assert _outcome(check, g, points) == want
+                # as in the test above, the loop passes a NaN eigenvalue
+                if want is None:
+                    nan_eigenvalue = check is _check_definite and np.isnan(np.linalg.eigvalsh(g)).any()
+                    assert bool(loops) == nan_eigenvalue
+                else:
+                    assert bool(loops) == (want[0] is SingularMetricError)
+            decisions.clear()
+            assert _outcome(metricspace._check_metric, g, points) == (nonsingular or definite)
+            passed[where] += decisions == [True]
+    # the certificate decided many of them itself, but not for n = 4
+    assert all((count > 10) == (n <= 3) for count in passed.values()), passed
+
+
+def test_jobs_on_good_metrics_never_reach_the_lapack_guards(monkeypatch):
+    """With np.linalg.det and eigvalsh raising, metrics still build (the
+    4^n sample), flatness scans, a develop cloud and a holonomy loop still
+    pass: the certificate decides every stack of theirs, so a silent
+    fall-back to LAPACK fails here."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK guard ran on a comfortable metric")
+
+    monkeypatch.setattr(metricspace.np.linalg, "det", refuse)
+    monkeypatch.setattr(metricspace.np.linalg, "eigvalsh", refuse)
+    report = flatness_scan(preset_metric("sphere3"), "s", 6)
+    assert report.points == 6**3 and report.max_residual < 1e-10
+    base, targets = (0.0, 0.0, 1.0), [(0.5, -0.3, 1.5), (-0.8, 0.2, 0.7), (0.1, 0.9, 2.0), (-0.4, -0.6, 1.2)]
+    rows = develop_cloud("h", preset_metric("hyperbolic3"), base, targets, steps_per_unit=64)
+    assert rows.shape == (4, 4) and np.isfinite(rows).all()
+    half_plane = preset_metric("half_plane")
+    loop = holonomy("h", half_plane, circle_curve(half_plane.chart, (0.0, 2.0), 1.0, 64))
+    assert np.abs(loop - np.eye(3)).max() < 1e-6
 
 
 def test_grid_is_row_major_and_respects_margin():
