@@ -30,7 +30,6 @@ live exactly as long as the metric.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -52,6 +51,7 @@ from .metricspace import (
     Chart,
     ChartMetric,
     ExprArray,
+    Geometry,
     cached_on_metric,
     constant_curvature_action,
 )
@@ -155,24 +155,12 @@ def covariant_derivative(
 _MIN_RELATIVE_STEP = 1e-8
 
 
-def _as_stack(chart: Chart, point) -> tuple[np.ndarray, bool]:
-    """A point or an ``(m, dim)`` stack of points as a checked stack, and
-    whether it was a stack."""
+def _geometry_at(metric: ChartMetric, point) -> tuple[Geometry, bool]:
+    """The geometry at a point or an ``(m, dim)`` stack of points, as a
+    stack, and whether it was a stack."""
     if isinstance(point, np.ndarray) and point.ndim == 2:
-        return chart.require_stack(point), True
-    return np.array([chart.require(point)]), False
-
-
-class _StackGeometry:
-    """g, Gamma and R at a stack of points, each evaluated once, when first
-    used, which is where the point-by-point code first met each of them."""
-
-    def __init__(self, metric: ChartMetric, points: np.ndarray):
-        self.metric, self.points = metric, points
-
-    gamma = functools.cached_property(lambda self: self.metric.christoffel(self.points))
-    g = functools.cached_property(lambda self: self.metric.metric_at(self.points))
-    riemann = functools.cached_property(lambda self: self.metric.riemann(self.points))
+        return metric.geometry(point), True
+    return metric.geometry(np.array([point], dtype=float)), False
 
 
 def _partial_by_differences(
@@ -215,7 +203,7 @@ def _outer_derivative(
     metric: ChartMetric,
     section: BundleSection,
     direction: int,
-    geometry: _StackGeometry,
+    geometry: Geometry,
     step: float | None,
 ) -> np.ndarray:
     """nabla_direction of a section at each point of the geometry's stack
@@ -251,7 +239,7 @@ def _curvature_rows(
     section: BundleSection,
     i: int,
     j: int,
-    geometry: _StackGeometry,
+    geometry: Geometry,
     step: float | None,
 ) -> np.ndarray:
     inner_j = covariant_derivative(variant, metric, section, j)
@@ -275,10 +263,8 @@ def bundle_curvature(
 
     At an ``(m, dim)`` stack of points, one row per point, each bit-identical
     to the value at its point."""
-    points, stack = _as_stack(metric.chart, point)
-    difference = _curvature_rows(
-        variant, metric, section, i, j, _StackGeometry(metric, points), step
-    )
+    geometry, stack = _geometry_at(metric, point)
+    difference = _curvature_rows(variant, metric, section, i, j, geometry, step)
     n = metric.dim
     if stack:
         return BundleCurvatureValue(vector=difference[:, :n], e_component=difference[:, n])
@@ -300,8 +286,8 @@ def reference_curvature_action(
 ) -> np.ndarray:
     """(R - R_K)(d_i, d_j) xi from the Riemann tensor, the symbolic route the
     finite-difference curvature is compared against."""
-    point = metric.chart.require(point)
-    return _reference_action(variant, metric.riemann(point), metric.metric_at(point), xi, i, j)
+    geometry = metric.geometry(point)
+    return _reference_action(variant, geometry.riemann, geometry.g, xi, i, j)
 
 
 @cached_on_metric(maxsize=128, metric_arg=0)
@@ -338,12 +324,12 @@ def identity_residual(
     residuals, each bit-identical to the residual at its point.
 
     A stack runs each stage once for all its points, in the order one point
-    meets them (stencil check, section values, Gamma with its nonsingular
-    check, g, R last), so it raises the earliest failing stage's first
-    failure, not necessarily the first point's: ``stacked_or_in_turn``
-    replays it point by point."""
-    points, stack = _as_stack(metric.chart, point)
-    geometry = _StackGeometry(metric, points)
+    meets them (chart check, section values, stencil check, g with its guard,
+    nonsingular and then positive definite, Gamma, R last), so it raises the
+    earliest failing stage's first failure, not necessarily the first
+    point's: ``stacked_or_in_turn`` replays it point by point."""
+    geometry, stack = _geometry_at(metric, point)
+    points = geometry.points
     n = metric.dim
     worst_vector = [0.0] * len(points)
     worst_e = [0.0] * len(points)

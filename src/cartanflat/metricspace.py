@@ -9,9 +9,10 @@ derivatives are exact), then compiled once per metric.
 
 Point queries take one point, or an ``(m, dim)`` array ("a stack") of points
 and then return arrays with a leading axis of length m, bit-identical to m
-single-point queries.  Grid scans evaluate chunks of at most
-:data:`GRID_CHUNK` grid points at a time (:func:`grid_scan`).  Index
-conventions:
+single-point queries.  All but ``metric_at`` read a :class:`Geometry`, which
+guards g, nonsingular and then positive definite, before it returns g, Gamma
+or R.  Grid scans evaluate chunks of at most :data:`GRID_CHUNK` grid points
+at a time (:func:`grid_scan`).  Index conventions:
 
     christoffel(p)[k, i, j] = Gamma^k_ij
     riemann(p)[l, k, i, j]  = R^l_kij,  meaning  R(d_i, d_j) d_k = R^l_kij d_l
@@ -64,6 +65,7 @@ __all__ = [
     "ExprArray",
     "elementwise",
     "ChartMetric",
+    "Geometry",
     "cached_on_metric",
     "constant_curvature_tensor",
     "constant_curvature_action",
@@ -144,6 +146,12 @@ class Chart:
             for row in points.tolist():
                 self.require(row)  # raises at the first point outside
         return points
+
+    def require_points(self, points) -> tuple[float, ...] | np.ndarray:
+        """``require_stack`` of an ``(m, dim)`` array, else ``require``."""
+        if isinstance(points, np.ndarray) and points.ndim == 2:
+            return self.require_stack(points)
+        return self.require(points)
 
     def _contains_stack(self, points: np.ndarray) -> bool:
         """Whether every point of a stack lies in the box (False on NaN)."""
@@ -276,13 +284,13 @@ class ExprArray:
     def at(self, point) -> np.ndarray:
         """Every entry at a point, as an array of ``shape``; at a stack of m
         points, an array of ``(m, *shape)``."""
-        if isinstance(point, np.ndarray) and point.ndim == 2:
-            return self.at_checked(self.chart.require_stack(point))
-        point = self.chart.require(point)
-        return np.array(self._fn(point), dtype=float).reshape(self.shape)
+        return self.at_checked(self.chart.require_points(point))
 
-    def at_checked(self, points: np.ndarray) -> np.ndarray:
-        """``at`` for a float stack the chart has already accepted."""
+    def at_checked(self, points) -> np.ndarray:
+        """``at`` for a point (a tuple of floats) or a float stack the chart
+        has already accepted."""
+        if isinstance(points, tuple):
+            return np.array(self._fn(points), dtype=float).reshape(self.shape)
         return self._fn(points).reshape(len(points), *self.shape)
 
 
@@ -513,86 +521,85 @@ class ChartMetric:
     def metric_at(self, point) -> np.ndarray:
         return self._g.at(point)
 
+    def geometry(self, points) -> Geometry:
+        """g, Gamma and R at a point or a stack, behind one guard on g."""
+        return Geometry(self, points)
+
     def definite_metric_at(self, point) -> np.ndarray:
         """metric_at, checked nonsingular and then positive definite at the point
         (at every point of a stack); raises SingularMetricError at the first that fails."""
-        g = self.metric_at(point)
-        _check_metric(g, point)
-        return g
+        return self.geometry(point).g
 
     def inverse_at(self, point) -> np.ndarray:
-        g = self.metric_at(point)
-        _check_nonsingular(g, point)
-        return np.linalg.inv(g)
+        return np.linalg.inv(self.geometry(point).g)
 
     def christoffel(self, point) -> np.ndarray:
-        # the symbolic route divides by det(g); fail loudly where that is
-        # ill-posed (metric_at checks the point against the chart first)
-        _check_nonsingular(self.metric_at(point), point)
-        return self._gamma.at(point)
+        return self.geometry(point).gamma
 
     def riemann(self, point) -> np.ndarray:
-        _check_nonsingular(self.metric_at(point), point)
-        return self._riemann.at(point)
-
-    def metric_and_christoffel(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(metric_at(points), christoffel(points))`` at a stack of points,
-        with g also checked positive definite at each: one chart check, g,
-        its guards, then Gamma, so a failure is the one christoffel meets."""
-        points = self.chart.require_stack(points)
-        g = self._g.at_checked(points)
-        _check_metric(g, points)
-        return g, self._gamma.at_checked(points)
+        return self.geometry(point).riemann
 
     def sectional_curvature(self, point: Sequence[float], plane: tuple[int, int] = (0, 1)) -> float:
-        _check_plane(plane)
-        g, riemann = self.metric_at(point), self.riemann(point)
-        return _sectional(g[None], riemann[None], [plane], point)[0, 0]
+        if isinstance(point, np.ndarray) and point.ndim == 2:
+            raise DimensionError("sectional_curvature takes one point; use sectional_curvatures for a stack")
+        return self.geometry(point).sectional([plane])[0, 0]
 
     def sectional_curvatures(self, points: np.ndarray, planes) -> np.ndarray:
         """Sectional curvature in each coordinate plane (columns) at each point
-        of a stack (rows), g checked positive definite at every point first;
-        bit for bit ``sectional_curvature``'s: numerators run ``np.dot``'s BLAS
-        kernel at its strides (row-times-column ``np.matmul``; einsum would not)."""
+        of a stack (rows); bit for bit ``sectional_curvature``'s: numerators run
+        ``np.dot``'s BLAS kernel at its strides (row-times-column ``np.matmul``;
+        einsum would not)."""
+        return self.geometry(points).sectional(planes)
+
+
+class Geometry:
+    """``g``, Christoffel symbols ``gamma`` and Riemann tensor ``riemann`` at
+    a point or an ``(m, dim)`` stack, each evaluated once, on first read.  The
+    points meet the chart check once, here; the first read evaluates g and
+    guards it (:func:`_check_metric`), so Gamma and R are read only where g is
+    Riemannian.  Nothing the instance holds refers back to it, so its arrays
+    are freed with it, without waiting for the garbage collector."""
+
+    def __init__(self, metric: ChartMetric, points):
+        self.metric = metric
+        self.points = metric.chart.require_points(points)
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        g = self.metric._g.at_checked(self.points)
+        _check_metric(g, self.points)
+        return g
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        self.g  # the guard first
+        return self.metric._gamma.at_checked(self.points)
+
+    @cached_property
+    def riemann(self) -> np.ndarray:
+        self.g  # the guard first
+        return self.metric._riemann.at_checked(self.points)
+
+    def sectional(self, planes) -> np.ndarray:
+        """Sectional curvature in each coordinate plane (columns) at each
+        point (rows; one row at a single point)."""
         for plane in planes:
             _check_plane(plane)
-        g = self.definite_metric_at(points)  # riemann's guard included
-        riemann = self._riemann.at_checked(np.asarray(points, dtype=float))
-        return _sectional(g, riemann, planes, points)
+        n = self.metric.dim
+        g, riemann = self.g.reshape(-1, n, n), self.riemann.reshape(-1, n, n, n, n)
+        return _sectional(g, riemann, planes, self.points)
 
 
 def _check_metric(g: np.ndarray, points):
-    """_check_nonsingular, then _check_definite: one set of closed-form
-    minors (:func:`_certified`) passes the stack for both, or both LAPACK
-    routes decide it in that order."""
+    """Raise SingularMetricError at the first point where g, one matrix or a
+    stack, is singular relative to its largest entry (or det g or that entry
+    to the n-th power leaves the float range), else at the first where
+    eigvalsh's lowest eigenvalue is at most 1e-10.  For n <= 3 closed-form
+    leading minors (:func:`_certified`) pass most stacks without LAPACK, but
+    only those both LAPACK routes provably pass; the routes decide every
+    other, in that order, so each decision, message and point is LAPACK's."""
     if not _certified(g):
         _nonsingular_by_lapack(g, points)
-        _definite_by_lapack(g, points)
-
-
-def _check_nonsingular(g: np.ndarray, points):
-    """Raise SingularMetricError at the first point where g, one matrix or a
-    stack of them, is singular relative to its largest entry, or where its
-    determinant or largest entry to the n-th power leaves the float range.
-
-    For n <= 3 a certificate from closed-form leading minors passes most
-    metrics without LAPACK (:func:`_certified`).  It passes only stacks that
-    LAPACK's determinant provably passes, and LAPACK decides every stack it
-    declines, so each decision, message and named point is LAPACK's."""
-    if not _certified(g):
-        _nonsingular_by_lapack(g, points)
-
-
-def _check_definite(g: np.ndarray, points):
-    """Raise SingularMetricError at the first point where g, one matrix or a
-    stack of them, is not positive definite: where eigvalsh's lowest
-    eigenvalue is at most 1e-10.
-
-    For n <= 3 a certificate from closed-form leading minors
-    (:func:`_certified`) passes only stacks that eigvalsh provably passes,
-    and eigvalsh decides every stack it declines, so each decision, message
-    and named point is eigvalsh's."""
-    if not _certified(g):
         _definite_by_lapack(g, points)
 
 

@@ -39,8 +39,8 @@ steps per block (256 for one curve, 16 for a cloud chunk of 16 targets),
 paying a block's fixed cost (one curve evaluation, the chart check, the
 guards on g) once per about GRID_CHUNK slope points.  A block evaluates its
 curves at all its times in one call (_CurveStack.at), then g and Gamma at
-all its points (ChartMetric.metric_and_christoffel: chart box, g singular, g
-not positive definite, each raising at the first point that fails).  Its
+all its points (ChartMetric.geometry: chart box, then g singular or not
+positive definite, each raising at the first point that fails).  Its
 times, in first-use order, and a cloud's chunk of targets each go through
 metricspace.stacked_or_in_turn, so the error that escapes is the one
 stepping time by time, target by target, meets first.  Each stacked product
@@ -196,7 +196,8 @@ def _action_matrices(
     connection: str, metric: ChartMetric, points: np.ndarray, velocities: np.ndarray
 ) -> np.ndarray:
     m, n = velocities.shape
-    g, gamma = metric.metric_and_christoffel(points)
+    geometry = metric.geometry(points)
+    g, gamma = geometry.g, geometry.gamma
     # tensordot(velocity, gamma, axes=(0, 1)) at each point, as one product
     by_velocity = gamma.transpose(0, 2, 1, 3).reshape(m, n, n * n)
     tangent_block = np.matmul(velocities[:, None, :], by_velocity).reshape(m, n, n)
@@ -257,7 +258,10 @@ def _rk4_transport(
         nodes = []  # per step: where its node's action is; its midpoint's and end's follow
         for k in range(first, min(first + block, steps)):
             t = curves.t0 + k * h
-            if end_time is None or t.hex() != end_time.hex():  # bit for bit
+            # the step before ends at this node when the two are equal bit
+            # for bit: both are finite sums with h > 0, so neither is -0.0
+            # (nor NaN), and equal floats have equal bits
+            if t != end_time:  # end_time is None before the first step
                 times.append(t)
             nodes.append(len(times) - 1)  # -1: the end of the block before
             times += (t + half, t + h)

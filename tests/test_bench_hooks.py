@@ -19,6 +19,8 @@ tracer = spans.Tracer().install()
 codes = [
     cli.main(["flatness", "--preset", "half_plane", "--variant", "h", "--grid", "3"]),
     cli.main(["compat", "--preset", "half_plane", "--variant", "h", "--grid", "2", "--trials", "1"]),
+    cli.main(["curvature", "--preset", "half_plane", "--grid", "2"]),
+    cli.main(["identity", "--preset", "half_plane", "--variant", "h", "--grid", "2", "--trials", "1"]),
     cli.main(["zcr", "--grid", "3"]),
     cli.main(["transport", "--config", transport_config]),
     cli.main(["develop", "--config", develop_config]),
@@ -55,7 +57,7 @@ def test_tracer_installs_and_records_every_layer(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["codes"] == [0] * 7
     # the integrator's third argument carries the step count: 4 steps on
     # the circle and 4 on the develop segment, both over t in [0, 1]
     assert result["counts"]["rk4_steps"] == 4 + 4

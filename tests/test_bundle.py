@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from cartanflat import metricspace
 from cartanflat.bundle import (
     BundleSection,
     _seeded_sections,
@@ -19,6 +20,7 @@ from cartanflat.bundle import (
     reference_curvature_action,
 )
 from cartanflat.cartan import orthonormal_frame
+from cartanflat.cli import main
 from cartanflat.errors import CartanflatError, DimensionError, SingularMetricError, StepSizeError
 from cartanflat.exprlang import STACK_MIN_POINTS, Const, Var, add, differentiate, evaluate, mul, parse
 from cartanflat.metricspace import Chart, ChartMetric, constant_curvature_tensor, stacked_or_in_turn
@@ -126,6 +128,35 @@ def test_cached_derivatives_live_and_die_with_their_metric():
     del m
     gc.collect()
     assert probe() is None
+
+
+def test_identity_guards_each_chunk_once_beyond_the_scan(monkeypatch, capsys):
+    shapes = []
+    certified = metricspace._certified
+
+    def spy(g):
+        shapes.append(g.shape)
+        return certified(g)
+
+    monkeypatch.setattr(metricspace, "_certified", spy)
+    code = main(["identity", "--preset", "hyperbolic3", "--variant", "h", "--grid", "4"])
+    capsys.readouterr()
+    assert code == 0
+    # the build sample (4^3 points), the scan's one chunk, the residual's geometry
+    assert shapes == [(64, 3, 3)] * 3
+
+
+def test_a_read_geometry_is_freed_with_its_last_reference():
+    m = preset_metric("hyperbolic3")
+    geometry = m.geometry(np.array(m.chart.random_points(np.random.default_rng(3), 40)))
+    geometry.g, geometry.gamma, geometry.riemann
+    probe = weakref.ref(geometry)
+    gc.disable()
+    try:
+        del geometry  # reference counting alone must free it: no cycle
+        assert probe() is None
+    finally:
+        gc.enable()
 
 
 def test_covariant_derivative_cache_evicts_the_least_recently_used():

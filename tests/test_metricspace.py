@@ -6,6 +6,7 @@ closed forms of the constant-curvature presets.
 """
 
 import ast
+import functools
 import inspect
 import itertools
 import math
@@ -29,8 +30,8 @@ from cartanflat.metricspace import (
     Chart,
     ChartMetric,
     ExprArray,
-    _check_definite,
-    _check_nonsingular,
+    _definite_by_lapack,
+    _nonsingular_by_lapack,
     constant_curvature_tensor,
     grid_scan,
     stacked_or_in_turn,
@@ -39,6 +40,7 @@ from cartanflat.metricspace import (
 from cartanflat.presets import PRESET_NAMES, get_preset, preset_metric, random_metric
 from cartanflat.sasaki import flatness_scan
 from cartanflat.transport import circle_curve, develop_cloud, holonomy
+from test_cli import _DIPPING_METRIC
 
 RANDOM_SEEDS = (0, 1, 2, 3, 4)
 
@@ -296,7 +298,7 @@ def test_a_finite_determinant_under_an_overflowing_scale_is_refused():
     g = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1e155, 1e155], [1e155, 1e155 + 1e140]]])
     assert math.isfinite(float(np.linalg.det(g[1])))
     with pytest.raises(SingularMetricError, match="beyond the float range") as err:
-        _check_nonsingular(g, np.array([[0.0], [1.0]]))
+        _nonsingular_by_lapack(g, np.array([[0.0], [1.0]]))
     assert err.value.point == (1.0,)
 
 
@@ -327,7 +329,7 @@ def test_singularity_decisions_where_everything_is_finite_are_unchanged(n):
         decided = []
         for k in range(len(g)):
             try:
-                _check_nonsingular(g[k], (float(k),))
+                _nonsingular_by_lapack(g[k], (float(k),))
                 decided.append(False)
             except SingularMetricError as exc:
                 assert str(exc) == f"metric is singular to tolerance at point ({float(k)},)"
@@ -336,14 +338,14 @@ def test_singularity_decisions_where_everything_is_finite_are_unchanged(n):
         points = np.arange(len(g), dtype=float)[:, None]
         if any(expected):
             with pytest.raises(SingularMetricError) as err:
-                _check_nonsingular(g, points)
+                _nonsingular_by_lapack(g, points)
             assert err.value.point == (float(expected.index(True)),)
         else:
-            _check_nonsingular(g, points)
+            _nonsingular_by_lapack(g, points)
 
 
 def _nonsingular_in_turn(g):
-    """The per-point rule of _check_nonsingular over Python floats: None, or
+    """The per-point rule of _nonsingular_by_lapack over Python floats: None, or
     the message and index of the first matrix it refuses."""
     n = g.shape[-1]
     with np.errstate(all="ignore"):
@@ -361,7 +363,7 @@ def _nonsingular_in_turn(g):
 
 
 def _definite_in_turn(g):
-    """The per-point rule of _check_definite: None, or the message and index
+    """The per-point rule of _definite_by_lapack: None, or the message and index
     of the first matrix it refuses."""
     for k, value in enumerate(np.linalg.eigvalsh(g).min(axis=-1).tolist()):
         if value <= 1e-10:
@@ -437,8 +439,8 @@ def test_the_guards_decide_each_stack_as_their_per_point_loops(monkeypatch, n):
     for g in stacks:
         points = np.arange(len(g), dtype=float)[:, None]
         for name, check, in_turn in (
-            ("nonsingular", _check_nonsingular, _nonsingular_in_turn),
-            ("definite", _check_definite, _definite_in_turn),
+            ("nonsingular", _nonsingular_by_lapack, _nonsingular_in_turn),
+            ("definite", _definite_by_lapack, _definite_in_turn),
         ):
             loops.clear()
             try:
@@ -532,7 +534,7 @@ def _expected(in_turn, g):
 def test_the_certificate_decides_near_the_thresholds_as_the_per_point_loops(monkeypatch, n):
     """Each probe of _near_threshold_matrices alone (the certificate on
     Python floats) and in place of one of 24 comfortable matrices (on numpy
-    columns): both checks and _check_metric raise what the per-point rules
+    columns): both LAPACK routes and _check_metric raise what the per-point rules
     raise, with the same message and point, and run the per-point loop only
     where they refuse."""
     loops = _loop_runs(monkeypatch)
@@ -551,12 +553,12 @@ def test_the_certificate_decides_near_the_thresholds_as_the_per_point_loops(monk
             points = np.arange(len(g), dtype=float)[:, None]
             nonsingular = _expected(_nonsingular_in_turn, g)
             definite = _expected(_definite_in_turn, g)
-            for check, want in ((_check_nonsingular, nonsingular), (_check_definite, definite)):
+            for check, want in ((_nonsingular_by_lapack, nonsingular), (_definite_by_lapack, definite)):
                 loops.clear()
                 assert _outcome(check, g, points) == want
                 # as in the test above, the loop passes a NaN eigenvalue
                 if want is None:
-                    nan_eigenvalue = check is _check_definite and np.isnan(np.linalg.eigvalsh(g)).any()
+                    nan_eigenvalue = check is _definite_by_lapack and np.isnan(np.linalg.eigvalsh(g)).any()
                     assert bool(loops) == nan_eigenvalue
                 else:
                     assert bool(loops) == (want[0] is SingularMetricError)
@@ -620,7 +622,8 @@ def test_stack_queries_match_point_queries_bitwise(name):
     stack = np.array(m.chart.random_points(np.random.default_rng(5), 40))
     planes = [(i, j) for i in range(m.dim) for j in range(i + 1, m.dim)]
     curvatures = m.sectional_curvatures(stack, planes)
-    g, gamma = m.metric_and_christoffel(stack)
+    geometry = m.geometry(stack)
+    g, gamma = geometry.g, geometry.gamma
     for k, point in enumerate(map(tuple, stack.tolist())):
         for query in (m.metric_at, m.inverse_at, m.christoffel, m.riemann):
             assert np.array_equal(query(stack)[k], query(point))
@@ -758,14 +761,40 @@ def test_stacked_positive_definiteness_names_the_first_failing_point():
     assert err.value.point == tuple(first)
 
 
-def test_metric_and_christoffel_raises_what_christoffel_raises():
+def test_point_queries_refuse_an_indefinite_point():
+    # g_yy = 1.2 - 2 at the bottom of the dip: nonsingular, not positive
+    # definite; the build sample stays clear of the dip
+    chart = Chart(tuple(_DIPPING_METRIC["names"]), _DIPPING_METRIC["box"])
+    m = ChartMetric(chart, _DIPPING_METRIC["entries"])
+    point = (0.6, 0.6)
+    stack = np.array([(-0.5 + 0.02 * k, -0.5) for k in range(40)] + [point])
+    message = "metric is not positive definite (min eigenvalue -8.000e-01) at point (0.6, 0.6)"
+    for query in (m.definite_metric_at, m.christoffel, m.riemann, m.inverse_at, m.sectional_curvature):
+        with pytest.raises(SingularMetricError) as alone:
+            query(point)
+        assert str(alone.value) == message
+    curvatures = functools.partial(m.sectional_curvatures, planes=[(0, 1)])
+    for query in (m.definite_metric_at, m.christoffel, m.riemann, m.inverse_at, curvatures):
+        with pytest.raises(SingularMetricError) as stacked:
+            query(stack)
+        assert str(stacked.value) == message
+        assert stacked.value.point == point
+
+
+def test_sectional_curvature_refuses_a_stack():
+    m = preset_metric("half_plane")
+    with pytest.raises(DimensionError, match="use sectional_curvatures for a stack"):
+        m.sectional_curvature(np.array([(0.0, 1.0), (0.0, 2.0)]))
+
+
+def test_a_stacked_geometry_raises_what_christoffel_raises():
     # g is singular on x = 0, where Gamma also divides by det g = 0: the
     # singularity check on g comes first
     m = ChartMetric(Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0))), (("1", "0"), ("0", "x^2")))
     with pytest.raises(SingularMetricError) as alone:
         m.christoffel((0.0, 0.5))
     with pytest.raises(SingularMetricError) as stacked:
-        m.metric_and_christoffel(np.array([(0.5, 0.5), (0.0, 0.5), (0.25, 0.0)]))
+        m.geometry(np.array([(0.5, 0.5), (0.0, 0.5), (0.25, 0.0)])).gamma
     assert str(stacked.value) == str(alone.value)
 
 

@@ -23,8 +23,7 @@ from cartanflat.metricspace import (
     GRID_CHUNK,
     Chart,
     ChartMetric,
-    _check_definite,
-    _check_nonsingular,
+    _check_metric,
 )
 from cartanflat.presets import preset_metric
 from cartanflat.sasaki import variant_sign
@@ -341,8 +340,7 @@ def _reference_action(connection, metric, point, velocity):
     positive definite, then Gamma."""
     n = metric.dim
     g = metric.metric_at(point)
-    _check_nonsingular(g, point)
-    _check_definite(g, point)
+    _check_metric(g, point)
     gamma = metric.christoffel(point)
     tangent_block = np.tensordot(velocity, gamma, axes=(0, 1))
     if connection == "lc":
@@ -811,15 +809,15 @@ def test_leaving_the_chart_inside_a_block_raises_the_reference_error(small_block
 
 
 def _slope_stacks(monkeypatch):
-    """The number of points of each metric_and_christoffel call from now on."""
+    """The number of points of each ChartMetric.geometry call from now on."""
     sizes = []
-    original = ChartMetric.metric_and_christoffel
+    original = ChartMetric.geometry
 
     def spy(self, points):
         sizes.append(len(points))
         return original(self, points)
 
-    monkeypatch.setattr(ChartMetric, "metric_and_christoffel", spy)
+    monkeypatch.setattr(ChartMetric, "geometry", spy)
     return sizes
 
 
