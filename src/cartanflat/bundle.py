@@ -365,7 +365,7 @@ def bundle_pairing(
 ) -> float:
     """<s, t> at a point from component values (xi^1..xi^n, f)."""
     n = metric.dim
-    g = metric.metric_at(point)
+    g = metric.definite_metric_at(point)
     s_value = np.asarray(s_value, dtype=float)
     t_value = np.asarray(t_value, dtype=float)
     tangent = float(s_value[:n] @ g @ t_value[:n])

@@ -779,7 +779,7 @@ def constant_curvature_tensor(
 ) -> np.ndarray:
     """R_K(X, Y)Z = K (g(Y, Z) X - g(X, Z) Y), the model tensor of constant
     sectional curvature K, as coordinate components at ``point``."""
-    return constant_curvature_action(curvature, metric.metric_at(point), x, y, z)
+    return constant_curvature_action(curvature, metric.definite_metric_at(point), x, y, z)
 
 
 def constant_curvature_action(

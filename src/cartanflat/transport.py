@@ -23,31 +23,36 @@ step count at once, with state ``(m, size, size)``: transport, holonomy and
 develop pass one curve, develop_cloud the segments of up to GRID_CHUNK
 targets.  M depends on t and the curves only, so an RK4 step is Y -> P Y
 (forward) or Y -> Y P (inverse), with P a polynomial in h and the actions
-A1, A2, A4 at the step's node t_k, midpoint and end t_k + h (the linear case
-of the Lie-group methods of Iserles, Munthe-Kaas, Norsett and Zanna, Acta
-Numerica 9, 2000); the inverse takes each product transposed:
+A1, A2, A4 at the step's node t_k, its midpoint t_k + h/2 and the next node
+t_{k+1} (the linear case of the Lie-group methods of Iserles, Munthe-Kaas,
+Norsett and Zanna, Acta Numerica 9, 2000); the inverse takes each product
+transposed:
 
     S1 = -A1,  S2 = -A2 (I + h/2 S1),  S3 = -A2 (I + h/2 S2),
     S4 = -A4 (I + h S3),  P = I + h/6 (S1 + 2 S2 + 2 S3 + S4).
 
-The steps run in blocks: M at a block's distinct times first, stacked, then
-its propagators in three batched products, then one product per step.  A
-step's end serves as the next node when the two floats are equal bit for
-bit, so a block has two slope points per step and curve, plus one per curve
-for its first node.  A stack of m curves takes max(1, GRID_CHUNK // (2 m))
-steps per block (256 for one curve, 16 for a cloud chunk of 16 targets),
-paying a block's fixed cost (one curve evaluation, the chart check, the
-guards on g) once per about GRID_CHUNK slope points.  A block evaluates its
-curves at all its times in one call (_CurveStack.at), then g and Gamma at
-all its points (ChartMetric.geometry: chart box, then g singular or not
-positive definite, each raising at the first point that fails).  Its
-times, in first-use order, and a cloud's chunk of targets each go through
-metricspace.stacked_or_in_turn, so the error that escapes is the one
-stepping time by time, target by target, meets first.  Each stacked product
+Every curve steps on one node grid, t_k = t0 + k h with h = (t1 - t0) /
+steps, so each curve costs 2 steps + 1 slope times: the nodes and the
+midpoints between them.  The steps run in blocks: M at a block's midpoints
+and nodes first, stacked (a later block starts from the action at the node
+that ended the block before), then its propagators in three batched
+products, then one product per step.  A stack of m curves takes
+max(1, GRID_CHUNK // (2 m)) steps per block (256 for one curve, 16 for a
+cloud chunk of 16 targets), paying a block's fixed cost (one curve
+evaluation, the chart check, the guards on g) once per about GRID_CHUNK
+slope points.  A block evaluates its curves at all its times in one call
+(_CurveStack.at), then g and Gamma at all its points (ChartMetric.geometry:
+chart box, then g singular or not positive definite, each raising at the
+first point that fails).  Its times, in first-use order, and a cloud's chunk
+of targets each go through metricspace.stacked_or_in_turn, so the error that
+escapes is the one stepping time by time, target by target, meets first.  Each stacked product
 is the per-curve product at each row: results are bit-identical to stepping
 each curve alone with its propagators.  Accuracy contract: the truncation
 error is RK4's; only the rounding order differs from slope-form RK4 (four
-slopes on the state per step), matched within 64 steps eps max(1, |Y|_inf).
+slopes on the state per step), matched within 64 steps eps max(1, |Y|_inf)
+on every grid.  Where t0 = 0 and h is a power of two, t_{k+1} is t_k + h bit
+for bit, so the results are bit-identical to taking the end stage at
+t_k + h; elsewhere the two end times may differ by an ulp.
 """
 
 from __future__ import annotations
@@ -233,7 +238,7 @@ def _rk4_transport(
     (see the module docstring)."""
     m = len(curves.curves)
 
-    def actions_at(times: list) -> np.ndarray:
+    def actions_at(times: np.ndarray) -> np.ndarray:
         states = curves.at(times)
         points = states[:, 0].reshape(-1, curves.chart.dim)
         velocities = states[:, 1].reshape(-1, curves.chart.dim)
@@ -246,31 +251,23 @@ def _rk4_transport(
     steps = curves.steps
     h = (curves.t1 - curves.t0) / steps
     half = 0.5 * h
+    # the slope times in first-use order, t_0, t_0 + h/2, t_1, ..., t_steps,
+    # on the node grid t_k = t0 + k h
+    times = np.empty(2 * steps + 1)
+    times[0::2] = curves.t0 + np.arange(steps + 1) * h
+    times[1::2] = times[0:-1:2] + half
     # about GRID_CHUNK slope points per block, two per step and curve
     block = max(1, GRID_CHUNK // (2 * m))
     y = np.array(initial, dtype=float)
     eye = np.eye(y.shape[-2])
     if record is not None:
         record.append(y)
-    end_time, end_action = None, None  # of the step before
     for first in range(0, steps, block):
-        times: list[float] = []
-        nodes = []  # per step: where its node's action is; its midpoint's and end's follow
-        for k in range(first, min(first + block, steps)):
-            t = curves.t0 + k * h
-            # the step before ends at this node when the two are equal bit
-            # for bit: both are finite sums with h > 0, so neither is -0.0
-            # (nor NaN), and equal floats have equal bits
-            if t != end_time:  # end_time is None before the first step
-                times.append(t)
-            nodes.append(len(times) - 1)  # -1: the end of the block before
-            times += (t + half, t + h)
-            end_time = t + h
-        actions = stacked_or_in_turn(actions_at, times)
-        node, mid, end = (actions[np.add(nodes, offset)] for offset in range(3))
-        if nodes[0] < 0:
-            node[0] = end_action
-        end_action = end[-1]
+        stop = min(first + block, steps)
+        # a later block starts at the node that ended the block before
+        fresh = stacked_or_in_turn(actions_at, times[2 * first + (first > 0) : 2 * stop + 1])
+        actions = fresh if first == 0 else np.concatenate((actions[-1:], fresh))
+        node, mid, end = actions[0:-1:2], actions[1::2], actions[2::2]
         s1 = -node if forward else node
         s2 = stage(mid, eye + half * s1)
         s3 = stage(mid, eye + half * s2)
@@ -399,15 +396,14 @@ def develop(variant: str, metric: ChartMetric, path) -> DevelopedPath:
     base = segments[0].point_at(segments[0].t0)
     normalizer = np.eye(n + 1)
     normalizer[:n, :n] = orthonormal_frame(metric).coframe_at(base)
-    rows: list[np.ndarray] = []
+    record: list = []
     u = np.eye(n + 1)[None]
-    for index, segment in enumerate(segments):
-        record: list = []
+    for segment in segments:
+        if record:
+            record.pop()  # the join node starts the next segment's record
         u = _rk4_transport(variant, metric, _CurveStack((segment,)), u, False, record)
-        if index > 0:
-            record = record[1:]  # the join node is already recorded
-        rows.extend(normalizer @ step[0][:, n] for step in record)
-    return DevelopedPath(variant, np.array(rows))
+    states = np.array(record)[:, 0]
+    return DevelopedPath(variant, np.matmul(normalizer, states[:, :, n, None])[:, :, 0])
 
 
 def develop_cloud(
@@ -424,7 +420,7 @@ def develop_cloud(
     chart = metric.chart
     base = chart.require(base)
 
-    def developed_ends(chunk: list) -> list:
+    def developed_ends(chunk: list) -> np.ndarray:
         segments = [line_curve(chart, base, target, steps_per_unit) for target in chunk]
         return _developed_ends(variant, metric, segments)
 
@@ -435,7 +431,7 @@ def develop_cloud(
     return np.array(rows)
 
 
-def _developed_ends(variant: str, metric: ChartMetric, segments) -> list:
+def _developed_ends(variant: str, metric: ChartMetric, segments) -> np.ndarray:
     """``develop(...).end`` of each single-segment path, the segments
     sharing one parameter interval and step count, integrated as one stack."""
     variant_sign(variant)
@@ -448,7 +444,7 @@ def _developed_ends(variant: str, metric: ChartMetric, segments) -> list:
     normalizers = identities.copy()
     normalizers[:, :n, :n] = orthonormal_frame(metric).coframe_at(starts)
     ends = _rk4_transport(variant, metric, curves, identities, False)
-    return [normalizer @ u[:, n] for normalizer, u in zip(normalizers, ends)]
+    return np.matmul(normalizers, ends[:, :, n, None])[:, :, 0]
 
 
 def path_dependence(

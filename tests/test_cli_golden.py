@@ -70,6 +70,8 @@ JOBS = {
     "identity_dipping_h": (["identity", "--variant", "h"], _DIPPING),
     "zcr_kink": (["zcr"], None),
     "transport_half_plane_circle": (["transport"], _CIRCLE),
+    # h = 1/100 is not a power of two: the one golden that sees the node grid
+    "transport_half_plane_circle_100": (["transport"], {**_CIRCLE, "steps_per_unit": 100}),
     "develop_sphere3_two_segments": (["develop"], _TWO_SEGMENTS),
 }
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from cartanflat import metricspace
+from cartanflat.bundle import bundle_pairing
 from cartanflat.errors import (
     ChartDomainError,
     DimensionError,
@@ -779,6 +780,23 @@ def test_point_queries_refuse_an_indefinite_point():
             query(stack)
         assert str(stacked.value) == message
         assert stacked.value.point == point
+
+
+def test_pairing_and_model_tensor_refuse_an_indefinite_point():
+    chart = Chart(tuple(_DIPPING_METRIC["names"]), _DIPPING_METRIC["box"])
+    m = ChartMetric(chart, _DIPPING_METRIC["entries"])
+    point = (0.6, 0.6)
+    message = "metric is not positive definite (min eigenvalue -8.000e-01) at point (0.6, 0.6)"
+    e1, e2, e3 = np.eye(3)
+    queries = (
+        lambda: bundle_pairing("h", m, e2, e2, point),
+        lambda: constant_curvature_tensor(m, 1.0, e1[:2], e2[:2], e2[:2], point),
+    )
+    for query in queries:
+        with pytest.raises(SingularMetricError) as info:
+            query()
+        assert str(info.value) == message
+        assert info.value.point == point
 
 
 def test_sectional_curvature_refuses_a_stack():

@@ -357,7 +357,8 @@ def _reference_rk4(connection, metric, curve, initial, forward, record=None):
     """RK4 along one curve in propagator form, one point query per slope
     time and 2-D products: the reference for the stacked integrator.  A
     step is y -> P y (forward) or y -> y P with P a polynomial in the
-    actions at its node, midpoint and end."""
+    actions at its node t_k = t0 + k h, its midpoint t_k + h/2 and the next
+    node t_{k+1}."""
 
     def action(t):
         return _reference_action(connection, metric, curve.point_at(t), curve.velocity_at(t))
@@ -373,7 +374,7 @@ def _reference_rk4(connection, metric, curve, initial, forward, record=None):
         record.append(y.copy())
     for k in range(steps):
         t = curve.t0 + k * h
-        node, mid, end = action(t), action(t + 0.5 * h), action(t + h)
+        node, mid, end = action(t), action(t + 0.5 * h), action(curve.t0 + (k + 1) * h)
         s1 = -node if forward else node
         s2 = stage(mid, eye + 0.5 * h * s1)
         s3 = stage(mid, eye + 0.5 * h * s2)
@@ -482,13 +483,19 @@ def test_the_propagators_agree_with_slope_form_rk4_within_the_contract(name):
     corners, (center, radius) = _PATHS[name]
     segments = [line_curve(m.chart, a, b, 16) for a, b in zip(corners, corners[1:])]
     loop = _loop(m.chart, center, radius, 16)
+    # the first segment on grids whose step h is not a power of two
+    non_dyadic = [
+        ChartCurve(m.chart, segments[0].comps, t0, t1, steps_per_unit)
+        for steps_per_unit in (7, 10, 100)
+        for t0, t1 in ((0.0, 1.0), (0.1, 1.3))
+    ]
     for connection in CONNECTIONS:
         identity = np.eye(m.dim if connection == "lc" else m.dim + 1)
-        for curve in (*segments, loop):
+        for curve in (*segments, loop, *non_dyadic):
             want = _slope_rk4(connection, m, curve, identity, True)
             _assert_within_the_contract(transport_matrix(connection, m, curve), want, curve.steps)
     for variant in ("h", "s"):
-        for path in (segments, [loop]):
+        for path in (segments, [loop], *([curve] for curve in non_dyadic)):
             want = _reference_develop(variant, m, path, _slope_rk4)
             steps = sum(curve.steps for curve in path)
             _assert_within_the_contract(develop(variant, m, path).points, want, steps)
@@ -615,7 +622,7 @@ def test_develop_cloud_raises_the_in_turn_error_from_a_later_stacked_block():
 
 
 # ---------------------------------------------------------------------------
-# the block schedule: shared slope times, block edges, errors inside a block
+# the block schedule: the node grid, block edges, errors inside a block
 # ---------------------------------------------------------------------------
 
 def _block(count, chunk=GRID_CHUNK):
@@ -635,13 +642,6 @@ def small_blocks(monkeypatch):
     points run on the stacked tape, as a default block's 513 do."""
     monkeypatch.setattr(transport, "GRID_CHUNK", _SMALL_CHUNK)
     monkeypatch.setattr(exprlang, "STACK_MIN_POINTS", _BLOCK)
-
-
-def _has_unshared_end(curve):
-    """Whether some step's end time t_k + h is not the next node t_{k+1}."""
-    steps = curve.steps
-    h = (curve.t1 - curve.t0) / steps
-    return any(curve.t0 + k * h + h != curve.t0 + (k + 1) * h for k in range(steps))
 
 
 def _assert_matches_the_reference(m, curve):
@@ -667,7 +667,6 @@ def test_schedule_matches_the_reference_on_non_dyadic_steps(name, steps_per_unit
     line = line_curve(m.chart, corners[0], corners[1], steps_per_unit)
     later = ChartCurve(m.chart, line.comps, 0.1, 1.3, steps_per_unit)
     for curve in (line, later):
-        assert _has_unshared_end(curve)
         _assert_matches_the_reference(m, curve)
 
 
@@ -699,13 +698,6 @@ def test_develop_cloud_matches_the_reference_bit_for_bit(count, steps_per_unit):
     _assert_cloud_matches_the_reference(count, steps_per_unit)
 
 
-def _unshared_block_edges(steps, block):
-    """The last steps of full blocks whose end time t_k + h is not the next
-    node t_{k+1} (a segment runs over t in [0, 1])."""
-    h = 1.0 / steps
-    return [k for k in range(block - 1, steps - 1, block) if k * h + h != (k + 1) * h]
-
-
 # per cloud size: one block less a step, one block, one block and a step,
 # and two blocks and three steps
 _CLOUD_EDGE_CASES = [
@@ -719,14 +711,6 @@ _CLOUD_EDGE_CASES = [
 @pytest.mark.parametrize("count, steps", _CLOUD_EDGE_CASES)
 def test_develop_cloud_matches_the_reference_at_stacked_block_edges(count, steps):
     _assert_cloud_matches_the_reference(count, steps)
-
-
-def test_the_stacked_block_edge_cases_cross_an_unshared_edge():
-    # a non-dyadic step count whose end time t_k + h at a block's last step
-    # is not the next block's first node, so that block evaluates its node
-    assert any(
-        _unshared_block_edges(steps, _block(count)) for count, steps in _CLOUD_EDGE_CASES
-    )
 
 
 def _dipping_metric():
@@ -832,8 +816,17 @@ def test_a_cloud_of_16_targets_evaluates_its_slopes_16_steps_at_a_time(monkeypat
 
 
 def test_a_single_curve_of_256_steps_evaluates_its_slopes_in_one_block(monkeypatch):
+    # and 2 steps + 1 slope times on every grid, dyadic step h or not, as
+    # each step's end is the next node: 10 steps in one block, and 308 steps
+    # (h = 1.2 / 308) in blocks of 256 and 52
     m = preset_metric("hyperbolic3")
     variant, base = _CLOUDS["hyperbolic3"]
+    line = line_curve(m.chart, base, (-0.5, 0.3, 2.0))
     sizes = _slope_stacks(monkeypatch)
-    develop(variant, m, line_curve(m.chart, base, (-0.5, 0.3, 2.0), 256))
-    assert sizes == [2 * 256 + 1]
+    grids = [(256, 0.0, 1.0, [513]), (10, 0.0, 1.0, [21]), (256, 0.1, 1.3, [513, 104])]
+    for steps_per_unit, t0, t1, blocks in grids:
+        curve = ChartCurve(m.chart, line.comps, t0, t1, steps_per_unit)
+        sizes.clear()
+        develop(variant, m, curve)
+        assert sizes == blocks
+        assert sum(sizes) == 2 * curve.steps + 1
