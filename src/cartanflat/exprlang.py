@@ -29,7 +29,9 @@ identities); nothing here reorders sums or rewrites powers, so printed
 formulas stay recognizable.
 
 Evaluation is pure and deterministic.  Out-of-domain input (log of a
-non-positive value, division by zero, overflow) raises
+non-positive value, sqrt of a negative one, division by zero, sin, cos or
+tan of an infinite value, overflow, a negative base with a fractional
+exponent, zero raised to a negative exponent) raises
 :class:`~cartanflat.errors.ExpressionDomainError` instead of returning NaN.
 
 The two evaluation routes are kept bit-identical:
@@ -44,27 +46,31 @@ The two evaluation routes are kept bit-identical:
   the guarded ones (``/``, ``^``, the functions) in the same order, where
   the first to fail is the one the interpreter meets first.
 
-Bit identity of the stacked route rests on which operations it hands to
-numpy.  Only the correctly rounded IEEE operations go there: ``+ - *``,
-negation, ``/`` once no divisor is zero, and ``sqrt`` once no argument is
-negative.  numpy's transcendental ufuncs are vectorized approximations:
-``exp``, ``log``, ``tan``, ``atan``, the hyperbolic functions and ``power``
-differ from the C library's in the last bits on a sizable share of inputs
-(even ``x * x``, numpy's ``x ** 2``, differs from C's ``pow(x, 2.0)``), and
-nothing promises that ``sin`` and ``cos`` agree.  So every other function,
-and ``^``, maps the ``math`` function the scalar route calls over the
-elements.
+Bit identity rests on one set of kernels.  Each function, and ``^``, is a
+numpy ufunc in every route: the stacked tape calls it once on a whole
+column, and the interpreter, constant folding and the scalar tape call the
+same ufunc on a float and take ``float`` of the result.  The rest
+(``+ - * /`` and negation) are correctly rounded IEEE operations, the same
+in Python and numpy.  The values are numpy's, not the C library's: numpy's
+``exp``, ``log``, ``tan``, ``atan``, hyperbolic functions and ``power``
+differ from :mod:`math` in the last bits on some inputs.  numpy picks its
+kernels by the CPU's SIMD extensions at run time, so these bits may differ
+on another CPU, as those of its ``matmul`` and ``einsum`` may.
 
-Failures stay the scalar route's too: when anything goes wrong in a stacked
-call (a guard trips, a ``math`` function raises, an output is not finite),
-the scalar function runs over the stack's points in order and raises what
-it meets first.  Stacks of fewer than :data:`STACK_MIN_POINTS` points run
-point by point, which is faster below that size.
+The guards decide from the kernels' own results.  A scalar guard calls its
+ufunc as it is where the ufunc raises no floating-point flag, and
+elsewhere calls it with the flags ignored and checks the value.  The
+stacked tape checks a guarded column once: its values finite (every value
+a guard refuses is NaN or infinite), or for ``/``, no divisor zero.
+Failures stay the scalar route's: when a column fails its check, or
+anything else goes wrong in a stacked call, the scalar function runs over
+the stack's points in order and raises what it meets first.  Stacks of
+fewer than :data:`STACK_MIN_POINTS` points run point by point, which is
+faster below that size.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import weakref
@@ -102,31 +108,46 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# guarded primitives (shared by the interpreter and compiled code, so both
-# routes produce bit-identical values and bit-identical failures)
+# guarded primitives (shared by the interpreter, constant folding and
+# compiled code, so every route computes each value with the same kernel and
+# refuses the same inputs with the same message)
 # ---------------------------------------------------------------------------
 
 
-def _guard_log(x: float) -> float:
-    if x <= 0.0:
-        raise ExpressionDomainError(f"log of non-positive value {x!r}")
-    return math.log(x)
+def _kernel(ufunc, low: float, high: float, refuse=None):
+    """A function's scalar guard and its stacked twin, both calling ``ufunc``.
 
+    On ``low < x < high`` the ufunc raises no floating-point flag that numpy
+    would warn about, so the guard calls it as it is; elsewhere it calls it
+    with the flags ignored, and ``refuse(x, value)`` is the message for an
+    argument out of the domain, or false.  The value at every argument
+    ``refuse`` names is NaN or infinite, so the twin calls the ufunc once on
+    a column and checks only that the column is finite."""
 
-def _guard_sqrt(x: float) -> float:
-    if x < 0.0:
-        raise ExpressionDomainError(f"sqrt of negative value {x!r}")
-    return math.sqrt(x)
-
-
-def _guard_overflow(fn: Callable[[float], float]) -> Callable[[float], float]:
     def guarded(x: float) -> float:
-        try:
-            return fn(x)
-        except OverflowError:
-            raise ExpressionDomainError(f"overflow in {fn.__name__}({x!r})") from None
+        if low < x < high:
+            return float(ufunc(x))
+        with np.errstate(all="ignore"):
+            value = float(ufunc(x))
+        message = refuse is not None and refuse(x, value)
+        if message:
+            raise ExpressionDomainError(message)
+        return value
 
-    return guarded
+    def stacked(x):
+        if not isinstance(x, np.ndarray):
+            return guarded(x)
+        return ufunc(x) if refuse is None else _finite(ufunc(x))
+
+    return guarded, stacked
+
+
+def _infinite_argument(name: str):
+    return lambda x, value: math.isinf(x) and f"{name} of non-finite value {x!r}"
+
+
+def _overflow(name: str):
+    return lambda x, value: math.isinf(value) and math.isfinite(x) and f"overflow in {name}({x!r})"
 
 
 def _guard_div(a: float, b: float) -> float:
@@ -136,30 +157,50 @@ def _guard_div(a: float, b: float) -> float:
 
 
 def _guard_pow(a: float, b: float) -> float:
-    try:
-        value = a ** b
-    except OverflowError:
-        raise ExpressionDomainError(f"overflow in {a!r} ^ {b!r}") from None
-    except ZeroDivisionError:
-        raise ExpressionDomainError("zero raised to a negative exponent") from None
-    if isinstance(value, complex):
+    """``a ^ b`` in every route: ``np.power``, here on floats."""
+    # with |a| = m 2^e, 1/2 <= m < 1, |a|^b < 2^1023 while |b| (|e| + 1) <
+    # 1023; so with a positive base or an integer exponent, and no zero
+    # raised to a power that is not positive, no flag but underflow rises
+    if abs(b) * (abs(math.frexp(a)[1]) + 1) < 1023.0 and (
+        a > 0.0 or b == math.floor(b) and (a != 0.0 or b > 0.0)
+    ):
+        return float(np.power(a, b))
+    with np.errstate(all="ignore"):
+        value = float(np.power(a, b))
+    if math.isnan(value) and not (math.isnan(a) or math.isnan(b)):
         raise ExpressionDomainError(
             f"{a!r} ^ {b!r} leaves the real domain (negative base, fractional exponent)"
         )
+    if math.isinf(value) and math.isfinite(a) and math.isfinite(b):
+        if a == 0.0:
+            raise ExpressionDomainError("zero raised to a negative exponent")
+        raise ExpressionDomainError(f"overflow in {a!r} ^ {b!r}")
     return value
 
 
+#: Each function's scalar guard and stacked twin, with the range where its
+#: ufunc is quiet.  Outside it the guards refuse sin, cos and tan of an
+#: infinite value, exp, sinh and cosh of a finite value that overflows, log
+#: of a value that is not positive, and sqrt of a negative one.
+_KERNELS = {
+    "sin": _kernel(np.sin, -math.inf, math.inf, _infinite_argument("sin")),
+    "cos": _kernel(np.cos, -math.inf, math.inf, _infinite_argument("cos")),
+    "tan": _kernel(np.tan, -math.inf, math.inf, _infinite_argument("tan")),
+    "sinh": _kernel(np.sinh, -709.0, 709.0, _overflow("sinh")),
+    "cosh": _kernel(np.cosh, -709.0, 709.0, _overflow("cosh")),
+    "tanh": _kernel(np.tanh, -math.inf, math.inf),
+    "exp": _kernel(np.exp, -math.inf, 709.0, _overflow("exp")),
+    "log": _kernel(
+        np.log, 0.0, math.inf, lambda x, value: x <= 0.0 and f"log of non-positive value {x!r}"
+    ),
+    "sqrt": _kernel(
+        np.sqrt, 0.0, math.inf, lambda x, value: x < 0.0 and f"sqrt of negative value {x!r}"
+    ),
+    "atan": _kernel(np.arctan, -math.inf, math.inf),
+}
+
 _FUNCTION_IMPL: dict[str, Callable[[float], float]] = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "sinh": _guard_overflow(math.sinh),
-    "cosh": _guard_overflow(math.cosh),
-    "tanh": math.tanh,
-    "exp": _guard_overflow(math.exp),
-    "log": _guard_log,
-    "sqrt": _guard_sqrt,
-    "atan": math.atan,
+    name: guard for name, (guard, _) in _KERNELS.items()
 }
 
 FUNCTION_NAMES = tuple(sorted(_FUNCTION_IMPL))
@@ -1008,11 +1049,8 @@ def compile_expressions(
             with np.errstate(all="ignore"):
                 for j, column in enumerate(run(columns, stack_steps)):
                     out[:, j] = column
-            # abs and max rather than isfinite: kernels a process has used
-            # already, and each new one adds to its resident memory
-            if not np.abs(out).max() < math.inf:
-                raise ExpressionDomainError("expression value is not finite")
-        except _STACK_ERRORS:
+                _finite(out.reshape(-1))
+        except ExpressionDomainError:
             return point_by_point(points)  # raises the scalar route's error
         return out
 
@@ -1033,26 +1071,17 @@ def compile_expressions(
 #: call costs about as much as 32 to 64 scalar evaluations of that step.
 STACK_MIN_POINTS = 32
 
-_STACK_ERRORS = (ExpressionDomainError, ArithmeticError, ValueError)
+_sum = np.add.reduce
 
 
-def _stack_map(fn: Callable[[float], float]):
-    """``fn`` over every element of a column, or on a constant operand."""
-
-    def apply(x):
-        if isinstance(x, np.ndarray):
-            return np.fromiter(map(fn, x.tolist()), float, len(x))
-        return fn(x)
-
-    return apply
-
-
-def _stack_sqrt(x):
-    if not isinstance(x, np.ndarray):
-        return _guard_sqrt(x)
-    if (x < 0.0).any():
-        raise ExpressionDomainError("sqrt of negative value")
-    return np.sqrt(x)  # correctly rounded, like math.sqrt
+def _finite(column: np.ndarray) -> np.ndarray:
+    """``column``, once no value in it is NaN or infinite.  A sum of finite
+    values is finite unless it overflows, and abs and max decide that rare
+    case (kernels a process has used already: each new one adds to its
+    resident memory)."""
+    if math.isfinite(_sum(column)) or np.abs(column).max() < math.inf:
+        return column
+    raise ExpressionDomainError("a value is not finite")
 
 
 def _stack_div(a, b):
@@ -1067,20 +1096,15 @@ def _stack_div(a, b):
 def _stack_pow(a, b):
     if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
         return _guard_pow(a, b)
-    m = len(a) if isinstance(a, np.ndarray) else len(b)
-    a, b = (x.tolist() if isinstance(x, np.ndarray) else itertools.repeat(x) for x in (a, b))
-    return np.fromiter(map(math.pow, a, b), float, m)
+    return _finite(np.power(a, b))
 
 
-#: The stacked tape's function for each guard the scalar tape calls.  The
-#: scalar guards only translate the math functions' own exceptions, and any
-#: exception sends a stack back to the scalar route, so the stacked
-#: functions map the math functions directly.
+#: The stacked tape's function for each guard the scalar tape calls.  Any
+#: ExpressionDomainError sends a stack back to the scalar route.
 _TO_STACK = {
     _guard_div: _stack_div,
     _guard_pow: _stack_pow,
-    **{impl: _stack_map(getattr(math, name)) for name, impl in _FUNCTION_IMPL.items()},
-    _guard_sqrt: _stack_sqrt,
+    **dict(_KERNELS.values()),
 }
 
 

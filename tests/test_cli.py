@@ -117,6 +117,20 @@ def test_inline_metric_config(tmp_path, capsys):
     assert report["metric"]["names"] == ["x", "y"]
 
 
+def test_a_periodic_function_of_an_infinite_value_is_named_with_its_point(tmp_path, capsys):
+    # x * 1e300 * 1e300 overflows to inf, which sin cannot take
+    config = tmp_path / "job.json"
+    metric = {
+        "names": ["x", "y"],
+        "box": [[0.5, 1], [0.5, 1]],
+        "entries": [["2 + sin(x*1e300*1e300)", "0"], ["0", "1"]],
+    }
+    config.write_text(json.dumps({"metric": metric}))
+    code, report, err = _run(capsys, "flatness", "--config", str(config))
+    assert (code, report) == (2, None)
+    assert err == "error: $.metric: sin of non-finite value inf at point (0.525, 0.525)\n"
+
+
 @pytest.mark.parametrize(
     "config, path_fragment",
     [

@@ -4,6 +4,7 @@ import ast
 import functools
 import gc
 import math
+import sys
 import weakref
 from pathlib import Path
 
@@ -12,13 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartanflat import exprlang
+from cartanflat import cli, exprlang
 from cartanflat.errors import ExpressionDomainError, ParseError, UnknownIdentifierError
 from cartanflat.exprlang import (
     MAX_DEPTH,
     STACK_MIN_POINTS,
     Binary,
     Const,
+    FUNCTION_NAMES,
     Expression,
     Unary,
     Var,
@@ -41,7 +43,12 @@ from cartanflat.exprlang import (
 from cartanflat.cartan import orthonormal_frame
 from cartanflat.presets import PRESET_NAMES, preset_metric, random_metric
 from cartanflat.sasaki import connection_matrix, flatness_scan
-from genexpr import central_difference, check_derivative_against_fd, random_expression
+from genexpr import (
+    EXPONENT_CHOICES,
+    central_difference,
+    check_derivative_against_fd,
+    random_expression,
+)
 
 XY = ("x", "y")
 
@@ -385,6 +392,68 @@ def test_compiled_matches_interpreter_bitwise():
     assert outcomes.count(True) > 40 and outcomes.count(False) > 20
 
 
+def _route_outcomes(e, stack) -> list:
+    """What the interpreter, the scalar tape and the stacked tape make of
+    ``e`` over a stack of points in x: the values as bits, or the class and
+    message of the first error."""
+    fn = compile_expressions([e], ("x",))
+    xs = stack[:, 0].tolist()
+    routes = (
+        lambda: [evaluate(e, {"x": x}) for x in xs],
+        lambda: [fn((x,))[0] for x in xs],
+        lambda: fn(stack)[:, 0],
+    )
+    outcomes = []
+    for route in routes:
+        try:
+            outcomes.append(_bits(route()))
+        except Exception as error:  # noqa: BLE001 - any class must match
+            outcomes.append((type(error), str(error)))
+    return outcomes
+
+
+def _edge_stacks() -> dict[str, np.ndarray]:
+    """Stacks of ``3 * STACK_MIN_POINTS`` arguments at the kernels' edges."""
+    n = 3 * STACK_MIN_POINTS
+    rng = np.random.default_rng(26)
+    top = math.log(np.finfo(float).max)  # the largest argument exp takes
+    ulps = np.arange(-(n // 2), n - n // 2)
+    with_zeros = rng.uniform(0.1, 3.0, n)
+    with_zeros[[5, 50]] = 0.0, -0.0
+    with_infinity = rng.uniform(0.1, 3.0, n)
+    with_infinity[70] = math.inf
+    stacks = {
+        "positive": rng.uniform(0.1, 3.0, n),
+        "negative": -rng.uniform(0.1, 3.0, n),
+        "zeros": with_zeros,
+        "tiny": rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-320.0, -150.0, n),
+        "huge": rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(150.0, 160.0, n),
+        "below exp's top": np.linspace(top - 1.0, top, n),
+        "across exp's top": np.linspace(top - 0.01, top + 0.01, n),
+        "across cosh's top": np.linspace(710.4, 710.5, n),
+        "around pi/2": np.nextafter(math.pi / 2, 4.0) + ulps * np.spacing(math.pi / 2),
+        "infinite": with_infinity,
+    }
+    return {name: stack.reshape(n, 1) for name, stack in stacks.items()}
+
+
+_EDGE_CASES = [*FUNCTION_NAMES, *(f"^{b!r}" for b in (*EXPONENT_CHOICES, 1.5, -0.5))]
+
+
+@pytest.mark.parametrize("case", _EDGE_CASES)
+def test_kernels_at_their_edges_agree_on_every_route(case):
+    if case.startswith("^"):
+        e = Binary("^", Var("x"), Const(float(case[1:])))
+    else:
+        e = Unary(case, Var("x"))
+    compared = 0
+    for name, stack in _edge_stacks().items():
+        interpreted, scalar, stacked = _route_outcomes(e, stack)
+        assert interpreted == scalar == stacked, name
+        compared += isinstance(interpreted, list)
+    assert compared >= 4
+
+
 def test_compiled_batch_and_shared_subtrees():
     shared = parse("sqrt(x^2 + y^2)", XY)
     exprs = [Binary("*", shared, Var("x")), Binary("+", shared, Const(1.0)), shared]
@@ -475,6 +544,18 @@ def test_a_single_use_chain_far_deeper_than_the_cap_compiles_bitwise():
         # the shared 1/y has a tape step of its own, which comes after log's
         (["log(x) + 1/y", "1/y"], "log of non-positive value -1.0"),
         (["sqrt(x) * (2 - 1/y)", "1/y + x"], "sqrt of negative value -1.0"),
+        # one case per message of the kernels' guards, each before a second
+        # guard that fails too; at the good points (x, y in [0.5, 1.5]) every
+        # argument stays inside the domain
+        (["exp(800 - 700*y) + 1/y"], "overflow in exp(800.0)"),
+        (["sinh(800 - 700*y) * log(x)"], "overflow in sinh(800.0)"),
+        (["cosh(800 - 700*y)", "1/y"], "overflow in cosh(800.0)"),
+        (["(y + 1e-200)^-2 + log(x)"], "overflow in 1e-200 ^ -2.0"),
+        (["y^-1 + sqrt(x)"], "zero raised to a negative exponent"),
+        (
+            ["x^0.5 - 1/y"],
+            "-1.0 ^ 0.5 leaves the real domain (negative base, fractional exponent)",
+        ),
     ],
 )
 def test_where_two_guards_fail_both_routes_raise_the_interpreters_error(texts, message):
@@ -491,6 +572,21 @@ def test_where_two_guards_fail_both_routes_raise_the_interpreters_error(texts, m
     with pytest.raises(ExpressionDomainError) as stacked:
         fn(stack)
     assert str(scalar.value) == str(stacked.value) == message
+    assert type(reference.value) is type(scalar.value) is type(stacked.value)
+
+
+@pytest.mark.parametrize("name", ["sin", "cos", "tan"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_periodic_functions_refuse_an_infinite_argument_on_every_route(name, sign):
+    e = parse(f"{name}(x*1e300*1e300)", XY)
+    message = f"{name} of non-finite value {sign * math.inf!r}"
+    fn = compile_expressions([e], XY)
+    stack = sign * np.random.default_rng(9).uniform(0.5, 1.5, (3 * STACK_MIN_POINTS, 2))
+    point = {"x": sign, "y": 1.0}
+    for route in (lambda: evaluate(e, point), lambda: fn((sign, 1.0)), lambda: fn(stack)):
+        with pytest.raises(ExpressionDomainError) as caught:
+            route()
+        assert str(caught.value) == message
 
 
 def _divided_in_turn(a, b) -> list | None:
@@ -538,6 +634,53 @@ def test_stacked_division_by_a_constant_decides_as_the_scalar_guard(text):
     _assert_stacked_division_is_the_guards(x, divisor, want)
     fn = compile_expressions([e], XY)
     assert _check_stacked_route(fn, [e], stack) == (want is not None)
+
+
+@pytest.fixture
+def scalar_kernel_calls(monkeypatch):
+    """Counts the calls of the scalar route's guards (every operation of
+    ``_OPS`` written in Python) by name, while ``np.fromiter``, the way to
+    map a Python function over a column, raises."""
+
+    def fromiter(*args, **kwargs):
+        raise AssertionError("a function was mapped over the elements of a column")
+
+    monkeypatch.setattr(exprlang.np, "fromiter", fromiter)
+    guards = {f.__code__ for f in exprlang._OPS.values() if hasattr(f, "__code__")}
+    calls: dict[str, int] = {}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in guards:
+            calls[frame.f_code.co_name] = calls.get(frame.f_code.co_name, 0) + 1
+
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(None)
+
+
+def test_a_stack_calls_each_kernel_once_per_column(scalar_kernel_calls):
+    e = parse("sin(x)^2 * cos(y) + exp(x - y) - atan(x * y)^2", XY)
+    fn = compile_expressions([e], XY)
+    stack = np.random.default_rng(64).uniform(0.5, 1.5, (64, 2))
+    out = fn(stack)
+    assert scalar_kernel_calls == {}
+    expected = [evaluate(e, {"x": x, "y": y}) for x, y in stack.tolist()]
+    assert _bits(out[:, 0]) == _bits(expected)
+
+
+@pytest.mark.parametrize(
+    "argv, points",
+    [
+        (["flatness", "--preset", "sphere3", "--variant", "s", "--grid", "6"], 6**3),
+        (["zcr", "--grid", "21"], 21**2),
+    ],
+)
+def test_grid_scans_call_the_kernels_on_columns(scalar_kernel_calls, capsys, argv, points):
+    assert cli.main(argv) == 0
+    # a few scalar evaluations (say, at a sample point) but none per point
+    assert sum(scalar_kernel_calls.values()) < points
 
 
 # ---------------------------------------------------------------------------
