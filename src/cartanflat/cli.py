@@ -11,7 +11,10 @@ other commands --out stores the JSON report.
 `_COMMANDS` (each subcommand's job, metric, structured fields and
 defaults) are the single source of the flags, the config-key checks and
 the defaults.  docs/config-schema.json documents the fields, and
-tests/test_cli.py pins it to these two tables.
+tests/test_cli.py pins it to these two tables.  A plain command line (a
+command, then ``--flag value`` pairs of its own flags with values that
+convert and do not start with "-") is read straight from the tables;
+argparse reads every other line, and prints the help and every refusal.
 """
 
 from __future__ import annotations
@@ -300,14 +303,24 @@ def _job_curvature(s: dict):
     points = 0
     low = high = worst = None
     for chunk, values in grid_scan(metric.chart, grid, curvatures):
-        # min() and max() of every value, compared as they would, in point order
-        for value in values.ravel().tolist():
-            if low is None or value < low:
-                low = value
-            if high is None or value > high:
-                high = value
-            if expected is not None and (worst is None or abs(value - expected) > worst):
-                worst = abs(value - expected)
+        values = values.ravel()
+        if low is None:  # min() and max() start from the first value, even a NaN
+            low = high = values[0]
+            worst = None if expected is None else abs(values[0] - expected)
+        # then, in point order, a chunk's first extreme replaces them only
+        # when strictly beyond, so a zero keeps its sign.  A numerator whose
+        # products g_ki R^k_jij overflow is inf, and where two overflow with
+        # opposite signs the dot kernel may sum them to NaN; like max(), a
+        # NaN never wins (argmin and argmax would pick it)
+        numbers = ~np.isnan(values)
+        lowest = values[np.where(numbers, values, math.inf).argmin()]
+        highest = values[np.where(numbers, values, -math.inf).argmax()]
+        low = lowest if lowest < low else low
+        high = highest if highest > high else high
+        if expected is not None:
+            residuals = np.abs(values - expected)
+            farthest = residuals[np.where(numbers, residuals, -math.inf).argmax()]
+            worst = farthest if farthest > worst else worst
         points += len(chunk)
     payload = {
         **s["source"],
@@ -515,6 +528,16 @@ def _settings(cfg: dict, command: _Command) -> dict:
     return settings
 
 
+#: The flags every subcommand takes besides its fields' flags, with their help.
+_FILE_FLAGS = {"config": "JSON config file", "out": "write the report (or CSV trace) here"}
+
+
+def _flag_fields(command: _Command) -> list[str]:
+    """The fields a subcommand takes as flags, in ``_FIELDS`` order."""
+    fields = command.fields
+    return [field for field, spec in _FIELDS.items() if field in fields and spec.help is not None]
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cartanflat",
@@ -523,13 +546,44 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.summary)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", help="write the report (or CSV trace) here")
-        fields = command.fields
-        for field, spec in _FIELDS.items():
-            if field in fields and spec.help is not None:
-                p.add_argument(f"--{field}", type=spec.kind, choices=spec.choices, help=spec.help)
+        for flag, text in _FILE_FLAGS.items():
+            p.add_argument(f"--{flag}", help=text)
+        for field in _flag_fields(command):
+            spec = _FIELDS[field]
+            p.add_argument(f"--{field}", type=spec.kind, choices=spec.choices, help=spec.help)
     return parser
+
+
+def _plain_args(argv: list) -> argparse.Namespace | None:
+    """The namespace ``_parser().parse_args(argv)`` returns for a plain
+    command line, read from the tables without building a parser; None for
+    any other line.
+
+    A plain line is a command, then ``--flag value`` pairs of that command's
+    own flags, each value not starting with "-", converting by its field's
+    kind and among its choices.  argparse reads every other line: ``-h``,
+    abbreviations, ``--flag=value``, values starting with "-" and each line
+    it refuses, so the messages and exit codes stay its own."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    fields = _flag_fields(_COMMANDS[argv[0]])
+    args = dict.fromkeys([*_FILE_FLAGS, *fields])
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        name = flag[2:]
+        if not flag.startswith("--") or name not in args or text.startswith("-"):
+            return None
+        if name in fields:
+            spec = _FIELDS[name]
+            try:
+                value = spec.kind(text)
+            except ValueError:
+                return None
+            if spec.choices is not None and value not in spec.choices:
+                return None
+            args[name] = value
+        else:
+            args[name] = text
+    return argparse.Namespace(command=argv[0], **args)
 
 
 def _load_config(args) -> dict:
@@ -555,7 +609,10 @@ def _load_config(args) -> dict:
 
 def main(argv=None) -> int:
     """Exit 0 when the check passes, 1 when it fails, 2 on anything else."""
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     try:
         return _run(args)
     except CartanflatError as exc:

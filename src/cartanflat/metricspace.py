@@ -12,7 +12,10 @@ and then return arrays with a leading axis of length m, bit-identical to m
 single-point queries.  All but ``metric_at`` read a :class:`Geometry`, which
 guards g, nonsingular and then positive definite, before it returns g, Gamma
 or R.  Grid scans evaluate chunks of at most :data:`GRID_CHUNK` grid points
-at a time (:func:`grid_scan`).  Index conventions:
+at a time (:func:`grid_scan`); each chunk is built as an array from the
+chart's axes by flat grid index, the same floats in the same row-major order
+as :meth:`Chart.grid`, and :func:`worst_point` reduces it with array
+operations.  Index conventions:
 
     christoffel(p)[k, i, j] = Gamma^k_ij
     riemann(p)[l, k, i, j]  = R^l_kij,  meaning  R(d_i, d_j) d_k = R^l_kij d_l
@@ -209,10 +212,15 @@ def worst_point(
     where the point is None."""
     worst, where, count = -1.0, None, 0
     for points, values in chunks:
-        for point, value in zip(points.tolist(), values.tolist()):
-            if value > worst:
-                worst, where = value, tuple(point)
         count += len(points)
+        if not len(values):
+            continue
+        k = int(np.argmax(values))
+        if values[k] != values[k]:  # argmax picks a NaN first; as in max(), none wins
+            values = np.where(values == values, values, -math.inf)
+            k = int(np.argmax(values))
+        if values[k] > worst:
+            worst, where = float(values[k]), tuple(points[k].tolist())
     return worst, where, count
 
 
@@ -220,7 +228,11 @@ def grid_scan(chart: Chart, resolution: int, evaluate) -> Iterator[tuple[np.ndar
     """``(points, evaluate(points))`` for each chunk of the chart's grid,
     evaluated by :func:`stacked_or_in_turn`.  ``evaluate`` maps a stack of
     points to an array with one leading row per point.  An
-    ExpressionDomainError met at one point is raised again naming it."""
+    ExpressionDomainError met at one point is raised again naming it.
+
+    Each chunk is indexed straight out of ``chart.axes(resolution)``,
+    row-major, so its rows are the floats of :meth:`Chart.grid`, in its
+    order, with no tuple built per point."""
 
     def at_named_point(points: np.ndarray) -> np.ndarray:
         try:
@@ -230,9 +242,12 @@ def grid_scan(chart: Chart, resolution: int, evaluate) -> Iterator[tuple[np.ndar
                 raise
             raise ExpressionDomainError(str(exc), point=_nth_point(points, 0)) from exc
 
-    grid = chart.grid(resolution)
-    while chunk := list(itertools.islice(grid, GRID_CHUNK)):
-        points = np.array(chunk)
+    axes = chart.axes(resolution)
+    shape = (resolution,) * chart.dim
+    total = resolution**chart.dim
+    for start in range(0, total, GRID_CHUNK):
+        indices = np.unravel_index(np.arange(start, min(start + GRID_CHUNK, total)), shape)
+        points = np.column_stack([axis[index] for axis, index in zip(axes, indices)])
         yield points, stacked_or_in_turn(at_named_point, points)
 
 

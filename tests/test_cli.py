@@ -1,7 +1,10 @@
 """CLI behavior: reports, exit codes, config validation."""
 
 import argparse
+import contextlib
 import csv
+import io
+import itertools
 import json
 import math
 import os
@@ -11,9 +14,14 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_cli_golden import GOLDEN, JOBS, run_job
 
 import cartanflat
+from cartanflat import cli
 from cartanflat.cli import (
     _COMMANDS,
     _FIELDS,
@@ -22,12 +30,14 @@ from cartanflat.cli import (
     _REQUIRED,
     _get_grid,
     _parser,
+    _plain_args,
     _read,
     main,
 )
 from cartanflat.errors import ConfigError
 from cartanflat.exprlang import MAX_DEPTH
-from cartanflat.presets import PRESET_NAMES
+from cartanflat.metricspace import ChartMetric
+from cartanflat.presets import KINK_TEXT, PRESET_NAMES, get_preset, preset_metric
 
 
 def _run(capsys, *argv):
@@ -857,6 +867,136 @@ def test_unwritable_out_path_exits_2_before_any_report(tmp_path, capsys, command
     assert captured.out == ""
     assert captured.err == f"error: cannot write --out file {str(out)!r}: No such file or directory\n"
     assert not out.parent.exists()
+
+
+_ANY_FLAG = sorted({f"--{field}" for field in _FIELDS} | {"--config", "--out"})
+_FLAG_TEXTS = [
+    "2", "6", "0", " 7 ", "2_0", "\u0663", "1.5", "1e-3", "1e400", "nan", "", "h", "s", "x",
+    "lc", "half_plane", "sphere3", "x1 + x2", "a b", "-1", "-0.5", "-x1", "--", "-h",
+]
+_OTHER_TOKENS = ["-h", "--help", "--", "--bogus", "--pre", "--gr", "--va", "--grid=6", "--variant=h", "-x"]
+_TEXTS = st.sampled_from(_FLAG_TEXTS) | st.text(max_size=3)
+#: per flag, values it takes
+_GOOD_TEXTS = {
+    f"--{field}": spec.choices or {
+        int: ["2", "6", " 7 ", "2_0", "\u0663"],
+        float: ["1.5", "0", "1e-3", "1e400", "nan"],
+        str: ["half_plane", "x1 + x2", "a b", ""],
+    }[spec.kind]
+    for field, spec in _FIELDS.items()
+}
+_GOOD_TEXTS["--config"] = _GOOD_TEXTS["--out"] = ["job.json", "out dir/x", ""]
+_OTHER_PARTS = (
+    st.tuples(st.sampled_from(_ANY_FLAG), _TEXTS)  # perhaps another command's flag
+    | st.sampled_from(_OTHER_TOKENS + _FLAG_TEXTS).map(lambda token: (token,))
+)
+
+
+def _command_lines(command: str):
+    """``command``, then mostly ``--flag value`` pairs of its own flags."""
+    own = ["--config", "--out"] + [
+        action.option_strings[0] for action in _subcommand_flags().get(command, [])
+    ]
+    good = st.sampled_from(own).flatmap(
+        lambda flag: st.tuples(st.just(flag), st.sampled_from(_GOOD_TEXTS[flag]))
+    )
+    other = st.tuples(st.sampled_from(own), _TEXTS) | _OTHER_PARTS
+    parts = st.lists(st.one_of(*[good] * 6, other), max_size=5)
+    return parts.map(lambda parts: [command, *itertools.chain.from_iterable(parts)])
+
+
+_ARGV = st.sampled_from([*_COMMANDS, "flat", "nope", "-h", "--config"]).flatmap(_command_lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_ARGV)
+@example(argv=[])
+@example(argv=["zcr", "--u", "-x1"])
+@example(argv=["compat", "--preset", "--"])
+@example(argv=["curvature", "--expected", "-0.5"])
+@example(argv=["flatness", "--preset", "sphere3", "--variant", "s", "--grid", "20"])
+@example(argv=["zcr", "--u", f"{KINK_TEXT} + 0.01 * sin(x1)", "--grid", "61"])
+@example(argv=["develop", "--config", "job.json", "--out", "", "--variant", "h"])
+@example(argv=["curvature", "--expected", "1e400", "--tol", "nan", "--grid", " 7 "])
+def test_the_table_reader_returns_what_argparse_returns(argv):
+    plain = _plain_args(argv)
+    if plain is None:  # argparse reads the line
+        return
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            expected = _parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"the tables read {argv!r}, which argparse refuses: {err.getvalue()}")
+    # repr tells -0.0 from 0.0, 2 from "2", and matches NaN with NaN
+    assert {k: repr(v) for k, v in vars(plain).items()} == {
+        k: repr(v) for k, v in vars(expected).items()
+    }
+
+
+def _no_parser():
+    raise AssertionError("a plain command line built an argparse parser")
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_a_plain_command_line_builds_no_parser(monkeypatch, name):
+    # every golden job is a plain line: flatness, curvature, compat, zcr,
+    # identity, and transport and develop with --config
+    monkeypatch.setattr(cli, "_parser", _no_parser)
+    golden = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    assert run_job(name) == golden
+
+
+def test_a_plain_line_with_a_field_expression_builds_no_parser(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_parser", _no_parser)
+    code, report, _ = _run(capsys, "zcr", "--u", f"{KINK_TEXT} + 0.01 * sin(x1)", "--grid", "21")
+    assert code == 1 and report["correlation"] > 0.999
+
+
+@pytest.mark.parametrize("preset", ["hyperbolic3", "sphere3"])
+def test_curvature_extremes_are_min_and_max_in_point_order(capsys, preset):
+    metric = preset_metric(preset)
+    # 729 points: a whole chunk and a partial one
+    code, report, _ = _run(capsys, "curvature", "--preset", preset, "--grid", "9")
+    assert code == 0 and report["points"] == 9**3
+    points = np.array(list(metric.chart.grid(9)))
+    values = metric.sectional_curvatures(points, [(0, 1), (0, 2), (1, 2)]).ravel().tolist()
+    expected = get_preset(preset).expected_curvature
+    want = [min(values), max(values), max(abs(v - expected) for v in values)]
+    got = [report["min_curvature"], report["max_curvature"], report["max_residual"]]
+    assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+
+def _curvature_table(edits: dict) -> list:
+    """529 curvatures of the half-plane grid at 23 (a chunk of 512, then 17),
+    below -1, with ``edits`` written in."""
+    table = (-1.0 - np.random.default_rng(3).random(23**2)).tolist()
+    for index, value in edits.items():
+        table[index] = value
+    return table
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        _curvature_table({0: math.nan}),  # min() and max() of a NaN first are NaN
+        _curvature_table({3: math.nan, 40: -9.0, 515: -9.0, 100: -0.0, 520: 0.0, 527: math.nan}),
+        _curvature_table({**{k: math.nan for k in range(512, 529)}, 7: -0.0, 8: 0.0}),
+        _curvature_table({1: 0.0, 2: -0.0, 513: math.inf, 514: -math.inf}),
+        [-v for v in _curvature_table({10: -0.0, 520: 0.0})],  # min() keeps the first, 0.0
+    ],
+)
+def test_curvature_extremes_keep_min_and_max_on_nan_and_signed_zeros(capsys, monkeypatch, table):
+    rows = iter(table)
+
+    def fake(self, points, planes):
+        return np.array([next(rows) for _ in points]).reshape(-1, 1)
+
+    monkeypatch.setattr(ChartMetric, "sectional_curvatures", fake)
+    _, report, _ = _run(capsys, "curvature", "--preset", "half_plane", "--grid", "23")
+    want = [min(table), max(table), max(abs(v + 1.0) for v in table)]
+    got = [report["min_curvature"], report["max_curvature"], report["max_residual"]]
+    assert list(map(float.hex, got)) == list(map(float.hex, want))
 
 
 def test_bad_flag_values_exit_2(capsys):

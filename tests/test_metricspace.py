@@ -601,11 +601,21 @@ def test_grid_is_row_major_and_respects_margin():
 
 
 def test_grid_scan_chunks_are_the_grid_in_order():
-    chart = Chart(("a", "b", "c"), ((0.0, 1.0), (-2.0, 2.0), (1.0, 3.0)))
-    chunks = [points for points, _ in grid_scan(chart, 9, lambda points: points)]
-    assert [len(c) for c in chunks] == [GRID_CHUNK, 9**3 - GRID_CHUNK]
-    points = [tuple(row) for chunk in chunks for row in chunk.tolist()]
-    assert points == list(chart.grid(9))  # same floats, same order
+    cases = [  # box, resolution, chunk sizes
+        (((0.0, 1.0),), 700, [GRID_CHUNK, 700 - GRID_CHUNK]),
+        (((-1.0, 0.3),), 2, [2]),
+        (((0.0, 1.0), (-3.0, 7.0)), 30, [GRID_CHUNK, 900 - GRID_CHUNK]),
+        (((0.0, 1.0), (-2.0, 2.0), (1.0, 3.0)), 8, [GRID_CHUNK]),  # exactly one chunk
+        (((0.0, 1.0), (-2.0, 2.0), (1.0, 3.0)), 9, [GRID_CHUNK, 9**3 - GRID_CHUNK]),
+        (((0.1, 0.7), (-2.0, 2.0), (1.0, 3.0)), 13, [GRID_CHUNK] * 4 + [13**3 - 4 * GRID_CHUNK]),
+    ]
+    for box, resolution, sizes in cases:
+        chart = Chart(tuple("abc"[: len(box)]), box)
+        chunks = [points for points, _ in grid_scan(chart, resolution, lambda points: points)]
+        assert [chunk.shape for chunk in chunks] == [(size, chart.dim) for size in sizes]
+        # same floats, same order, compared bit for bit
+        points = [tuple(map(float.hex, row)) for chunk in chunks for row in chunk.tolist()]
+        assert points == [tuple(map(float.hex, point)) for point in chart.grid(resolution)]
 
 
 def test_stack_with_a_point_outside_the_box_names_that_point():
@@ -856,6 +866,20 @@ def test_worst_point_keeps_the_first_of_equal_values_across_chunks():
     assert worst_point([first, tie, larger]) == (3.5, (5.0,), 6)
     below_floor = (np.array([[6.0, 7.0]]), np.array([-2.0]))
     assert worst_point([below_floor]) == (-1.0, None, 1)
+    at_floor = (np.array([[8.0], [9.0]]), np.array([-1.0, -1.5]))
+    assert worst_point([at_floor]) == (-1.0, None, 2)
+    nothing = (np.empty((0, 1)), np.empty(0))
+    all_nan = (np.array([[10.0], [11.0]]), np.array([math.nan, math.nan]))
+    assert worst_point([nothing, all_nan]) == (-1.0, None, 2)
+    assert worst_point([first, nothing, all_nan, tie]) == (3.0, (1.0,), 7)
+    # -0.0 before 0.0: as max() keeps -0.0, the first, with its point
+    signed = (np.array([[12.0], [13.0]]), np.array([-0.0, 0.0]))
+    zero = (np.array([[14.0]]), np.array([0.0]))
+    for chunks in ([signed], [signed, zero], [all_nan, signed, nothing, zero]):
+        worst, point, _ = worst_point(chunks)
+        assert (math.copysign(1.0, worst), point) == (-1.0, (12.0,))
+    nan_first = (np.array([[15.0], [16.0], [17.0]]), np.array([math.nan, -0.5, -0.5]))
+    assert worst_point([nan_first]) == (-0.5, (16.0,), 3)
 
 
 def test_only_stacked_or_in_turn_replays_a_failing_stack():
