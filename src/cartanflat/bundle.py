@@ -208,17 +208,16 @@ def _outer_derivative(
 ) -> np.ndarray:
     """nabla_direction of a section at each point of the geometry's stack
     (rows), with the d-part taken by finite differences and the connection
-    terms exact; the products run point by point, as at a single point."""
+    terms exact; each connection term is one ``np.matmul`` over the stack,
+    a matrix-vector and a dot product per point."""
     n = metric.dim
     deriv, values = _partial_by_differences(
         section.at, metric.chart, geometry.points, direction, step
     )
-    gamma, g = geometry.gamma, geometry.g
-    sign = variant_sign(variant)
+    xi, sign = values[:, :n, None], variant_sign(variant)
     out = np.empty_like(values)
-    for k, row in enumerate(values):
-        out[k, :n] = deriv[k, :n] + gamma[k][:, direction, :] @ row[:n]
-        out[k, n] = deriv[k, n] + sign * float(g[k][direction] @ row[:n])
+    out[:, :n] = deriv[:, :n] + (geometry.gamma[:, :, direction, :] @ xi)[:, :, 0]
+    out[:, n] = deriv[:, n] + sign * (geometry.g[:, direction, None, :] @ xi)[:, 0, 0]
     out[:, direction] += values[:, n]
     return out
 
@@ -274,18 +273,21 @@ def bundle_curvature(
 def _reference_action(
     variant: str, riemann: np.ndarray, g: np.ndarray, xi: np.ndarray, i: int, j: int
 ) -> np.ndarray:
-    """(R - R_K)(d_i, d_j) xi from the values of R and g at one point."""
+    """(R - R_K)(d_i, d_j) xi from the values of R and g at a point, or at
+    each point of a stack (rows)."""
     xi = np.asarray(xi, dtype=float)
-    basis = np.eye(len(xi))
-    tangent = riemann[:, :, i, j] @ xi
+    basis = np.eye(xi.shape[-1])
+    tangent = (riemann[..., i, j] @ xi[..., None])[..., 0]
     return tangent - constant_curvature_action(-variant_sign(variant), g, basis[i], basis[j], xi)
 
 
 def reference_curvature_action(
-    variant: str, metric: ChartMetric, xi: np.ndarray, i: int, j: int, point: Sequence[float]
+    variant: str, metric: ChartMetric, xi: np.ndarray, i: int, j: int,
+    point: Sequence[float] | np.ndarray,
 ) -> np.ndarray:
     """(R - R_K)(d_i, d_j) xi from the Riemann tensor, the symbolic route the
-    finite-difference curvature is compared against."""
+    finite-difference curvature is compared against; at an ``(m, dim)`` stack
+    of points, one row per point, with xi one row per point or one for all."""
     geometry = metric.geometry(point)
     return _reference_action(variant, geometry.riemann, geometry.g, xi, i, j)
 
@@ -327,27 +329,26 @@ def identity_residual(
     meets them (chart check, section values, stencil check, g with its guard,
     nonsingular and then positive definite, Gamma, R last), so it raises the
     earliest failing stage's first failure, not necessarily the first
-    point's: ``stacked_or_in_turn`` replays it point by point."""
+    point's: a grid scan (``metricspace.grid_scan``) replays such a stack
+    point by point."""
     geometry, stack = _geometry_at(metric, point)
     points = geometry.points
     n = metric.dim
-    worst_vector = [0.0] * len(points)
-    worst_e = [0.0] * len(points)
+    worst_vector = worst_e = np.zeros(len(points))
     for section in _seeded_sections(metric, trials, seed):
         xi = section.at(points)[:, :n]
         for i in range(n):
             for j in range(i + 1, n):
                 measured = _curvature_rows(variant, metric, section, i, j, geometry, None)
-                for k, row in enumerate(measured):
-                    expected = _reference_action(
-                        variant, geometry.riemann[k], geometry.g[k], xi[k], i, j
-                    )
-                    deviation = float(np.max(np.abs(row[:n] - expected)))
-                    worst_vector[k] = max(worst_vector[k], deviation)
-                    worst_e[k] = max(worst_e[k], abs(float(row[n])))
+                expected = _reference_action(variant, geometry.riemann, geometry.g, xi, i, j)
+                deviation = np.abs(measured[:, :n] - expected).max(axis=1)
+                e_part = np.abs(measured[:, n])
+                # max() per point: the new value wins only if larger, so NaN loses
+                worst_vector = np.where(deviation > worst_vector, deviation, worst_vector)
+                worst_e = np.where(e_part > worst_e, e_part, worst_e)
     if stack:
-        return IdentityResidual(np.array(worst_vector), np.array(worst_e))
-    return IdentityResidual(worst_vector[0], worst_e[0])
+        return IdentityResidual(worst_vector, worst_e)
+    return IdentityResidual(float(worst_vector[0]), float(worst_e[0]))
 
 
 def _pairing_expression(

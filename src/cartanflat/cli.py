@@ -37,7 +37,7 @@ from . import __version__
 from .bundle import identity_residual, metric_compatibility_residual
 from .errors import CartanflatError, ConfigError, ParseError
 from .exprlang import parse
-from .metricspace import Chart, ChartMetric, grid_scan, stacked_or_in_turn, worst_point
+from .metricspace import Chart, ChartMetric, grid_scan, worst_point
 from .presets import KINK_TEXT, PRESET_NAMES, catalog, get_preset
 from .sasaki import flatness_scan
 from .transport import (
@@ -304,22 +304,17 @@ def _job_curvature(s: dict):
     low = high = worst = None
     for chunk, values in grid_scan(metric.chart, grid, curvatures):
         values = values.ravel()
-        if low is None:  # min() and max() start from the first value, even a NaN
+        if low is None:  # min() and max() start from the first value
             low = high = values[0]
             worst = None if expected is None else abs(values[0] - expected)
         # then, in point order, a chunk's first extreme replaces them only
-        # when strictly beyond, so a zero keeps its sign.  A numerator whose
-        # products g_ki R^k_jij overflow is inf, and where two overflow with
-        # opposite signs the dot kernel may sum them to NaN; like max(), a
-        # NaN never wins (argmin and argmax would pick it)
-        numbers = ~np.isnan(values)
-        lowest = values[np.where(numbers, values, math.inf).argmin()]
-        highest = values[np.where(numbers, values, -math.inf).argmax()]
+        # when strictly beyond, so a zero keeps its sign
+        lowest, highest = values[values.argmin()], values[values.argmax()]
         low = lowest if lowest < low else low
         high = highest if highest > high else high
         if expected is not None:
             residuals = np.abs(values - expected)
-            farthest = residuals[np.where(numbers, residuals, -math.inf).argmax()]
+            farthest = residuals[residuals.argmax()]
             worst = farthest if farthest > worst else worst
         points += len(chunk)
     payload = {
@@ -345,13 +340,17 @@ def _job_flatness(s: dict):
     return payload, report.max_residual <= s["tol"], None
 
 
-def _job_section_scan(residuals, s: dict):
-    """The worst point (``worst_point``) of ``residuals(s, points)``, one
-    value per point of a stack, over the grid, g checked positive definite
-    at each chunk's points first."""
+def _job_section_scan(residual, s: dict):
+    """The worst point (``worst_point``) of ``residual(variant, metric,
+    points, trials, seed)``, one value per point of a stack, over the grid,
+    g checked positive definite at each chunk's points first."""
     metric, variant, trials, seed = s["metric"], s["variant"], s["trials"], s["seed"]
-    chunks = grid_scan(metric.chart, s["grid"], metric.definite_metric_at)
-    worst, argmax, points = worst_point((chunk, residuals(s, chunk)) for chunk, _ in chunks)
+
+    def residuals(points: np.ndarray) -> np.ndarray:
+        metric.definite_metric_at(points)
+        return residual(variant, metric, points, trials, seed)
+
+    worst, argmax, points = worst_point(grid_scan(metric.chart, s["grid"], residuals))
     payload = {
         **s["source"],
         "variant": variant,
@@ -364,29 +363,6 @@ def _job_section_scan(residuals, s: dict):
         "tol": s["tol"],
     }
     return payload, worst <= s["tol"], None
-
-
-def _identity_residuals(s: dict, points: np.ndarray) -> np.ndarray:
-    """The identity residual at a whole chunk in one stacked call, each
-    stencil, section value, g, Gamma and R evaluated once for all its
-    points; where that raises, the points replay one at a time
-    (``stacked_or_in_turn``), so the error is the first one met point by
-    point."""
-
-    def residuals(chunk: np.ndarray) -> np.ndarray:
-        return identity_residual(
-            s["variant"], s["metric"], chunk, trials=s["trials"], seed=s["seed"]
-        ).worst
-
-    return stacked_or_in_turn(residuals, points)
-
-
-def _compat_residuals(s: dict, points: np.ndarray) -> np.ndarray:
-    """The compatibility residual at a whole chunk in one stacked call;
-    where it raises, the compiled array re-runs the points in order."""
-    return metric_compatibility_residual(
-        s["variant"], s["metric"], points, trials=s["trials"], seed=s["seed"]
-    )
 
 
 def _job_transport(s: dict):
@@ -486,11 +462,12 @@ _COMMANDS = {
     ),
     # identity has nothing to check below two dimensions; compat does
     "identity": _Command(
-        functools.partial(_job_section_scan, _identity_residuals), "identity residual scan", 2, (),
+        functools.partial(_job_section_scan, lambda *args: identity_residual(*args).worst),
+        "identity residual scan", 2, (),
         {"variant": _REQUIRED, "grid": 4, "trials": 5, "seed": 0, "tol": 1e-4},
     ),
     "compat": _Command(
-        functools.partial(_job_section_scan, _compat_residuals),
+        functools.partial(_job_section_scan, metric_compatibility_residual),
         "compat residual scan", 1, (),
         {"variant": _REQUIRED, "grid": 6, "trials": 10, "seed": 0, "tol": 1e-8},
     ),

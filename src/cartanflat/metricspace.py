@@ -321,16 +321,23 @@ def _as_expression(entry, names: tuple[str, ...]) -> Expression:
 
 def _same_but_zero_signs(a: Expression, b: Expression) -> bool:
     """Equal in structure, with constants compared by value: entries that
-    differ only in the sign of a zero count as symmetric."""
-    if a is b:
-        return True
-    if isinstance(a, Const):
-        return isinstance(b, Const) and a.value == b.value
-    if type(a) is not type(b) or isinstance(a, Var) or a.op != b.op:
-        return False
-    if isinstance(a, Unary):
-        return _same_but_zero_signs(a.operand, b.operand)
-    return _same_but_zero_signs(a.left, b.left) and _same_but_zero_signs(a.right, b.right)
+    differ only in the sign of a zero count as symmetric.  One walk over
+    pairs of nodes, each pair of a shared subexpression compared once."""
+    pending, seen = [(a, b)], set()
+    while pending:
+        a, b = pending.pop()
+        if a is b or (id(a), id(b)) in seen:
+            continue
+        seen.add((id(a), id(b)))
+        if type(a) is not type(b) or isinstance(a, Var):
+            return False
+        if not (a.value == b.value if isinstance(a, Const) else a.op == b.op):
+            return False
+        if isinstance(a, Unary):
+            pending.append((a.operand, b.operand))
+        elif not isinstance(a, Const):
+            pending += ((a.right, b.right), (a.left, b.left))
+    return True
 
 
 def symbolic_determinant(matrix: Sequence[Sequence[Expression]]) -> Expression:
@@ -612,7 +619,9 @@ def _check_metric(g: np.ndarray, points):
     eigvalsh's lowest eigenvalue is at most 1e-10.  For n <= 3 closed-form
     leading minors (:func:`_certified`) pass most stacks without LAPACK, but
     only those both LAPACK routes provably pass; the routes decide every
-    other, in that order, so each decision, message and point is LAPACK's."""
+    other, in that order, each in one decision over the whole stack that
+    names its first failing point, so each decision, message and point is
+    LAPACK's."""
     if not _certified(g):
         _nonsingular_by_lapack(g, points)
         _definite_by_lapack(g, points)
@@ -624,36 +633,26 @@ def _nonsingular_by_lapack(g: np.ndarray, points):
     scales = np.abs(stack).max(axis=(1, 2))
     with np.errstate(all="ignore"):  # a determinant that overflows is refused below
         dets = np.linalg.det(stack)
-        # decide "every point passes" for the whole stack first: float_power
-        # is the libm pow the loop's float ** calls, and for these
-        # non-negative values a - b >= 0 exactly when a >= b; a NaN or an
-        # infinity fails here and goes to the loop, which names the point
+        # float_power is libm's pow, as float ** is; NaN fails both bounds
+        volumes = np.float_power(np.maximum(scales, 1e-300), n)
         sizes = np.abs(dets)
-        margins = sizes - _DET_RTOL * np.float_power(np.maximum(scales, 1e-300), n)
-        if margins.min(initial=0.0) >= 0.0 and sizes.max(initial=0.0) < math.inf:
-            return
-    for k, (scale, det) in enumerate(zip(scales.tolist(), dets.tolist())):
-        try:
-            volume = max(scale, 1e-300) ** n
-        except OverflowError:
-            volume = math.inf
-        if _DET_RTOL * volume <= abs(det) < math.inf:
-            continue
-        finite = math.isfinite(det) and volume < math.inf
+        failing = np.flatnonzero(~((_DET_RTOL * volumes <= sizes) & (sizes < math.inf)))
+    if len(failing):
+        k = int(failing[0])
+        finite = math.isfinite(dets[k]) and volumes[k] < math.inf
         message = "is singular to tolerance" if finite else "determinant is beyond the float range"
         raise SingularMetricError(f"metric {message}", point=_nth_point(points, k))
 
 
 def _definite_by_lapack(g: np.ndarray, points):
     lowest = np.linalg.eigvalsh(g).min(axis=-1).reshape(-1)
-    if lowest.min(initial=math.inf) > _PD_MIN_EIGENVALUE:  # every point passes
-        return
-    for k, value in enumerate(lowest.tolist()):
-        if value <= _PD_MIN_EIGENVALUE:
-            raise SingularMetricError(
-                f"metric is not positive definite (min eigenvalue {value:.3e})",
-                point=_nth_point(points, k),
-            )
+    failing = np.flatnonzero(lowest <= _PD_MIN_EIGENVALUE)  # a NaN eigenvalue passes
+    if len(failing):
+        k = int(failing[0])
+        raise SingularMetricError(
+            f"metric is not positive definite (min eigenvalue {float(lowest[k]):.3e})",
+            point=_nth_point(points, k),
+        )
 
 
 # The certificate passes a stack of n x n matrices, n <= 3, only where every
@@ -770,18 +769,27 @@ def _check_plane(plane: tuple[int, int]):
 
 def _sectional(g: np.ndarray, riemann: np.ndarray, planes, points) -> np.ndarray:
     """Each plane's sectional curvature (columns) at each point of a stack of
-    g and R (rows), with g_ij^2 from libm's ``pow``, as a numpy scalar's."""
+    g and R (rows), with g_ij^2 from libm's ``pow``, as a numpy scalar's; a
+    value that overflows to inf or NaN is refused at the first such point."""
     numerators, denominators = np.empty((2, len(g), len(planes)))
     degenerate = np.zeros(len(g), dtype=bool)
-    for c, (i, j) in enumerate(planes):
-        np.matmul(g[:, None, :, i], riemann[:, :, j, i, j, None], out=numerators[:, c, None, None])
-        products = g[:, i, i] * g[:, j, j]
-        np.subtract(products, np.float_power(g[:, i, j], 2.0), out=denominators[:, c])
-        degenerate |= np.abs(denominators[:, c]) < 1e-14 * np.maximum(1.0, np.abs(products))
-    if degenerate.any():
-        point = _nth_point(points, int(degenerate.argmax()))
-        raise SingularMetricError("degenerate coordinate plane", point=point)
-    return numerators / denominators
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, (i, j) in enumerate(planes):
+            np.matmul(g[:, None, :, i], riemann[:, :, j, i, j, None], out=numerators[:, c, None, None])
+            products = g[:, i, i] * g[:, j, j]
+            np.subtract(products, np.float_power(g[:, i, j], 2.0), out=denominators[:, c])
+            degenerate |= np.abs(denominators[:, c]) < 1e-14 * np.maximum(1.0, np.abs(products))
+        if degenerate.any():
+            point = _nth_point(points, int(degenerate.argmax()))
+            raise SingularMetricError("degenerate coordinate plane", point=point)
+        values = numerators / denominators
+        # a sum of finite values is finite unless it overflows
+        summed = math.isfinite(np.add.reduce(values.ravel()))
+        infinite = () if summed else np.flatnonzero(~(np.abs(values).max(axis=1) < math.inf))
+    if len(infinite):
+        point = _nth_point(points, int(infinite[0]))
+        raise ExpressionDomainError("sectional curvature is not finite", point=point)
+    return values
 
 
 def constant_curvature_tensor(
@@ -793,15 +801,17 @@ def constant_curvature_tensor(
     point: Sequence[float],
 ) -> np.ndarray:
     """R_K(X, Y)Z = K (g(Y, Z) X - g(X, Z) Y), the model tensor of constant
-    sectional curvature K, as coordinate components at ``point``."""
+    sectional curvature K, as coordinate components at ``point`` (a row per
+    point of a stack)."""
     return constant_curvature_action(curvature, metric.definite_metric_at(point), x, y, z)
 
 
 def constant_curvature_action(
     curvature: float, g: np.ndarray, x: Sequence[float], y: Sequence[float], z: Sequence[float]
 ) -> np.ndarray:
-    """R_K(X, Y)Z from the value ``g`` of the metric at a point."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    return curvature * (float(y @ g @ z) * x - float(x @ g @ z) * y)
+    """R_K(X, Y)Z from the value ``g`` of the metric at a point, or from a
+    stack of g and vectors (rows, or one for all), pairing as ``(y @ g) @ z``."""
+    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
+    yz = (y[..., None, :] @ g) @ z[..., :, None]
+    xz = (x[..., None, :] @ g) @ z[..., :, None]
+    return curvature * (yz[..., 0] * x - xz[..., 0] * y)

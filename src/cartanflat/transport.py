@@ -66,7 +66,7 @@ from typing import Sequence
 import numpy as np
 
 from .cartan import orthonormal_frame
-from .errors import DimensionError, NonClosedLoopError
+from .errors import DimensionError, NonClosedLoopError, StepSizeError
 from .exprlang import (
     Const,
     Var,
@@ -235,7 +235,8 @@ def _rk4_transport(
     (forward=False, inverse transport used by the developing map) along
     every curve of the stack at once; ``initial``, the result and each
     recorded node have one leading row per curve.  The steps run in blocks
-    (see the module docstring)."""
+    (see the module docstring); a block that leaves a state not finite (too
+    few steps for the curvature met) raises StepSizeError."""
     m = len(curves.curves)
 
     def actions_at(times: np.ndarray) -> np.ndarray:
@@ -268,14 +269,20 @@ def _rk4_transport(
         fresh = stacked_or_in_turn(actions_at, times[2 * first + (first > 0) : 2 * stop + 1])
         actions = fresh if first == 0 else np.concatenate((actions[-1:], fresh))
         node, mid, end = actions[0:-1:2], actions[1::2], actions[2::2]
-        s1 = -node if forward else node
-        s2 = stage(mid, eye + half * s1)
-        s3 = stage(mid, eye + half * s2)
-        s4 = stage(end, eye + h * s3)
-        for propagator in eye + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4):
-            y = np.matmul(propagator, y) if forward else np.matmul(y, propagator)
-            if record is not None:
-                record.append(y)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            s1 = -node if forward else node
+            s2 = stage(mid, eye + half * s1)
+            s3 = stage(mid, eye + half * s2)
+            s4 = stage(end, eye + h * s3)
+            for propagator in eye + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4):
+                y = np.matmul(propagator, y) if forward else np.matmul(y, propagator)
+                if record is not None:
+                    record.append(y)
+            # a sum of finite values is finite unless it overflows
+            finite = math.isfinite(np.add.reduce(y.ravel())) or np.abs(y).max() < math.inf
+        if not finite:
+            t = float(times[2 * stop])
+            raise StepSizeError(f"transport is not finite by t = {t!r}; take more steps per unit")
     return y
 
 

@@ -23,7 +23,13 @@ from cartanflat.cartan import orthonormal_frame
 from cartanflat.cli import main
 from cartanflat.errors import CartanflatError, DimensionError, SingularMetricError, StepSizeError
 from cartanflat.exprlang import STACK_MIN_POINTS, Const, Var, add, differentiate, evaluate, mul, parse
-from cartanflat.metricspace import Chart, ChartMetric, constant_curvature_tensor, stacked_or_in_turn
+from cartanflat.metricspace import (
+    Chart,
+    ChartMetric,
+    constant_curvature_action,
+    constant_curvature_tensor,
+    stacked_or_in_turn,
+)
 from cartanflat.presets import preset_metric, random_metric
 from cartanflat.sasaki import MatrixOneForm, connection_matrix
 
@@ -415,6 +421,33 @@ def test_stacked_bundle_curvature_rows_are_the_point_values_bitwise():
     expected = [_reference_curvature("h", m, section, 0, 2, p, 0.01) for p in stack.tolist()]
     assert _identity_bits(value.vector) == _identity_bits([row[:3] for row in expected])
     assert _identity_bits(value.e_component) == _identity_bits([row[3] for row in expected])
+
+
+@pytest.mark.parametrize("make", _IDENTITY_METRICS + [
+    pytest.param(lambda dim=dim, seed=seed: random_metric(dim, seed), id=f"random{dim}d{seed}")
+    for dim, seed in ((2, 2), (2, 3), (3, 0), (3, 2))
+])
+def test_stacked_model_actions_are_the_point_values_bitwise(make):
+    m = make()
+    n = m.dim
+    rng = np.random.default_rng(47)
+    stack = np.array(m.chart.random_points(rng, 40))
+    xi, y, z = rng.normal(size=(3, len(stack), n))
+    basis = np.eye(n)
+    for i, j in [(a, b) for a in range(n) for b in range(a + 1, n)]:
+        for variant in ("h", "s"):
+            stacked = reference_curvature_action(variant, m, xi, i, j, stack)
+            single = [reference_curvature_action(variant, m, xi[k], i, j, p) for k, p in enumerate(stack.tolist())]
+            assert stacked.shape == (len(stack), n)
+            assert _identity_bits(stacked) == _identity_bits(single)
+        # one vector for all points, and one per point
+        stacked = constant_curvature_tensor(m, -1.5, basis[i], y, z, stack)
+        single = [constant_curvature_tensor(m, -1.5, basis[i], y[k], z[k], p) for k, p in enumerate(stack.tolist())]
+        assert _identity_bits(stacked) == _identity_bits(single)
+        g = m.metric_at(stack)
+        stacked = constant_curvature_action(0.75, g, y, basis[j], z)
+        single = [constant_curvature_action(0.75, g[k], y[k], basis[j], z[k]) for k in range(len(stack))]
+        assert _identity_bits(stacked) == _identity_bits(single)
 
 
 def _first_error(fn, *args):

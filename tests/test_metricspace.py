@@ -25,7 +25,7 @@ from cartanflat.errors import (
     SingularMetricError,
     StepSizeError,
 )
-from cartanflat.exprlang import STACK_MIN_POINTS, Var, differentiate, evaluate
+from cartanflat.exprlang import STACK_MIN_POINTS, Binary, Const, Var, call, differentiate, evaluate, mul
 from cartanflat.metricspace import (
     GRID_CHUNK,
     Chart,
@@ -408,22 +408,8 @@ def _outcome(check, g, points):
     return None
 
 
-def _loop_runs(monkeypatch) -> list:
-    """Records each run of the checks' per-point loops, the only callers of
-    enumerate in metricspace's guards, from now on."""
-    runs = []
-
-    def spy(items):
-        runs.append(True)
-        return enumerate(items)
-
-    monkeypatch.setattr(metricspace, "enumerate", spy, raising=False)
-    return runs
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_the_guards_decide_each_stack_as_their_per_point_loops(monkeypatch, n):
-    loops = _loop_runs(monkeypatch)
+def test_the_guards_decide_each_stack_as_their_per_point_loops(n):
     refused = {"nonsingular": 0, "definite": 0, "beyond": 0}
     stacks = list(_guard_stacks(n, 700))
     # the 1e300 metric, diag(1e300 x, ...): for n >= 2 its determinant
@@ -443,19 +429,14 @@ def test_the_guards_decide_each_stack_as_their_per_point_loops(monkeypatch, n):
             ("nonsingular", _nonsingular_by_lapack, _nonsingular_in_turn),
             ("definite", _definite_by_lapack, _definite_in_turn),
         ):
-            loops.clear()
             try:
                 want = in_turn(g)
             except np.linalg.LinAlgError as exc:
                 assert _outcome(check, g, points) == (type(exc), str(exc), None)
                 continue
             got = _outcome(check, g, points)
-            # the whole-stack check passes the stacks the loop passes, and
-            # the loop keeps the message and the point; the one exception:
-            # the loop passes a NaN eigenvalue, which the whole-stack check
-            # leaves to it
-            nan_eigenvalue = name == "definite" and np.isnan(np.linalg.eigvalsh(g)).any()
-            assert bool(loops) == (want is not None or nan_eigenvalue)
+            # the whole-stack check passes the stacks the per-point rule
+            # passes (a NaN eigenvalue among them), with its message and point
             if want is None:
                 assert got is None
             else:
@@ -536,9 +517,7 @@ def test_the_certificate_decides_near_the_thresholds_as_the_per_point_loops(monk
     """Each probe of _near_threshold_matrices alone (the certificate on
     Python floats) and in place of one of 24 comfortable matrices (on numpy
     columns): both LAPACK routes and _check_metric raise what the per-point rules
-    raise, with the same message and point, and run the per-point loop only
-    where they refuse."""
-    loops = _loop_runs(monkeypatch)
+    raise, with the same message and point."""
     decisions = []
     certified = metricspace._certified
     monkeypatch.setattr(metricspace, "_certified", lambda g: decisions.append(certified(g)) or decisions[-1])
@@ -555,14 +534,7 @@ def test_the_certificate_decides_near_the_thresholds_as_the_per_point_loops(monk
             nonsingular = _expected(_nonsingular_in_turn, g)
             definite = _expected(_definite_in_turn, g)
             for check, want in ((_nonsingular_by_lapack, nonsingular), (_definite_by_lapack, definite)):
-                loops.clear()
                 assert _outcome(check, g, points) == want
-                # as in the test above, the loop passes a NaN eigenvalue
-                if want is None:
-                    nan_eigenvalue = check is _definite_by_lapack and np.isnan(np.linalg.eigvalsh(g)).any()
-                    assert bool(loops) == nan_eigenvalue
-                else:
-                    assert bool(loops) == (want[0] is SingularMetricError)
             decisions.clear()
             assert _outcome(metricspace._check_metric, g, points) == (nonsingular or definite)
             passed[where] += decisions == [True]
@@ -906,6 +878,47 @@ def test_symmetry_check_ignores_the_sign_of_a_zero():
         ChartMetric(chart, [["2", "x*y + 1"], ["x*y + -1", "2"]])
     with pytest.raises(ValueError, match="differ"):
         ChartMetric(chart, [["2", "0*x"], ["0*y", "2"]])
+
+
+def _entry_pair(root: float, depth: int, step) -> list:
+    """Two entries built by ``step`` from x + root and x + (-root)."""
+    entries = []
+    for value in (root, -root):
+        entry = Binary("+", Var("x"), Const(value))
+        for _ in range(depth):
+            entry = step(entry)
+        entries.append(entry)
+    return entries
+
+
+def test_symmetry_check_walks_deep_and_shared_entries():
+    chart = Chart(("x", "y"), ((-0.5, 0.5), (-0.5, 0.5)))
+    cases = [
+        (3000, lambda e: mul(Const(0.5), call("sin", e))),  # deeper than the recursion limit
+        (40, lambda e: mul(e, e)),  # 2^40 paths through 40 shared levels, each pair met once
+    ]
+    for depth, step in cases:
+        a, b = _entry_pair(0.0, depth, step)
+        assert a is not b
+        ChartMetric(chart, [[2.0, a], [b, 2.0]])
+        a, b = _entry_pair(0.25, depth, step)
+        with pytest.raises(ValueError, match=r"entries \(0,1\) and \(1,0\) differ"):
+            ChartMetric(chart, [[2.0, a], [b, 2.0]])
+
+
+def test_a_sectional_curvature_that_is_not_finite_names_its_point():
+    # g and R pass every guard, but the products g_ki R^k_jij overflow
+    chart = Chart(("x", "y"), ((0.5, 1.0), (0.5, 1.0)))
+    metric = ChartMetric(chart, [["1000", "300"], ["300", "100*(0.9 + 1e-3*(2 + sin(1e154*x)))"]])
+    points = np.array(list(chart.grid(6)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ExpressionDomainError, match="sectional curvature is not finite") as err:
+            metric.sectional_curvatures(points, [(0, 1)])
+        assert err.value.point == (0.525, 0.525)
+        with pytest.raises(ExpressionDomainError) as err:
+            metric.sectional_curvature((0.525, 0.525))
+        assert err.value.point == (0.525, 0.525)
 
 
 def test_a_preset_refuses_parameters_it_does_not_take():
