@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .bundle import identity_residual, metric_compatibility_residual
-from .errors import CartanflatError, ConfigError, ParseError
+from .errors import CartanflatError, ConfigError, ExpressionDomainError, ParseError
 from .exprlang import parse
 from .metricspace import Chart, ChartMetric, grid_scan, worst_point
 from .presets import KINK_TEXT, PRESET_NAMES, catalog, get_preset
@@ -306,16 +306,19 @@ def _job_curvature(s: dict):
         values = values.ravel()
         if low is None:  # min() and max() start from the first value
             low = high = values[0]
-            worst = None if expected is None else abs(values[0] - expected)
         # then, in point order, a chunk's first extreme replaces them only
         # when strictly beyond, so a zero keeps its sign
         lowest, highest = values[values.argmin()], values[values.argmax()]
         low = lowest if lowest < low else low
         high = highest if highest > high else high
         if expected is not None:
-            residuals = np.abs(values - expected)
-            farthest = residuals[residuals.argmax()]
-            worst = farthest if farthest > worst else worst
+            with np.errstate(over="ignore"):  # a residual beyond the float range is refused
+                residuals = np.abs(values - expected)
+            k = residuals.argmax()  # the first point at the chunk's worst
+            worst = residuals[k] if worst is None or residuals[k] > worst else worst
+            if not math.isfinite(worst):
+                point = tuple(chunk[k // len(planes)].tolist())
+                raise ExpressionDomainError("curvature residual is not finite", point=point)
         points += len(chunk)
     payload = {
         **s["source"],

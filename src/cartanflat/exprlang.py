@@ -23,7 +23,8 @@ prints as ``-0``).  The parser is the one pass that recurses, once per
 level, so :func:`parse` refuses text more than :data:`MAX_DEPTH` levels
 deep; every other pass (printing, evaluation, differentiation, rewriting,
 compilation) is a loop over one iterative post-order of the distinct
-nodes, and takes expressions built through the API at any depth.
+nodes, keeps its side tables keyed on the nodes themselves, and takes
+expressions built through the API at any depth.
 Simplification is deliberately conservative (constant folding plus 0/1
 identities); nothing here reorders sums or rewrites powers, so printed
 formulas stay recognizable.
@@ -228,7 +229,8 @@ _OPS: dict[str, Callable] = {
 #: node freed late by gc may have a successor under its key by then.  A live
 #: node keeps its children, and so their ids, alive; keys hold ids rather
 #: than the children, so a derivative cached on the node it contains
-#: (d exp(u) = exp(u) du) is a cycle gc can free.
+#: (d exp(u) = exp(u) du) is a cycle gc can free.  Only this table keys on
+#: ids; a walk's tables key on the nodes, which live while it runs.
 _INTERNED: dict = {}
 
 
@@ -296,13 +298,6 @@ _set = object.__setattr__
 _alloc = object.__new__
 
 
-def _enter(key, node: Expression) -> Expression:
-    entry = _Entry(node, _evict)
-    entry.key = key
-    _INTERNED[key] = entry
-    return node
-
-
 def _new_node(cls, key, depth: int, *fields) -> Expression:
     """A node of ``cls`` with ``fields`` in its slots, entered under ``key``."""
     node = _alloc(cls)
@@ -310,7 +305,9 @@ def _new_node(cls, key, depth: int, *fields) -> Expression:
     _set(node, "_derivatives", None)
     for name, value in zip(cls.__slots__, fields):
         _set(node, name, value)
-    return _enter(key, node)
+    entry = _INTERNED[key] = _Entry(node, _evict)
+    entry.key = key
+    return node
 
 
 class Const(Expression):
@@ -366,14 +363,22 @@ class Binary(Expression):
         if node is None:
             if op not in _BINARY_OPS:
                 raise ValueError(f"unknown binary op {op!r}")
-            node = _alloc(cls)  # most nodes are binary: no loop over slots
-            _set(node, "depth", max(left.depth, right.depth) + 1)
-            _set(node, "_derivatives", None)
-            _set(node, "op", op)
-            _set(node, "left", left)
-            _set(node, "right", right)
-            _enter(key, node)
+            node = _alloc(cls)  # _new_node inline
+            depth, other = left.depth, right.depth
+            _set_depth(node, (depth if depth > other else other) + 1)
+            _set_derivatives(node, None)
+            _set_op(node, op)
+            _set_left(node, left)
+            _set_right(node, right)
+            entry = _INTERNED[key] = _Entry(node, _evict)
+            entry.key = key
         return node
+
+
+# most nodes are binary: their slots are set through the member descriptors,
+# past the refusing __setattr__ with no lookup by name
+_set_depth, _set_derivatives = Expression.depth.__set__, Expression._derivatives.__set__
+_set_op, _set_left, _set_right = Binary.op.__set__, Binary.left.__set__, Binary.right.__set__
 
 
 def _coerce(x) -> Expression:
@@ -384,7 +389,7 @@ def _coerce(x) -> Expression:
     raise TypeError(f"cannot use {type(x).__name__} as an expression")
 
 
-_NODES = (Const, Var, Unary, Binary)
+_NODES = (Binary, Const, Unary, Var)  # the commonest operand types first
 
 
 # ---------------------------------------------------------------------------
@@ -534,31 +539,34 @@ def call(name: str, arg) -> Expression:
 
 
 def _post_order(
-    roots: Sequence[Expression], done: Callable[[Expression], bool] | None = None
+    roots: Sequence[Expression], variable: str | None = None, powers: list | None = None
 ) -> list[Expression]:
     """The distinct nodes under ``roots`` in post-order: left subtree, right
     subtree, node, one root after another, the order in which a memoized
-    recursive walk meets them.  ``done`` is asked of each distinct node once,
-    as the walk enters it; a node for which it holds is left out, with all
-    that only it leads to."""
+    recursive walk meets them.  Given ``variable``, a node that holds its
+    derivative by ``variable`` is left out, with all that only it leads to,
+    and each ``^`` node is added to ``powers`` as the walk enters it."""
     order: list[Expression] = []
-    seen: set[int] = set()
+    seen: set[Expression] = set()  # nodes hash by identity
     # a node, then None above it, then its children, the left one on top:
     # popping the None means the children are done and the node comes next
     stack: list = list(reversed(roots))
-    pop, push = stack.pop, stack.extend
+    pop, push, enter = stack.pop, stack.extend, seen.add
     while stack:
         node = pop()
         if node is None:
             order.append(pop())
             continue
-        key = id(node)
-        if key in seen:
+        if node in seen:
             continue
-        seen.add(key)
-        if done is not None and done(node):
-            continue
+        enter(node)
         kind = type(node)
+        if variable is not None:
+            derivatives = node._derivatives
+            if derivatives is not None and variable in derivatives:
+                continue
+            if kind is Binary and node.op == "^":
+                powers.append(node)
         if kind is Binary:
             push((node, None, node.right, node.left))
         elif kind is Unary:
@@ -568,22 +576,22 @@ def _post_order(
     return order
 
 
-def _consumers(roots: Sequence[Expression], order: list[Expression]) -> dict[int, int]:
-    """How many consumers each node in ``order`` has, by id.  A consumer is
-    an operand slot of a distinct node or a root's place in ``roots``, so
+def _consumers(roots: Sequence[Expression], order: list[Expression]) -> dict[Expression, int]:
+    """How many consumers each node in ``order`` has.  A consumer is an
+    operand slot of a distinct node or a root's place in ``roots``, so
     ``x * x`` counts twice for ``x``."""
-    consumers: dict[int, int] = {}
+    consumers: dict[Expression, int] = {}
     count = consumers.get
     for root in roots:
-        consumers[id(root)] = count(id(root), 0) + 1
+        consumers[root] = count(root, 0) + 1
     for node in order:
         kind = type(node)
         if kind is Binary:
-            left, right = id(node.left), id(node.right)
+            left, right = node.left, node.right
             consumers[left] = count(left, 0) + 1
             consumers[right] = count(right, 0) + 1
         elif kind is Unary:
-            operand = id(node.operand)
+            operand = node.operand
             consumers[operand] = count(operand, 0) + 1
     return consumers
 
@@ -791,13 +799,12 @@ def to_text(expression: Expression) -> str:
     """Print an AST so that re-parsing yields a structurally identical AST."""
     order = _post_order((expression,))
     uses = _consumers((expression,), order)
-    printed: dict[int, tuple[str, int]] = {}  # text and precedence, by id
+    printed: dict[Expression, tuple[str, int]] = {}  # text and precedence
 
     def take(child: Expression) -> tuple[str, int]:
         # dropped after its last consumer: a deep chain keeps one long text
-        key = id(child)
-        uses[key] -= 1
-        return printed.pop(key) if uses[key] == 0 else printed[key]
+        uses[child] -= 1
+        return printed.pop(child) if uses[child] == 0 else printed[child]
 
     for node in order:
         kind = type(node)
@@ -827,8 +834,8 @@ def to_text(expression: Expression) -> str:
                 if rp <= mine:
                     right = f"({right})"
                 entry = f"{left} {node.op} {right}", mine
-        printed[id(node)] = entry
-    return printed[id(expression)][0]
+        printed[node] = entry
+    return printed[expression][0]
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +849,7 @@ def evaluate(expression: Expression, point: Mapping[str, float]) -> float:
     Missing variables raise KeyError; out-of-domain arithmetic raises
     ExpressionDomainError.  The result is always a finite float.
     """
-    values: dict[int, float] = {}
+    values: dict[Expression, float] = {}
     for node in _post_order((expression,)):
         kind = type(node)
         if kind is Const:
@@ -850,11 +857,11 @@ def evaluate(expression: Expression, point: Mapping[str, float]) -> float:
         elif kind is Var:
             value = float(point[node.name])
         elif kind is Unary:
-            value = _OPS[node.op](values[id(node.operand)])
+            value = _OPS[node.op](values[node.operand])
         else:
-            value = _OPS[node.op](values[id(node.left)], values[id(node.right)])
-        values[id(node)] = value
-    value = values[id(expression)]
+            value = _OPS[node.op](values[node.left], values[node.right])
+        values[node] = value
+    value = values[expression]
     if not math.isfinite(value):
         raise ExpressionDomainError("expression value is not finite")
     return value
@@ -881,18 +888,12 @@ def differentiate(expression: Expression, variable: str) -> Expression:
     derivatives = expression._derivatives
     if derivatives is not None and variable in derivatives:  # most calls
         return derivatives[variable]
-    exponents: dict[int, float] = {}
-
-    def cached(node: Expression) -> bool:
-        derivatives = node._derivatives
-        if derivatives is not None and variable in derivatives:
-            return True
-        if type(node) is Binary and node.op == "^":
-            # d(a^c) needs c first: a bad exponent fails before its base
-            exponents[id(node)] = _exponent_value(node.right)
-        return False
-
-    for node in _post_order((expression,), cached):
+    powers: list[Expression] = []
+    order = _post_order((expression,), variable, powers)
+    # d(a^c) needs c first: a bad exponent fails before its base, in the
+    # order the walk enters them
+    exponents = {node: _exponent_value(node.right) for node in powers}
+    for node in order:
         kind = type(node)
         if kind is Const:
             result = Const(0.0)
@@ -928,7 +929,7 @@ def differentiate(expression: Expression, variable: str) -> Expression:
             a, b = node.left, node.right
             da = a._derivatives[variable]
             if node.op == "^":
-                c = exponents[id(node)]
+                c = exponents[node]
                 result = mul(mul(Const(c), power(a, c - 1.0)), da)
             else:
                 db = b._derivatives[variable]
@@ -940,9 +941,11 @@ def differentiate(expression: Expression, variable: str) -> Expression:
                     result = add(mul(da, b), mul(a, db))
                 else:
                     result = div(sub(mul(da, b), mul(a, db)), power(b, 2.0))
-        if node._derivatives is None:
-            _set(node, "_derivatives", {})
-        node._derivatives[variable] = result
+        derivatives = node._derivatives
+        if derivatives is None:
+            derivatives = {}
+            _set_derivatives(node, derivatives)
+        derivatives[variable] = result
     return expression._derivatives[variable]
 
 
@@ -957,7 +960,7 @@ _REBUILD = {"+": add, "-": sub, "*": mul, "/": div, "^": power}
 def substitute(expression: Expression, bindings: Mapping[str, Expression]) -> Expression:
     """Replace variables by expressions (used e.g. to reverse a curve's
     parameter).  Unbound variables pass through."""
-    results: dict[int, Expression] = {}
+    results: dict[Expression, Expression] = {}
     for node in _post_order((expression,)):
         kind = type(node)
         if kind is Const:
@@ -965,12 +968,12 @@ def substitute(expression: Expression, bindings: Mapping[str, Expression]) -> Ex
         elif kind is Var:
             result = bindings.get(node.name, node)
         elif kind is Unary:
-            inner = results[id(node.operand)]
+            inner = results[node.operand]
             result = neg(inner) if node.op == "neg" else call(node.op, inner)
         else:
-            result = _REBUILD[node.op](results[id(node.left)], results[id(node.right)])
-        results[id(node)] = result
-    return results[id(expression)]
+            result = _REBUILD[node.op](results[node.left], results[node.right])
+        results[node] = result
+    return results[expression]
 
 
 # ---------------------------------------------------------------------------
@@ -1001,20 +1004,20 @@ def compile_expressions(
     index = {name: i for i, name in enumerate(variables)}
     expressions = list(expressions)
     order = _post_order(expressions)
-    slot = {id(node): k for k, node in enumerate(order)}
+    slot = {node: k for k, node in enumerate(order)}  # not kept by the closures
     template = [node.value if type(node) is Const else None for node in order]
     loads, steps = [], []
     for k, node in enumerate(order):
         kind = type(node)
         if kind is Binary:
-            steps.append((k, _OPS[node.op], slot[id(node.left)], slot[id(node.right)]))
+            steps.append((k, _OPS[node.op], slot[node.left], slot[node.right]))
         elif kind is Unary:
-            steps.append((k, _OPS[node.op], slot[id(node.operand)], None))
+            steps.append((k, _OPS[node.op], slot[node.operand], None))
         elif kind is Var:
             if node.name not in index:
                 raise KeyError(f"variable {node.name!r} not among {tuple(index)}")
             loads.append((k, index[node.name]))
-    roots = [slot[id(e)] for e in expressions]
+    roots = [slot[e] for e in expressions]
     count, isfinite = len(roots), math.isfinite
     stack_steps: list = []  # the tape on numpy columns, built at its first stack
 

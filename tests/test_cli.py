@@ -793,6 +793,32 @@ def test_curvature_refuses_a_curvature_that_is_not_finite(tmp_path, capsys):
     assert err == "error: sectional curvature is not finite at point (0.525, 0.525)\n"
 
 
+@pytest.mark.parametrize(
+    "expected, outcome",
+    [
+        # |K - expected| passes the float range where K is about +1.6e296
+        (-1.7976931348623157e308, "error: curvature residual is not finite at point (0.75, 0.525)\n"),
+        (-1e308, 1.0000000000016376e308),
+    ],
+)
+def test_curvature_refuses_a_residual_that_is_not_finite(tmp_path, capsys, expected, outcome):
+    # curvatures about 1e296 of both signs, each finite
+    metric = {
+        "names": ["x", "y"], "box": [[0.5, 1], [0.5, 1]],
+        "entries": [["1000", "300"], ["300", "100*(0.9 + 1e-3*(2 + sin(1e150*x)))"]],
+    }
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"metric": metric, "grid": 3, "expected": expected}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, report, err = _run(capsys, "curvature", "--config", str(config))
+    assert caught == []
+    if isinstance(outcome, str):
+        assert (code, report, err) == (2, None, outcome)
+    else:
+        assert (code, report["max_residual"], err) == (1, outcome, "")
+
+
 def test_develop_refuses_a_transport_that_is_not_finite(tmp_path, capsys):
     # one RK4 step per unit along segments that dive to y = 0.002, where
     # the half-plane's Christoffel symbols are about 500: the state overflows

@@ -44,6 +44,12 @@ _STRINGS = {
 _DIAGONAL = [
     "1", "2", "x^2 + 1", "1 + 0.1*sin(x)*cos(y)", "exp(x)", "y", "log(x)", "x", "1/x", "(", "1e300*x",
 ]
+#: A diagonal entry whose sectional curvatures reach about 1e296 in size,
+#: both signs, on the box.
+_STEEP = "1 + 1e-3*sin(1e150*x)"
+#: Expected curvatures at the edge of the float range: |K - expected|
+#: overflows where K is as large as a steep metric's and of the other sign.
+_FAR = [1.7976931348623157e308, -1.7976931348623157e308, 1e308, -1e308]
 #: Values a mutation puts anywhere: edge numbers (huge integers, non-finite
 #: floats), drawn half the time, and wrong types.
 _EDGE_NUMBERS = [10**400, 2**64, -1, 0, -0.0, 1e-300, 1e308, math.nan, math.inf, -math.inf]
@@ -72,7 +78,8 @@ def _values(spec: dict, name: str) -> st.SearchStrategy:
     if kind == "number":
         if "exclusiveMinimum" in spec:
             return st.floats(1e-12, 3.0)
-        return st.floats(-3.0, 3.0, allow_nan=False) | st.sampled_from([0.0, -0.0, 1e-300])
+        edges = [0.0, -0.0, 1e-300, *(_FAR if name == "expected" else ())]
+        return st.floats(-3.0, 3.0, allow_nan=False) | st.sampled_from(edges)
     if spec is SCHEMA["definitions"]["point"]:
         # two or three coordinates inside most preset charts
         return st.lists(st.floats(0.2, 2.5), min_size=2, max_size=3)
@@ -86,14 +93,14 @@ def _values(spec: dict, name: str) -> st.SearchStrategy:
     return st.fixed_dictionaries({key: _values(value, key) for key, value in spec["properties"].items()})
 
 
-def _metric() -> st.SearchStrategy:
+def _metric(diagonals: list[str] = _DIAGONAL) -> st.SearchStrategy:
     """An inline metric of the schema's shape whose names, box and entries
     agree in size and whose entries are symmetric, so that mutations and a
     few bad diagonal entries, not chance, decide whether it holds."""
 
     def build(n: int) -> st.SearchStrategy:
         upper = st.lists(st.sampled_from(["0", "0", "0.1*x*y", "1"]), min_size=n * n, max_size=n * n)
-        diagonal = st.lists(st.sampled_from(_DIAGONAL), min_size=n, max_size=n)
+        diagonal = st.lists(st.sampled_from(diagonals), min_size=n, max_size=n)
 
         def entries(parts):
             off, diag = parts
@@ -124,7 +131,11 @@ def _config(command: str) -> st.SearchStrategy:
         del fields["preset"], fields["metric"]
         source = st.one_of(
             st.fixed_dictionaries({"preset": _values(PROPERTIES["preset"], "preset")}),
-            st.fixed_dictionaries({"metric": _metric()}),
+            # curvature configs also draw steep metrics, whose curvatures
+            # take a residual against a far expected value past the float range
+            st.fixed_dictionaries(
+                {"metric": _metric([*_DIAGONAL, _STEEP] if command == "curvature" else _DIAGONAL)}
+            ),
         )
     required = {
         key for key, spec in fields.items() if command in spec.get("x-required", ()) or key in _NEEDED
@@ -171,17 +182,16 @@ def _refuse_constant(name: str):
     raise ValueError(f"report holds {name}")
 
 
-@settings(
+_FUZZ = settings(
     max_examples=300,
     deadline=None,
     derandomize=True,
     database=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(st.data())
-def test_any_config_exits_0_1_or_2_with_strict_json(tmp_path_factory, data):
-    command = data.draw(st.sampled_from(COMMANDS), label="command")
-    config = _mutate(data, command, data.draw(_config(command), label="config"))
+
+
+def _check_run(tmp_path_factory, command: str, config) -> None:
     path = tmp_path_factory.mktemp("fuzz") / "job.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
@@ -195,3 +205,23 @@ def test_any_config_exits_0_1_or_2_with_strict_json(tmp_path_factory, data):
     else:
         # a refusal names what it refused; "internal error: ..." is a fault
         assert out.getvalue() == "" and err.getvalue().startswith("error: "), err.getvalue()
+
+
+@_FUZZ
+@given(st.data())
+def test_any_config_exits_0_1_or_2_with_strict_json(tmp_path_factory, data):
+    command = data.draw(st.sampled_from(COMMANDS), label="command")
+    config = _mutate(data, command, data.draw(_config(command), label="config"))
+    _check_run(tmp_path_factory, command, config)
+
+
+@settings(_FUZZ, max_examples=40)
+@given(st.data())
+def test_curvature_of_a_steep_metric_against_a_far_value_exits_with_strict_json(
+    tmp_path_factory, data
+):
+    # every example puts a residual near or past the float range
+    metric = data.draw(_metric([_STEEP]).filter(lambda m: len(m["names"]) > 1), label="metric")
+    config = {"metric": metric, "grid": data.draw(st.integers(2, 4), label="grid")}
+    config["expected"] = data.draw(st.sampled_from(_FAR), label="expected")
+    _check_run(tmp_path_factory, "curvature", config)

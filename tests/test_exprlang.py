@@ -41,8 +41,9 @@ from cartanflat.exprlang import (
     variables_of,
 )
 from cartanflat.cartan import orthonormal_frame
+from cartanflat.metricspace import _leaves
 from cartanflat.presets import PRESET_NAMES, preset_metric, random_metric
-from cartanflat.sasaki import connection_matrix, flatness_scan
+from cartanflat.sasaki import connection_matrix, curvature_form, flatness_scan
 from genexpr import (
     EXPONENT_CHOICES,
     central_difference,
@@ -1085,3 +1086,136 @@ def test_no_pass_but_the_parser_recurses():
     parser = [node for node in tree.body if getattr(node, "name", None) == "_Parser"]
     assert "parse_unary" in calling_themselves(parser)
     assert calling_themselves(node for node in tree.body if node not in parser) == []
+
+
+# ---------------------------------------------------------------------------
+# the walk's order, against a memoized recursive walk
+# ---------------------------------------------------------------------------
+
+
+def ref_post_order(roots, done=lambda node: False) -> tuple[list, list]:
+    """The memoized recursive walk the iterative one stands for: each
+    distinct node after its left and right subtrees, one root after
+    another; a node for which ``done`` holds is left out, with all that only
+    it leads to.  Also the ``^`` nodes, in the order the walk enters them."""
+    order, powers, seen = [], [], set()
+
+    def visit(node):
+        if id(node) in seen:
+            return
+        seen.add(id(node))
+        if done(node):
+            return
+        if type(node) is Binary:
+            if node.op == "^":
+                powers.append(node)
+            visit(node.left)
+            visit(node.right)
+        elif type(node) is Unary:
+            visit(node.operand)
+        order.append(node)
+
+    for root in roots:
+        visit(root)
+    return order, powers
+
+
+def _shared_dags(seed: int) -> list[Expression]:
+    """Random expressions, then products of neighbours, so that later roots
+    share whole subtrees with earlier ones."""
+    rng = np.random.default_rng(seed)
+    trees = [random_expression(rng, XY, depth=5) for _ in range(60)]
+    return trees + [Binary("*", a, b) for a, b in zip(trees, trees[3:])]
+
+
+def _forms(source: str) -> tuple[tuple[str, ...], list[list[Expression]]]:
+    """The chart's names, and the connection and curvature forms of both
+    variants, entry by entry."""
+    if source.startswith("random"):
+        metric = random_metric(int(source[-2]), int(source[-1]))
+    else:
+        metric = preset_metric(source)
+    forms = []
+    for variant in ("h", "s"):
+        connection = connection_matrix(orthonormal_frame(metric), variant)
+        forms += [list(_leaves(connection.comps)), list(_leaves(curvature_form(connection).comps))]
+    return metric.chart.names, forms
+
+
+_SOURCES = [*PRESET_NAMES, "random20", "random21", "random30", "random31"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_walk_of_random_shared_dags_is_the_recursive_walk(seed):
+    roots = _shared_dags(seed)
+    assert exprlang._post_order(roots) == ref_post_order(roots)[0]
+    for root in roots[::7]:
+        assert exprlang._post_order((root,)) == ref_post_order((root,))[0]
+
+
+@pytest.mark.parametrize("source", _SOURCES)
+def test_the_walk_of_every_connection_and_curvature_form_is_the_recursive_walk(source):
+    for entries in _forms(source)[1]:
+        assert exprlang._post_order(entries) == ref_post_order(entries)[0]
+        assert exprlang._post_order(entries[-1:]) == ref_post_order(entries[-1:])[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_walk_cut_at_held_derivatives_is_the_recursive_walk_cut_there(seed):
+    roots = _shared_dags(100 + seed)
+    for root in roots[::3]:
+        differentiate(root, "y")  # every node under these now holds d/dy
+    powers: list = []
+    order = exprlang._post_order(roots, "y", powers)
+
+    def holds(node):
+        return node._derivatives is not None and "y" in node._derivatives
+
+    assert (order, powers) == ref_post_order(roots, holds)
+    assert powers and len(order) < len(exprlang._post_order(roots))
+
+
+def _cells(fn) -> dict:
+    return dict(zip(fn.__code__.co_freevars, (cell.cell_contents for cell in fn.__closure__)))
+
+
+def _assert_tape_follows_the_walk(roots, names):
+    compiled = compile_expressions(roots, names)
+    run = _cells(compiled)["run"]
+    order = ref_post_order(roots)[0]
+    slot = {id(node): k for k, node in enumerate(order)}
+    steps = []
+    for k, node in enumerate(order):
+        if type(node) is Binary:
+            steps.append((k, exprlang._OPS[node.op], slot[id(node.left)], slot[id(node.right)]))
+        elif type(node) is Unary:
+            steps.append((k, exprlang._OPS[node.op], slot[id(node.operand)], None))
+    assert _cells(compiled)["steps"] == steps
+    run_cells = _cells(run)
+    assert run_cells["template"] == [n.value if type(n) is Const else None for n in order]
+    assert run_cells["loads"] == [
+        (k, names.index(n.name)) for k, n in enumerate(order) if type(n) is Var
+    ]
+    assert run_cells["roots"] == [slot[id(root)] for root in roots]
+
+
+@pytest.mark.parametrize("source", ["random30", "sphere3", "pseudospherical"])
+def test_compiled_steps_follow_the_walk(source):
+    names, forms = _forms(source)
+    for entries in forms:
+        _assert_tape_follows_the_walk(entries, names)
+    _assert_tape_follows_the_walk(_shared_dags(7), XY)
+
+
+def test_a_compiled_function_keeps_none_of_its_nodes_alive():
+    # constants no other test builds: an equal node alive elsewhere would be this one
+    roots = [parse("sin(x) * y + exp(x / 3.0625)", XY), parse("x^2 - log(y + 7.4375)", XY)]
+    probes = [weakref.ref(root) for root in roots]
+    compiled = compile_expressions(roots, XY)
+    point = compiled((0.5, 0.25))
+    stack = compiled(np.full((STACK_MIN_POINTS, 2), 0.5))  # builds the stacked tape too
+    del roots
+    gc.collect()
+    assert [probe() for probe in probes] == [None, None]
+    assert compiled((0.5, 0.25)) == point
+    assert _bits(compiled(np.full((STACK_MIN_POINTS, 2), 0.5))) == _bits(stack)
