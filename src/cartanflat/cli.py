@@ -302,7 +302,7 @@ def _job_curvature(s: dict):
     curvatures = functools.partial(metric.sectional_curvatures, planes=planes)
     points = 0
     low = high = worst = None
-    for chunk, values in grid_scan(metric.chart, grid, curvatures):
+    for chunk, values in grid_scan(metric.chart, grid, curvatures, (metric._g, metric._riemann)):
         values = values.ravel()
         if low is None:  # min() and max() start from the first value
             low = high = values[0]

@@ -1000,6 +1000,9 @@ def compile_expressions(
     Called on an ``(m, len(variables))`` array of points, the function
     returns an ``(m, len(expressions))`` array whose row ``k`` is
     bit-identical to the tuple for point ``k`` (see the module docstring).
+
+    The function's ``reads`` attribute lists the positions in ``variables``
+    that its tape loads, ascending; its values depend on those alone.
     """
     index = {name: i for i, name in enumerate(variables)}
     expressions = list(expressions)
@@ -1067,6 +1070,7 @@ def compile_expressions(
             raise ExpressionDomainError("expression value is not finite")
         return out
 
+    compiled.reads = tuple(sorted({i for _, i in loads}))
     return compiled
 
 

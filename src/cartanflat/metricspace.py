@@ -15,7 +15,12 @@ or R.  Grid scans evaluate chunks of at most :data:`GRID_CHUNK` grid points
 at a time (:func:`grid_scan`); each chunk is built as an array from the
 chart's axes by flat grid index, the same floats in the same row-major order
 as :meth:`Chart.grid`, and :func:`worst_point` reduces it with array
-operations.  Index conventions:
+operations.  A scan whose values depend on the metric alone (``flatness``,
+``curvature``, the construction check) names the arrays it evaluates, and
+evaluates only on the sub-grid of the chart axes they read
+(:attr:`ExprArray.read_axes`); each value is then spread back to the grid
+points that share those coordinates, so the chunks are a full scan's, bit
+for bit.  Index conventions:
 
     christoffel(p)[k, i, j] = Gamma^k_ij
     riemann(p)[l, k, i, j]  = R^l_kij,  meaning  R(d_i, d_j) d_k = R^l_kij d_l
@@ -84,7 +89,8 @@ _PD_MIN_EIGENVALUE = 1e-10
 PD_CHECK_RESOLUTION = 4
 
 #: Grid points per chunk of a grid scan.  A scan reduces each chunk before it
-#: takes the next, so its memory stays that of one chunk's arrays.
+#: takes the next, so its memory stays that of one chunk's arrays (and, on a
+#: sub-grid, one row of values per sub-grid point).
 GRID_CHUNK = 512
 
 # what a point query raises when its input or its geometry is bad there
@@ -187,19 +193,23 @@ class Chart:
         ]
 
 
-def stacked_or_in_turn(evaluate, items):
+def stacked_or_in_turn(evaluate, items, shortcut=None):
     """``evaluate(items)``, or, where that raises, ``evaluate`` of each item
-    alone, in order, concatenated.
+    alone, in order, concatenated.  ``shortcut``, where given, is tried
+    first: a call that returns what ``evaluate(items)`` would, or raises.
 
     ``evaluate`` maps a sequence of items to one leading row per item.  A
     stacked evaluation finishes each stage at every item before the next
     stage, so the error it raises need not be the first one met item by
     item; replaying the items in turn makes the error that escapes the one
     evaluating them one at a time meets first."""
-    try:
-        return evaluate(items)
-    except _POINT_ERRORS:
-        return np.concatenate([evaluate(items[k : k + 1]) for k in range(len(items))])
+    for attempt in (shortcut, functools.partial(evaluate, items)):
+        if attempt is not None:
+            try:
+                return attempt()
+            except _POINT_ERRORS:
+                pass
+    return np.concatenate([evaluate(items[k : k + 1]) for k in range(len(items))])
 
 
 def worst_point(
@@ -224,7 +234,9 @@ def worst_point(
     return worst, where, count
 
 
-def grid_scan(chart: Chart, resolution: int, evaluate) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def grid_scan(
+    chart: Chart, resolution: int, evaluate, arrays: Iterable[ExprArray] | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``(points, evaluate(points))`` for each chunk of the chart's grid,
     evaluated by :func:`stacked_or_in_turn`.  ``evaluate`` maps a stack of
     points to an array with one leading row per point.  An
@@ -232,7 +244,27 @@ def grid_scan(chart: Chart, resolution: int, evaluate) -> Iterator[tuple[np.ndar
 
     Each chunk is indexed straight out of ``chart.axes(resolution)``,
     row-major, so its rows are the floats of :meth:`Chart.grid`, in its
-    order, with no tuple built per point."""
+    order, with no tuple built per point.
+
+    ``arrays``, where given, are the ExprArrays through which ``evaluate``
+    reads its points: its value at a grid point is then a function of
+    theirs, and so of the axes they read (:attr:`ExprArray.read_axes`)
+    alone.  When they leave an axis unread, the scan evaluates only the
+    sub-grid of the axes they read, every other axis at its first grid
+    value, in blocks of at most :data:`GRID_CHUNK` points, and gathers each
+    chunk's values from it.  A tape's value depends only on the coordinates
+    it loads, and a stack's values are those of its points one by one, so
+    the chunks are the floats a full scan yields; g at a grid point is g at
+    its sub-grid point, bit for bit, so the guard on g has passed at every
+    point scanned.  The sub-grid is evaluated with the first chunk, as that
+    chunk's ``shortcut``; if a block of it raises, that chunk and every
+    later one are evaluated as in a full scan, so the error raised, its
+    point and its order against a consumer's own refusal are the full
+    scan's.  A scan whose arrays read every axis, or that names none, is
+    the full scan.  The metric-only scans (``flatness``, ``curvature``, the
+    construction check) name their arrays; ``identity``, ``compat`` and
+    ``zcr`` do not, as their seeded sections and fields read every
+    coordinate."""
 
     def at_named_point(points: np.ndarray) -> np.ndarray:
         try:
@@ -245,10 +277,58 @@ def grid_scan(chart: Chart, resolution: int, evaluate) -> Iterator[tuple[np.ndar
     axes = chart.axes(resolution)
     shape = (resolution,) * chart.dim
     total = resolution**chart.dim
+    read = _axes_read(arrays, chart.dim) if arrays is not None else None
+    sub_grid = _SubGrid(axes, read, evaluate) if read and len(read) < chart.dim else None
     for start in range(0, total, GRID_CHUNK):
         indices = np.unravel_index(np.arange(start, min(start + GRID_CHUNK, total)), shape)
         points = np.column_stack([axis[index] for axis, index in zip(axes, indices)])
-        yield points, stacked_or_in_turn(at_named_point, points)
+        gathered = None
+        if sub_grid is not None and not sub_grid.broken:
+            gathered = functools.partial(sub_grid.values, indices)
+        yield points, stacked_or_in_turn(at_named_point, points, gathered)
+
+
+def _axes_read(arrays: Iterable[ExprArray], dim: int) -> list[int]:
+    """The axes the arrays read, ascending, each array compiled in turn
+    until they read every axis; the first axis alone when they read none."""
+    read: set[int] = set()
+    for array in arrays:
+        read.update(array.read_axes)
+        if len(read) == dim:
+            break
+    return sorted(read) or [0]
+
+
+class _SubGrid:
+    """``evaluate`` over the grid of the axes ``read``, every other axis at
+    its first value, in blocks of at most :data:`GRID_CHUNK` points, all at
+    the first call of :meth:`values`; ``broken`` once a block has raised."""
+
+    def __init__(self, axes: list[np.ndarray], read: list[int], evaluate):
+        self.axes, self.read, self.evaluate = axes, read, evaluate
+        self.shape = (len(axes[0]),) * len(read)
+        self.broken = False
+        self.table: np.ndarray | None = None
+
+    def values(self, indices: tuple[np.ndarray, ...]) -> np.ndarray:
+        """The values at the grid points with these axis indices."""
+        if self.table is None:
+            self.broken = True  # until every block has returned
+            self.table = self._evaluate()
+            self.broken = False
+        return self.table[np.ravel_multi_index([indices[a] for a in self.read], self.shape)]
+
+    def _evaluate(self) -> np.ndarray:
+        size = math.prod(self.shape)
+        blocks = []
+        for start in range(0, size, GRID_CHUNK):
+            count = min(GRID_CHUNK, size - start)
+            sub = dict(zip(self.read, np.unravel_index(np.arange(start, start + count), self.shape)))
+            columns = [
+                axis[sub[a]] if a in sub else axis[:1].repeat(count) for a, axis in enumerate(self.axes)
+            ]
+            blocks.append(self.evaluate(np.column_stack(columns)))
+        return np.concatenate(blocks)
 
 
 def _nest(entries) -> tuple:
@@ -295,6 +375,12 @@ class ExprArray:
     @cached_property
     def _fn(self):
         return compile_expressions(list(_leaves(self.comps)), self.chart.names)
+
+    @property
+    def read_axes(self) -> tuple[int, ...]:
+        """The chart axes the entries read, ascending (compiling them); the
+        values at two points that agree on these axes are the same floats."""
+        return self._fn.reads
 
     def at(self, point) -> np.ndarray:
         """Every entry at a point, as an array of ``shape``; at a stack of m
@@ -446,7 +532,7 @@ class ChartMetric:
     # -- construction-time sanity ------------------------------------------
 
     def _check_positive_definite(self):
-        for _ in grid_scan(self.chart, PD_CHECK_RESOLUTION, self.definite_metric_at):
+        for _ in grid_scan(self.chart, PD_CHECK_RESOLUTION, self.definite_metric_at, (self._g,)):
             pass
 
     # -- symbolic layers ----------------------------------------------------

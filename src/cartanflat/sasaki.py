@@ -305,5 +305,6 @@ def flatness_scan(
             worst = np.where(block > worst, block, worst)  # as max(): NaN loses
         return worst
 
-    worst, point, count = worst_point(grid_scan(metric.chart, resolution, residuals))
+    arrays = (metric._g, frame._frame, omega_form)
+    worst, point, count = worst_point(grid_scan(metric.chart, resolution, residuals, arrays))
     return FlatnessReport(variant, resolution, count, worst, point)

@@ -148,8 +148,9 @@ def test_identity_guards_each_chunk_once_beyond_the_scan(monkeypatch, capsys):
     code = main(["identity", "--preset", "hyperbolic3", "--variant", "h", "--grid", "4"])
     capsys.readouterr()
     assert code == 0
-    # the build sample (4^3 points), the scan's one chunk, the residual's geometry
-    assert shapes == [(64, 3, 3)] * 3
+    # the build sample's sub-grid (4 points: g reads x3 alone), the scan's one
+    # chunk, the residual's geometry
+    assert shapes == [(4, 3, 3), (64, 3, 3), (64, 3, 3)]
 
 
 def test_a_read_geometry_is_freed_with_its_last_reference():

@@ -1048,8 +1048,10 @@ def test_curvature_extremes_are_min_and_max_in_point_order(capsys, preset):
 
 
 def _curvature_table(edits: dict) -> list:
-    """529 curvatures of the half-plane grid at 23 (a chunk of 512, then 17),
-    below -1, with ``edits`` written in."""
+    """529 curvatures of the Poincare disk's grid at 23 (a chunk of 512, then
+    17), below -1, with ``edits`` written in.  The disk's metric reads both
+    coordinates, so the scan evaluates every grid point rather than a
+    sub-grid."""
     table = (-1.0 - np.random.default_rng(3).random(23**2)).tolist()
     for index, value in edits.items():
         table[index] = value
@@ -1073,7 +1075,7 @@ def test_curvature_extremes_keep_min_and_max_on_nan_and_signed_zeros(capsys, mon
         return np.array([next(rows) for _ in points]).reshape(-1, 1)
 
     monkeypatch.setattr(ChartMetric, "sectional_curvatures", fake)
-    _, report, _ = _run(capsys, "curvature", "--preset", "half_plane", "--grid", "23")
+    _, report, _ = _run(capsys, "curvature", "--preset", "poincare_disk", "--grid", "23")
     want = [min(table), max(table), max(abs(v + 1.0) for v in table)]
     got = [report["min_curvature"], report["max_curvature"], report["max_residual"]]
     assert list(map(float.hex, got)) == list(map(float.hex, want))

@@ -20,10 +20,12 @@ import json
 import math
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cartanflat.cli import main
+from cartanflat.metricspace import ExprArray
 from cartanflat.presets import KINK_TEXT, PRESET_NAMES
 
 SCHEMA = json.loads(
@@ -47,6 +49,9 @@ _DIAGONAL = [
 #: A diagonal entry whose sectional curvatures reach about 1e296 in size,
 #: both signs, on the box.
 _STEEP = "1 + 1e-3*sin(1e150*x)"
+#: A diagonal entry that turns indefinite for x near 0.6: between the
+#: construction check's 4 points per axis, on finer grids.
+_DIP = "1.2 - 2*exp(-30*(x-0.6)^2)"
 #: Expected curvatures at the edge of the float range: |K - expected|
 #: overflows where K is as large as a steep metric's and of the other sign.
 _FAR = [1.7976931348623157e308, -1.7976931348623157e308, 1e308, -1e308]
@@ -122,20 +127,21 @@ def _metric(diagonals: list[str] = _DIAGONAL) -> st.SearchStrategy:
 _NEEDED = {"curve", "path"}
 
 
-def _config(command: str) -> st.SearchStrategy:
+def _config(command: str, diagonals: list[str] | None = None) -> st.SearchStrategy:
     """The command's fields: those it requires, one metric source (a preset
-    or an inline metric) when it takes one, and any of the rest."""
+    or an inline metric, its diagonal entries drawn from ``diagonals``) when
+    it takes one, and any of the rest."""
     fields = {key: spec for key, spec in PROPERTIES.items() if command in spec["x-commands"]}
     source = st.just({})
+    if diagonals is None:
+        # curvature configs also draw steep metrics, whose curvatures take a
+        # residual against a far expected value past the float range
+        diagonals = [*_DIAGONAL, _STEEP] if command == "curvature" else _DIAGONAL
     if "preset" in fields:
         del fields["preset"], fields["metric"]
         source = st.one_of(
             st.fixed_dictionaries({"preset": _values(PROPERTIES["preset"], "preset")}),
-            # curvature configs also draw steep metrics, whose curvatures
-            # take a residual against a far expected value past the float range
-            st.fixed_dictionaries(
-                {"metric": _metric([*_DIAGONAL, _STEEP] if command == "curvature" else _DIAGONAL)}
-            ),
+            st.fixed_dictionaries({"metric": _metric(diagonals)}),
         )
     required = {
         key for key, spec in fields.items() if command in spec.get("x-required", ()) or key in _NEEDED
@@ -191,20 +197,26 @@ _FUZZ = settings(
 )
 
 
-def _check_run(tmp_path_factory, command: str, config) -> None:
+def _outcome(tmp_path_factory, command: str, config) -> tuple[int, str, str]:
+    """The exit code, standard output and standard error of a run."""
     path = tmp_path_factory.mktemp("fuzz") / "job.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command, "--config", str(path)])
-    assert code in (0, 1, 2), err.getvalue()
-    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_run(tmp_path_factory, command: str, config) -> None:
+    code, out, err = _outcome(tmp_path_factory, command, config)
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
     if code in (0, 1):
-        report = json.loads(out.getvalue(), parse_constant=_refuse_constant)
+        report = json.loads(out, parse_constant=_refuse_constant)
         assert report["command"] == command
     else:
         # a refusal names what it refused; "internal error: ..." is a fault
-        assert out.getvalue() == "" and err.getvalue().startswith("error: "), err.getvalue()
+        assert out == "" and err.startswith("error: "), err
 
 
 @_FUZZ
@@ -225,3 +237,31 @@ def test_curvature_of_a_steep_metric_against_a_far_value_exits_with_strict_json(
     config = {"metric": metric, "grid": data.draw(st.integers(2, 4), label="grid")}
     config["expected"] = data.draw(st.sampled_from(_FAR), label="expected")
     _check_run(tmp_path_factory, "curvature", config)
+
+
+def _untimed(text: str) -> str:
+    return "\n".join(line for line in text.splitlines() if "wall_time_s" not in line)
+
+
+@settings(_FUZZ, max_examples=100)
+@given(st.data())
+def test_metric_scans_report_as_their_full_scans(tmp_path_factory, data):
+    # constant and 0.1*x*y entries, and the presets' charts, leave axes
+    # unread, so flatness and curvature scan a sub-grid; each run must
+    # match the run that evaluates every grid point
+    command = data.draw(st.sampled_from(["flatness", "curvature"]), label="command")
+    config = data.draw(
+        _config(command, [_DIP, _STEEP, *_DIAGONAL]).filter(
+            lambda c: "metric" not in c or len(c["metric"]["names"]) > 1
+        ),
+        label="config",
+    )
+    # 23 and 9 split 2-d and 3-d grids into a full chunk and a part
+    config["grid"] = data.draw(st.sampled_from([9, 23, 5, 3, 2]), label="grid")
+    if command == "curvature":
+        config["expected"] = data.draw(st.sampled_from([*_FAR, -1.0]), label="expected")
+    code, out, err = _outcome(tmp_path_factory, command, config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ExprArray, "read_axes", property(lambda self: tuple(range(self.chart.dim))))
+        full = _outcome(tmp_path_factory, command, config)
+    assert (code, _untimed(out), err) == (full[0], _untimed(full[1]), full[2])

@@ -463,6 +463,24 @@ def test_compiled_batch_and_shared_subtrees():
     assert out == (15.0, 6.0, 5.0)
 
 
+def test_a_compiled_function_lists_the_variables_its_tape_loads():
+    names = ("x", "y", "z")
+    cases = [  # expressions, positions of the variables loaded
+        (["z*x + 1"], (0, 2)),
+        (["sin(y)", "y^2"], (1,)),
+        (["2", "-0"], ()),
+        (["x - x", "z"], (0, 2)),  # nothing simplifies x - x, so x is loaded
+    ]
+    for texts, reads in cases:
+        fn = compile_expressions([parse(text, names) for text in texts], names)
+        assert fn.reads == reads
+        assert functools.wraps(fn)(lambda p: fn(p)).reads == reads  # kept by a wrapper
+    # the value at a point depends only on those variables
+    fn = compile_expressions([parse("z*x + 1", names)], names)
+    points = np.array([[0.5, y, 2.0] for y in np.linspace(-1.0, 1.0, 40)])
+    assert len({row.tobytes() for row in fn(points)}) == 1
+
+
 def test_evaluation_is_deterministic():
     e = parse("sin(x)*exp(y) - tanh(x/2) + x^3", XY)
     point = {"x": 0.37, "y": 1.21}

@@ -9,6 +9,7 @@ import ast
 import functools
 import inspect
 import itertools
+import json
 import math
 import warnings
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cartanflat import metricspace
+from cartanflat import cli, metricspace, sasaki
 from cartanflat.bundle import bundle_pairing
 from cartanflat.errors import (
     ChartDomainError,
@@ -25,7 +26,17 @@ from cartanflat.errors import (
     SingularMetricError,
     StepSizeError,
 )
-from cartanflat.exprlang import STACK_MIN_POINTS, Binary, Const, Var, call, differentiate, evaluate, mul
+from cartanflat.exprlang import (
+    STACK_MIN_POINTS,
+    Binary,
+    Const,
+    Var,
+    call,
+    differentiate,
+    evaluate,
+    mul,
+    variables_of,
+)
 from cartanflat.metricspace import (
     GRID_CHUNK,
     Chart,
@@ -816,6 +827,28 @@ def test_grid_scan_raises_the_error_a_point_by_point_scan_meets_first():
             pass
 
 
+def test_stacked_or_in_turn_tries_a_shortcut_then_the_stack_then_each_item():
+    calls = []
+
+    def evaluate(items):
+        calls.append(len(items))
+        if len(items) > 1 and 3 in items:
+            raise ChartDomainError("a stack holding 3")
+        return np.array(items, dtype=float) * 2.0
+
+    def failing():
+        calls.append("shortcut")
+        raise ExpressionDomainError("no shortcut")
+
+    assert stacked_or_in_turn(evaluate, [1, 2], lambda: np.array([7.0, 8.0])).tolist() == [7.0, 8.0]
+    assert calls == []
+    assert stacked_or_in_turn(evaluate, [1, 2], failing).tolist() == [2.0, 4.0]
+    assert calls == ["shortcut", 2]
+    calls.clear()
+    assert stacked_or_in_turn(evaluate, [1, 3], failing).tolist() == [2.0, 6.0]
+    assert calls == ["shortcut", 2, 1, 1]
+
+
 def test_grid_scan_names_the_point_of_a_domain_error():
     chart = Chart(("x", "y"), ((0.0, 1.0), (0.0, 1.0)), margin=0.0)
     reciprocal = ExprArray(chart, (Var("x") - 0.5) ** -1.0)
@@ -828,6 +861,157 @@ def test_grid_scan_names_the_point_of_a_domain_error():
     with pytest.raises(ExpressionDomainError) as alone:
         reciprocal.at((0.5, 0.0))
     assert alone.value.point is None and str(caught.value) == f"{alone.value} at point (0.5, 0.0)"
+
+
+def _full_scans(patch):
+    """Every array claims to read every axis, so each scan runs in full."""
+    patch.setattr(ExprArray, "read_axes", property(lambda self: tuple(range(self.chart.dim))))
+
+
+def _metric_scan_chunks(capsys, name: str, grid: int) -> tuple[list, str]:
+    """Every chunk that the flatness scans of both variants and the
+    curvature job yield on a preset, as bytes, and the curvature report."""
+    chunks = []
+
+    def recording(*args):
+        for points, values in grid_scan(*args):
+            chunks.append((points.tobytes(), values.shape, values.tobytes()))
+            yield points, values
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sasaki, "grid_scan", recording)
+        patch.setattr(cli, "grid_scan", recording)
+        metric = preset_metric(name)
+        for variant in "hs":
+            flatness_scan(metric, variant, grid)
+        capsys.readouterr()
+        assert cli.main(["curvature", "--preset", name, "--grid", str(grid)]) == 0
+    report = [line for line in capsys.readouterr().out.splitlines() if "wall_time_s" not in line]
+    return chunks, "\n".join(report)
+
+
+@pytest.mark.parametrize(
+    "name, grid",
+    # every preset, then grids that split into a full chunk and a part
+    [(name, 5) for name in PRESET_NAMES] + [("sphere3", 9), ("half_plane", 23)],
+)
+def test_a_sub_grid_scan_yields_the_full_scans_chunks_bitwise(capsys, name, grid):
+    reduced = _metric_scan_chunks(capsys, name, grid)
+    with pytest.MonkeyPatch.context() as patch:
+        _full_scans(patch)
+        full = _metric_scan_chunks(capsys, name, grid)
+    chunks = math.ceil(grid ** get_preset(name).chart.dim / GRID_CHUNK)
+    assert len(reduced[0]) == len(full[0]) == 3 * chunks
+    assert reduced == full
+
+
+@pytest.mark.parametrize(
+    "name, scanned",
+    [
+        ("euclidean2", (0,)),  # no axis is read: the first stands in
+        ("euclidean3", (0,)),
+        ("sphere2", (0,)),
+        ("sphere3", (0, 1)),
+        ("half_plane", (1,)),
+        ("hyperbolic3", (2,)),
+        ("constant_curvature", (1,)),  # a half-plane at c = -1
+        ("poincare_disk", (0, 1)),
+        ("conformal_bump", (0, 1)),
+    ],
+)
+def test_every_tape_a_metric_scan_evaluates_reads_only_the_axes_it_scans(capsys, name, scanned):
+    compile_expressions = metricspace.compile_expressions
+    calls: list = []  # per stack a scan evaluates: its varying axes, then the tapes' loads
+    active: list = []  # the loads of the stack being evaluated
+
+    def compiling(expressions, variables):
+        expressions = list(expressions)
+        fn = compile_expressions(expressions, variables)
+        # what the tape loads, from a walk of its own
+        assert fn.reads == tuple(sorted(map(variables.index, variables_of(*expressions))))
+
+        @functools.wraps(fn)  # as a tracing wrapper would, keeping ``reads``
+        def recorded(points):
+            if active:
+                active[-1].add(fn.reads)
+            return fn(points)
+
+        return recorded
+
+    def recording(chart, resolution, evaluate, arrays=None):
+        def spied(points):
+            varying = tuple(a for a in range(chart.dim) if len(set(points[:, a].tolist())) > 1)
+            calls.append((varying, set()))
+            active.append(calls[-1][1])
+            try:
+                return evaluate(points)
+            finally:
+                active.pop()
+
+        return grid_scan(chart, resolution, spied, arrays)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metricspace, "compile_expressions", compiling)
+        patch.setattr(sasaki, "grid_scan", recording)
+        patch.setattr(cli, "grid_scan", recording)
+        metric = preset_metric(name)
+        for variant in "hs":
+            flatness_scan(metric, variant, 6)
+        assert cli.main(["curvature", "--preset", name, "--grid", "6"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 3  # each scan evaluates its sub-grid in one stack
+    for varying, reads in calls:
+        assert varying == scanned
+        assert reads and all(set(read) <= set(scanned) for read in reads)
+
+
+def _reduced_and_full(capsys, argv: list[str]) -> list[tuple]:
+    """(exit code, stdout, stderr) of a CLI run, then of the same run with
+    every scan in full."""
+    outcomes = []
+    for full in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            if full:
+                _full_scans(patch)
+            code = cli.main(argv)
+        outcomes.append((code, *capsys.readouterr()))
+    return outcomes
+
+
+def test_a_sub_grid_scan_refuses_an_indefinite_point_as_the_full_scan_does(capsys, tmp_path):
+    # g_33 dips below zero for x1 near 0.6, which the construction check's
+    # 4 points per axis miss; g reads x1 alone
+    entries = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1.2 - 2*exp(-100*(x1-0.6)^2)"]]
+    metric = {"names": ["x1", "x2", "x3"], "box": [[-1, 1], [-1, 1], [-1, 1]], "entries": entries}
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"metric": metric, "grid": 21}))
+    axis = [-0.9 + 1.8 * k / 20 for k in range(21)]
+    first = next(x for x in axis if 1.2 - 2 * math.exp(-100 * (x - 0.6) ** 2) <= 1e-10)
+    for argv in (["curvature"], ["flatness", "--variant", "h"], ["flatness", "--variant", "s"]):
+        reduced, full = _reduced_and_full(capsys, [*argv, "--config", str(config)])
+        assert reduced == full
+        code, out, err = reduced
+        assert code == 2 and out == "" and err.startswith("error: metric is not positive definite")
+        found = tuple(float(v) for v in err.split("at point (")[1].split(")")[0].split(", "))
+        assert found == pytest.approx((first, -0.9, -0.9), abs=1e-12)
+
+
+def test_a_sub_grid_scan_keeps_a_consumers_refusal_ahead_of_a_later_error(capsys, tmp_path):
+    # curvatures near 1e296 from g_33's steep term make every residual
+    # against -1.8e308 overflow in the first chunk; g_22 turns indefinite
+    # near x1 = 0.6, in a later chunk; g reads x1 alone
+    entries = [
+        ["1", "0", "0"],
+        ["0", "1.2 - 2*exp(-100*(x1-0.6)^2)", "0"],
+        ["0", "0", "1 + 1e-3*sin(1e150*x1)"],
+    ]
+    metric = {"names": ["x1", "x2", "x3"], "box": [[-1, 1], [-1, 1], [-1, 1]], "entries": entries}
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"metric": metric, "grid": 21, "expected": -1.7976931348623157e308}))
+    reduced, full = _reduced_and_full(capsys, ["curvature", "--config", str(config)])
+    assert reduced == full
+    code, _, err = reduced
+    assert code == 2 and err.startswith("error: curvature residual is not finite at point (-0.9, ")
 
 
 def test_worst_point_keeps_the_first_of_equal_values_across_chunks():
