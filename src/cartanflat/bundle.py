@@ -90,9 +90,10 @@ class BundleSection(ExprArray):
 
 
 def _derived_section(chart: Chart, vector: tuple, scalar: Expression) -> BundleSection:
-    """A section built here from a checked section, the metric's entries and
-    Christoffel symbols and the chart's names: it uses no other variable, so
-    it skips the walk over its components that the public constructor runs."""
+    """A section built here from the chart's names and constants, or from a
+    checked section, the metric's entries and Christoffel symbols: it uses
+    no other variable, so it skips the walk over its components that the
+    public constructor runs."""
     section = BundleSection.__new__(BundleSection)
     ExprArray.__init__(section, chart, (*vector, scalar))
     section.vector, section.scalar = vector, scalar
@@ -122,7 +123,7 @@ def random_section(chart: Chart, rng: np.random.Generator) -> BundleSection:
                     total, mul(Const(float(rng.normal()) * 0.25), mul(axes[a], axes[b]))
                 )
         components.append(total)
-    return BundleSection(chart, tuple(components[:n]), components[n])
+    return _derived_section(chart, tuple(components[:n]), components[n])
 
 
 @cached_on_metric(maxsize=512)

@@ -40,12 +40,13 @@ The two evaluation routes are kept bit-identical:
 - :func:`evaluate`, an interpreter over Python floats: the reference;
 - :func:`compile_expressions`, which returns one function for a batch of
   expressions, called on one point (integrators, small scans) or on an
-  ``(m, dim)`` stack of points, one numpy column per node (grid scans).
-  It runs a tape: one step per distinct operation node, in the post-order
-  the interpreter walks, calling the functions the interpreter calls.  So
-  both routes make the same IEEE operations on the same operands and meet
-  the guarded ones (``/``, ``^``, the functions) in the same order, where
-  the first to fail is the one the interpreter meets first.
+  ``(m, dim)`` stack of points, with numpy columns for floats (grid scans).
+  It runs a register tape: one step per distinct operation node, in the
+  post-order the interpreter walks, calling the functions the interpreter
+  calls, each writing its value over a slot whose value is dead by then.
+  So both routes make the same IEEE operations on the same operands and
+  meet the guarded ones (``/``, ``^``, the functions) in the same order,
+  where the first to fail is the one the interpreter meets first.
 
 Bit identity rests on one set of kernels.  Each function, and ``^``, is a
 numpy ufunc in every route: the stacked tape calls it once on a whole
@@ -991,11 +992,15 @@ def compile_expressions(
     (say, a factor of a symbolic inverse metric) is evaluated a single time.
     Raises KeyError at compile time for variables not in the list.
 
-    The function runs a tape: the constants in a template of slots, one
-    load per variable, and one ``(slot, function, operand slots)`` step per
-    operation node, in post-order.  On a stack of points the same steps run
-    on numpy columns (their functions swapped at the first stack for ones
-    that take columns), and each column is dropped after its last consumer.
+    The function runs a register tape: the constants and one load per
+    variable in the first slots of a template, for good, and one ``(slot,
+    function, operand slots)`` step per operation node, in post-order.  A
+    step writes its value to the slot of an operand whose last consumer it
+    is, else to the slot freed last, else to a new one, so the tape holds no
+    more result slots than it ever has live values, and the roots' slots
+    are never written over.  On a stack of points the same steps run on
+    numpy columns, with each guard swapped at the first stack for its twin
+    that takes columns, and a column goes when its slot is written over.
 
     Called on an ``(m, len(variables))`` array of points, the function
     returns an ``(m, len(expressions))`` array whose row ``k`` is
@@ -1007,20 +1012,69 @@ def compile_expressions(
     index = {name: i for i, name in enumerate(variables)}
     expressions = list(expressions)
     order = _post_order(expressions)
-    slot = {node: k for k, node in enumerate(order)}  # not kept by the closures
-    template = [node.value if type(node) is Const else None for node in order]
-    loads, steps = [], []
-    for k, node in enumerate(order):
+    # walked backwards, an operand is first met at its last consumer, which
+    # marks it in the one table that later holds each node's slot: bit 1 for
+    # its left operand or only one, bit 2 for its right.  Roots enter first
+    # and so live past the last step; leaves are never marked.
+    place: dict[Expression, int] = dict.fromkeys(expressions, 0)  # not kept by the closures
+    leaves = 0
+    for node in reversed(order):
         kind = type(node)
         if kind is Binary:
-            steps.append((k, _OPS[node.op], slot[node.left], slot[node.right]))
+            left, right, dies = node.left, node.right, 0
+            if left not in place:
+                place[left] = 0
+                if left.depth > 1:
+                    dies = 1
+            if right not in place:
+                place[right] = 0
+                if right.depth > 1:
+                    dies |= 2
+            place[node] = dies
         elif kind is Unary:
-            steps.append((k, _OPS[node.op], slot[node.operand], None))
-        elif kind is Var:
-            if node.name not in index:
-                raise KeyError(f"variable {node.name!r} not among {tuple(index)}")
-            loads.append((k, index[node.name]))
-    roots = [slot[e] for e in expressions]
+            operand = node.operand
+            if operand not in place:
+                place[operand] = 0
+                if operand.depth > 1:
+                    place[node] = 1
+        else:
+            leaves += 1
+    # walked forwards, constants and loads take the first slots for good;
+    # an operation takes its dying operand's slot, else the slot freed last,
+    # else a new one
+    template: list = [None] * leaves
+    loads, steps, free = [], [], []
+    leaf, size = 0, leaves
+    for node in order:
+        kind = type(node)
+        if kind is Binary or kind is Unary:
+            dies = place[node]
+            if kind is Binary:
+                a, b = place[node.left], place[node.right]
+            else:
+                a, b = place[node.operand], None
+            if dies & 1:
+                k = a
+                if dies & 2:
+                    free.append(b)
+            elif dies & 2:
+                k = b
+            elif free:
+                k = free.pop()
+            else:
+                k, size = size, size + 1
+            steps.append((k, _OPS[node.op], a, b))
+        else:
+            k, leaf = leaf, leaf + 1
+            if kind is Const:
+                template[k] = node.value
+            else:
+                if node.name not in index:
+                    raise KeyError(f"variable {node.name!r} not among {tuple(index)}")
+                loads.append((k, index[node.name]))
+        place[node] = k
+    template += [None] * (size - leaves)
+    roots = [place[e] for e in expressions]
     count, isfinite = len(roots), math.isfinite
     stack_steps: list = []  # the tape on numpy columns, built at its first stack
 
@@ -1040,15 +1094,10 @@ def compile_expressions(
         points = points.astype(float, copy=False)
         if len(points) < STACK_MIN_POINTS:
             return point_by_point(points)
-        if not stack_steps:
-            # a step after each column's last consumer writes None over it
-            last = {a: n for n, step in enumerate(steps) for a in step[2:]}
-            for a in (None, *roots):
-                last.pop(a, None)
-            tape = [[(k, _TO_STACK.get(f, f), a, b)] for k, f, a, b in steps]
-            for a, n in last.items():
-                tape[n].append((a, _released, a, None))
-            stack_steps.extend(step for group in tape for step in group)
+        if not stack_steps:  # the same tape, each guard swapped for its twin
+            for step in steps:
+                twin = _TO_STACK.get(step[1])
+                stack_steps.append(step if twin is None else (step[0], twin, *step[2:]))
         out = np.empty((len(points), count))
         columns = [c.copy() for c in points.T]
         try:
@@ -1113,7 +1162,3 @@ _TO_STACK = {
     _guard_pow: _stack_pow,
     **dict(_KERNELS.values()),
 }
-
-
-def _released(column) -> None:
-    return None

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from cartanflat import metricspace
+from cartanflat import bundle, metricspace
 from cartanflat.bundle import (
     BundleSection,
     _seeded_sections,
@@ -204,6 +204,19 @@ def test_random_sections_stay_bounded():
             assert np.max(np.abs(section.at(point))) <= 10.0
 
 
+def test_a_random_section_skips_the_walk_but_is_the_public_constructors(monkeypatch):
+    chart = preset_metric("hyperbolic3").chart
+    with monkeypatch.context() as patch:
+        patch.setattr(bundle, "variables_of", None)  # any walk for strays fails
+        section = random_section(chart, np.random.default_rng(17))
+    monkeypatch.setattr(bundle, "_derived_section", BundleSection)
+    public = random_section(chart, np.random.default_rng(17))
+    assert type(section) is type(public) is BundleSection and section.chart == public.chart
+    assert len(section.comps) == len(public.comps) == chart.dim + 1
+    assert all(a is b for a, b in zip(section.comps, public.comps))
+    assert section.scalar is public.scalar and section.vector == public.vector
+
+
 # ---------------------------------------------------------------------------
 # curvature by finite differences
 # ---------------------------------------------------------------------------
@@ -388,13 +401,14 @@ _IDENTITY_METRICS = [
 def test_stacked_identity_matches_the_point_by_point_loop_bitwise(make, variant):
     m = make()  # a fresh metric: its arrays are compiled anew
     rng = np.random.default_rng(41)
-    # below STACK_MIN_POINTS (1, 8, 27 points) g, Gamma, R and the section
-    # values run point by point, and the stencils of 8 or more points (5
-    # rows each) as columns; at 64 points everything runs as columns.
-    # The stacks run first, in this order, so the stacked tapes are built
-    # between (or inside) them; the point-by-point loop runs after.
-    stacks = [np.array(m.chart.random_points(rng, size)) for size in (1, 8, 27, 64)]
-    assert 5 * 8 >= STACK_MIN_POINTS > 27
+    # below STACK_MIN_POINTS (1, 8, 27 points at 32) g, Gamma, R and the
+    # section values run point by point, and the stencils of a quarter of it
+    # or more (5 rows each) as columns; at twice it everything runs as
+    # columns.  The stacks run first, in this order, so the stacked tapes are
+    # built between (or inside) them; the point-by-point loop runs after.
+    sizes = (1, STACK_MIN_POINTS // 4, STACK_MIN_POINTS - 5, 2 * STACK_MIN_POINTS)
+    stacks = [np.array(m.chart.random_points(rng, size)) for size in sizes]
+    assert 5 * sizes[1] >= STACK_MIN_POINTS > sizes[2]
     stacked = [identity_residual(variant, m, stack, trials=2, seed=3) for stack in stacks]
     for stack, report in zip(stacks, stacked):
         assert report.vector.shape == report.e_component.shape == (len(stack),)
@@ -405,7 +419,7 @@ def test_stacked_identity_matches_the_point_by_point_loop_bitwise(make, variant)
         assert _identity_bits(report.vector) == _identity_bits([v for v, _ in expected])
         assert _identity_bits(report.e_component) == _identity_bits([e for _, e in expected])
         assert _identity_bits(report.worst) == _identity_bits([max(v, e) for v, e in expected])
-    point = tuple(stacks[1][3].tolist())
+    point = tuple(stacks[0][0].tolist())
     single = identity_residual(variant, m, point, trials=2, seed=3)
     assert (single.vector, single.e_component) == _reference_identity_residual(
         variant, m, point, trials=2, seed=3

@@ -1,6 +1,7 @@
 """Parser, printer, evaluator, exact-derivative and interning tests."""
 
 import ast
+import contextlib
 import functools
 import gc
 import math
@@ -52,6 +53,9 @@ from genexpr import (
 )
 
 XY = ("x", "y")
+#: A stack that runs as columns, with room for the rows the tests below set
+#: (up to row 90), whatever STACK_MIN_POINTS is.
+_COLUMNS = max(3 * STACK_MIN_POINTS, 96)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +418,8 @@ def _route_outcomes(e, stack) -> list:
 
 
 def _edge_stacks() -> dict[str, np.ndarray]:
-    """Stacks of ``3 * STACK_MIN_POINTS`` arguments at the kernels' edges."""
-    n = 3 * STACK_MIN_POINTS
+    """Stacks of ``_COLUMNS`` arguments at the kernels' edges."""
+    n = _COLUMNS
     rng = np.random.default_rng(26)
     top = math.log(np.finfo(float).max)  # the largest argument exp takes
     ulps = np.arange(-(n // 2), n - n // 2)
@@ -586,7 +590,7 @@ def test_where_two_guards_fail_both_routes_raise_the_interpreters_error(texts, m
     assert str(reference.value) == message
     with pytest.raises(ExpressionDomainError) as scalar:
         fn((-1.0, 0.0))
-    stack = np.random.default_rng(2).uniform(0.5, 1.5, (3 * STACK_MIN_POINTS, 2))
+    stack = np.random.default_rng(2).uniform(0.5, 1.5, (_COLUMNS, 2))
     stack[40] = (-1.0, 0.0)
     with pytest.raises(ExpressionDomainError) as stacked:
         fn(stack)
@@ -715,8 +719,8 @@ def test_where_two_guards_fail_the_tape_and_the_generated_code_raise_alike():
     )
     for texts, message in cases:
         fn = compile_expressions([parse(text, XY) for text in texts], XY)
-        good = np.random.default_rng(2).uniform(0.5, 1.5, (3 * STACK_MIN_POINTS, 2))
-        # three failing stacks through one function, each after 96 good points
+        good = np.random.default_rng(2).uniform(0.5, 1.5, (_COLUMNS, 2))
+        # three failing stacks through one function, each after the good points
         for bad in (3, 40, 90):
             rows = [fn(tuple(row)) for row in good.tolist()]
             with pytest.raises(ExpressionDomainError) as scalar:
@@ -1197,24 +1201,63 @@ def _cells(fn) -> dict:
     return dict(zip(fn.__code__.co_freevars, (cell.cell_contents for cell in fn.__closure__)))
 
 
+def _peak_live_operations(roots, order) -> int:
+    """The most operation values live at once, counted after each step: a
+    value lives from its step to its last consumer's, a root to the end."""
+    operations = [node for node in order if type(node) in (Binary, Unary)]
+    last = {id(root): len(operations) for root in roots}
+    for j, node in enumerate(operations):
+        for operand in (node.left, node.right) if type(node) is Binary else (node.operand,):
+            if type(operand) in (Binary, Unary):
+                last[id(operand)] = max(last.get(id(operand), j), j)
+    deaths = [0] * (len(operations) + 1)
+    for j in last.values():
+        deaths[j] += 1
+    live = peak = 0
+    for j in range(len(operations)):
+        live += 1 - deaths[j]
+        peak = max(peak, live)
+    return peak
+
+
 def _assert_tape_follows_the_walk(roots, names):
     compiled = compile_expressions(roots, names)
-    run = _cells(compiled)["run"]
+    cells = _cells(compiled)
+    run_cells = _cells(cells["run"])
+    template, loads, steps = run_cells["template"], run_cells["loads"], cells["steps"]
     order = ref_post_order(roots)[0]
-    slot = {id(node): k for k, node in enumerate(order)}
-    steps = []
-    for k, node in enumerate(order):
-        if type(node) is Binary:
-            steps.append((k, exprlang._OPS[node.op], slot[id(node.left)], slot[id(node.right)]))
-        elif type(node) is Unary:
-            steps.append((k, exprlang._OPS[node.op], slot[id(node.operand)], None))
-    assert _cells(compiled)["steps"] == steps
-    run_cells = _cells(run)
-    assert run_cells["template"] == [n.value if type(n) is Const else None for n in order]
-    assert run_cells["loads"] == [
-        (k, names.index(n.name)) for k, n in enumerate(order) if type(n) is Var
+    leaves = [node for node in order if type(node) in (Const, Var)]
+    operations = [node for node in order if type(node) in (Binary, Unary)]
+    # the leaves hold the first slots, in the walk's order, for good
+    assert [repr(value) for value in template[: len(leaves)]] == [
+        repr(node.value) if type(node) is Const else "None" for node in leaves
     ]
-    assert run_cells["roots"] == [slot[id(root)] for root in roots]
+    assert loads == [(k, names.index(n.name)) for k, n in enumerate(leaves) if type(n) is Var]
+    assert template[len(leaves) :] == [None] * (len(template) - len(leaves))
+    # replayed with nodes in the slots, each step computes the walk's next
+    # operation from the slots that hold its operands at that moment
+    slots: list = leaves + [None] * (len(template) - len(leaves))
+    assert len(steps) == len(operations)
+    for (k, f, a, b), node in zip(steps, operations):
+        assert f is exprlang._OPS[node.op]
+        if type(node) is Binary:
+            assert slots[a] is node.left and slots[b] is node.right
+        else:
+            assert slots[a] is node.operand and b is None
+        assert k >= len(leaves)
+        slots[k] = node
+    assert [slots[r] for r in run_cells["roots"]] == roots
+    assert len(template) - len(leaves) <= _peak_live_operations(roots, order)
+    # the stacked tape is this tape with each guard swapped for its twin
+    with contextlib.suppress(ExpressionDomainError):
+        compiled(np.full((STACK_MIN_POINTS, len(names)), 0.5))
+    stacked = _cells(cells["stacked"])["stack_steps"]
+    assert len(stacked) == len(steps)
+    for step, twin in zip(steps, stacked):
+        if step[1] in exprlang._TO_STACK:
+            assert twin == (step[0], exprlang._TO_STACK[step[1]], *step[2:])
+        else:
+            assert twin is step
 
 
 @pytest.mark.parametrize("source", ["random30", "sphere3", "pseudospherical"])
