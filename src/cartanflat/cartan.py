@@ -11,7 +11,7 @@ seeded with 0.0 and added left to right.
 Conventions, fixed once and used everywhere downstream:
 
     frame matrix      E[a][j] = component of e_j along d_a   (columns = frame)
-    coframe matrix    Theta[i][k] = dx^k-coefficient of omega^i,  Theta = E^-1
+    coframe matrix    Theta[i][k] = dx^k-coefficient of omega^i,  Theta = E^T g (= E^-1)
     connection forms  omega_i^j(X) = g(nabla_X e_i, e_j)
     phi := omega_2^1  with  d omega^1 = omega^2 ^ phi,
                             d omega^2 = -omega^1 ^ phi,
@@ -50,7 +50,6 @@ from .metricspace import (
     ExprArray,
     cached_on_metric,
     elementwise,
-    symbolic_inverse,
 )
 
 __all__ = [
@@ -188,20 +187,12 @@ def g_pair(metric: ChartMetric, u: Sequence[Expression], v: Sequence[Expression]
 
 
 class FrameField:
-    """An orthonormal frame with its dual coframe, both symbolic.
+    """An orthonormal frame with its dual coframe, both symbolic."""
 
-    For n <= 3 the coframe is Theta = E^-1 computed symbolically; beyond that
-    coframe_at falls back to a numeric inverse per point and the form-level
-    operations that need symbolic Theta refuse to run.
-    """
-
-    def __init__(self, metric: ChartMetric, frame_entries, coframe_entries):
+    def __init__(self, metric: ChartMetric, frame_entries):
         self.metric = metric
         self.chart = metric.chart
         self.frame_entries = tuple(tuple(row) for row in frame_entries)
-        self.coframe_entries = (
-            tuple(tuple(row) for row in coframe_entries) if coframe_entries is not None else None
-        )
 
     @property
     def dim(self) -> int:
@@ -212,22 +203,24 @@ class FrameField:
         return ExprArray(self.chart, self.frame_entries)
 
     @cached_property
-    def _coframe(self) -> ExprArray | None:
-        if self.coframe_entries is None:
-            return None
+    def coframe_entries(self) -> tuple:
+        """Theta[i][k] = sum_a E[a][i] g_ak: E^T g E = I, so Theta E = I."""
+        n, e, g = self.dim, self.frame_entries, self.metric.entries
+        return tuple(
+            tuple(_sum(mul(e[a][i], g[a][k]) for a in range(n)) for k in range(n)) for i in range(n)
+        )
+
+    @cached_property
+    def _coframe(self) -> ExprArray:
         return ExprArray(self.chart, self.coframe_entries)
 
     def frame_at(self, point: Sequence[float]) -> np.ndarray:
         return self._frame.at(point)
 
     def coframe_at(self, point: Sequence[float]) -> np.ndarray:
-        if self._coframe is not None:
-            return self._coframe.at(point)
-        return np.linalg.inv(self.frame_at(point))
+        return self._coframe.at(point)
 
     def coframe_form(self, i: int) -> OneForm:
-        if self.coframe_entries is None:
-            raise DimensionError("symbolic coframe only available for n <= 3")
         return OneForm(self.chart, self.coframe_entries[i])
 
     @cached_property
@@ -286,12 +279,7 @@ def orthonormal_frame(metric: ChartMetric) -> FrameField:
         frame_vectors.append(tuple(div(component, norm) for component in w))
     # columns are frame vectors: E[a][j] = (e_j)^a
     frame_entries = tuple(tuple(frame_vectors[j][a] for j in range(n)) for a in range(n))
-    coframe_entries = None
-    if n <= 3:
-        coframe_entries = tuple(
-            tuple(row) for row in symbolic_inverse([list(r) for r in frame_entries])
-        )
-    return FrameField(metric, frame_entries, coframe_entries)
+    return FrameField(metric, frame_entries)
 
 
 def _build_connection(f: FrameField) -> ConnectionForms:

@@ -442,8 +442,8 @@ def symbolic_determinant(matrix: Sequence[Sequence[Expression]]) -> Expression:
 
 
 def symbolic_inverse(matrix: Sequence[Sequence[Expression]]) -> list[list[Expression]]:
-    """Adjugate over determinant.  Fine for the n <= 3 charts this package
-    targets; the numeric route (LU) is separate and used for point queries."""
+    """Adjugate over determinant; ChartMetric.inverse_entries builds g^-1
+    with it."""
     n = len(matrix)
     det = symbolic_determinant(matrix)
     if n == 1:

@@ -15,7 +15,7 @@ from cartanflat.bundle import identity_residual, metric_compatibility_residual
 from cartanflat.cartan import gauss_curvature, orthonormal_frame, structural_residual
 from cartanflat.cli import main
 from cartanflat.exprlang import parse, to_text
-from cartanflat.metricspace import Chart
+from cartanflat.metricspace import Chart, ChartMetric
 from cartanflat.presets import (
     KINK_TEXT,
     preset_metric,
@@ -52,17 +52,46 @@ def _spherical_distance(p, q):
     return math.acos(max(-1.0, min(1.0, cos_d)))
 
 
+def _diagonal_metric(box, diagonal) -> ChartMetric:
+    names = tuple(f"x{k + 1}" for k in range(len(box)))
+    rows = [[d if i == j else "0" for j in range(len(box))] for i, d in enumerate(diagonal)]
+    return ChartMetric(Chart(names, box), rows)
+
+
+def _polar_sphere(n: int) -> ChartMetric:
+    """The unit n-sphere, g = diag(1, sin^2 x1, sin^2 x1 sin^2 x2, ...)."""
+    squares = [f"sin(x{k + 1})^2" for k in range(n - 1)]
+    diagonal = ["1"] + ["*".join(squares[:k]) for k in range(1, n)]
+    return _diagonal_metric(((0.3, 2.8),) * (n - 1) + ((0.0, 6.2),), diagonal)
+
+
+def _half_space(n: int) -> ChartMetric:
+    """Hyperbolic n-space, g = delta / x_n^2."""
+    return _diagonal_metric(((-1.0, 1.0),) * (n - 1) + ((0.5, 2.0),), [f"1/x{n}^2"] * n)
+
+
+#: charts of dimension 4 and 5, built inline: no preset has them
+_INLINE_METRICS = {
+    "sphere4": lambda: _polar_sphere(4),
+    "half_space4": lambda: _half_space(4),
+    "half_space5": lambda: _half_space(5),
+}
+
+
 def test_acceptance_1_flatness_iff_constant_curvature():
     flat_cases = {
-        "h": (("half_plane", 20), ("poincare_disk", 20), ("hyperbolic3", 8)),
-        "s": (("sphere2", 20), ("sphere3", 8)),
+        "h": (
+            ("half_plane", 20), ("poincare_disk", 20), ("hyperbolic3", 8),
+            ("half_space4", 6), ("half_space5", 6),
+        ),
+        "s": (("sphere2", 20), ("sphere3", 8), ("sphere4", 6)),
     }
     worst_flat = 0.0
     weakest_off = math.inf
     for variant, cases in flat_cases.items():
         other = "s" if variant == "h" else "h"
         for name, grid in cases:
-            metric = preset_metric(name)
+            metric = _INLINE_METRICS[name]() if name in _INLINE_METRICS else preset_metric(name)
             flat = flatness_scan(metric, variant, resolution=grid).max_residual
             off = flatness_scan(metric, other, resolution=max(4, grid // 2)).max_residual
             assert flat <= 1e-6, f"{name} {variant}: residual {flat}"

@@ -64,7 +64,7 @@ def test_orthonormality_and_duality_on_grid(name):
         assert np.allclose(f.coframe_at(point) @ e, np.eye(2), atol=1e-10)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_orthonormality_random_metrics(dim):
     for seed in range(3):
         m = random_metric(dim, seed)

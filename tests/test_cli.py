@@ -76,6 +76,19 @@ def test_flatness_fail(capsys):
     assert 1.9 <= report["max_residual"] <= 2.1
 
 
+@pytest.mark.parametrize("variant, expected_code", [("h", 0), ("s", 1)])
+def test_flatness_runs_on_a_four_dimensional_chart(tmp_path, capsys, variant, expected_code):
+    # hyperbolic 4-space, g = delta / x4^2, built inline
+    rows = [["1/x4^2" if i == j else "0" for j in range(4)] for i in range(4)]
+    metric = {"names": ["x1", "x2", "x3", "x4"], "box": [[-1, 1]] * 3 + [[0.5, 2]], "entries": rows}
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"metric": metric, "variant": variant, "grid": 6}))
+    code, report, err = _run(capsys, "flatness", "--config", str(config))
+    assert (code, err) == (expected_code, "")
+    assert report["points"] == 6**4
+    assert report["max_residual"] <= 1e-9 if expected_code == 0 else 1.9 <= report["max_residual"] <= 2.1
+
+
 def test_flatness_tol_override(capsys):
     code, report, _ = _run(
         capsys,
@@ -744,8 +757,8 @@ def test_every_metric_command_refuses_a_bad_metric_at_its_point(tmp_path, capsys
 
 
 def test_a_domain_error_in_a_flatness_scan_names_its_point(tmp_path, capsys):
-    # g passes its checks everywhere; its x-derivative divides by zero at x = 1.05
-    metric = {**_HUGE_METRIC, "entries": [["1 + sqrt(x - 1.05)", "0"], ["0", "1"]]}
+    # g passes its checks everywhere; g_yy's x-derivative divides by zero at x = 1.05
+    metric = {**_HUGE_METRIC, "entries": [["1", "0"], ["0", "1 + sqrt(x - 1.05)"]]}
     config = tmp_path / "job.json"
     config.write_text(json.dumps({"metric": metric, "variant": "h"}))
     with warnings.catch_warnings():
@@ -760,7 +773,7 @@ def test_a_domain_error_in_a_flatness_scan_names_its_point(tmp_path, capsys):
 #: point at grid 3; the second metric is also indefinite from the later
 #: point (0.9, 0.0) on, which a guard over the whole chunk would meet first
 _DOMAIN_METRICS = [
-    [["2 + sqrt(x^2)^3", "0"], ["0", "1"]],
+    [["1", "0"], ["0", "2 + sqrt(x^2)^3"]],
     [["2 + sqrt(x^2)^3", "0"], ["0", "1.2 - 2*exp(-100*((x-0.9)^2 + y^2))"]],
 ]
 
@@ -775,6 +788,28 @@ def test_every_grid_check_names_the_first_domain_error_point_by_point(tmp_path, 
     code, report, err = _run(capsys, command, "--config", str(config))
     assert code == 2 and report is None
     assert err == "error: division by zero at point (0.0, -0.9)\n"
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        {"metric": {**_HUGE_METRIC, "entries": [["1 + sqrt(x - 1.05)", "0"], ["0", "1"]]}},
+        {
+            "metric": {"names": ["x", "y"], "box": [[-1, 1], [-1, 1]], "entries": [["2 + sqrt(x^2)^3", "0"], ["0", "1"]]},
+            "grid": 3,
+        },
+    ],
+)
+def test_a_flat_metric_with_a_singular_dg_xx_dx_scans_to_its_residual(tmp_path, capsys, job):
+    # diag(f(x), 1) is flat, and with Theta = E^T g no entry of its curvature
+    # form reads f', so the scan meets no domain error and "h" misses by |0 + 1|
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({**job, "variant": "h"}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be an internal error
+        code, report, err = _run(capsys, "flatness", "--config", str(config))
+    assert code == 1 and err == ""
+    assert abs(report["max_residual"] - 1.0) < 1e-9
 
 
 def test_curvature_refuses_a_curvature_that_is_not_finite(tmp_path, capsys):

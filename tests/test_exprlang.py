@@ -693,10 +693,15 @@ def test_a_stack_calls_each_kernel_once_per_column(scalar_kernel_calls):
     assert _bits(out[:, 0]) == _bits(expected)
 
 
+#: sphere3's flatness scan reads two of its three axes, so at this grid its
+#: sub-grid holds at least STACK_MIN_POINTS points and runs on the stacked route
+_SPHERE3_GRID = max(6, math.ceil(math.sqrt(STACK_MIN_POINTS)))
+
+
 @pytest.mark.parametrize(
     "argv, points",
     [
-        (["flatness", "--preset", "sphere3", "--variant", "s", "--grid", "6"], 6**3),
+        (["flatness", "--preset", "sphere3", "--variant", "s", "--grid", str(_SPHERE3_GRID)], _SPHERE3_GRID**3),
         (["zcr", "--grid", "21"], 21**2),
     ],
 )
