@@ -7,7 +7,8 @@ section.  The derivatives along a coordinate direction d_k are
     variant "h":  nabla_k (xi + f e) = (nabla^g_k xi + f d_k) + (d_k f + g(d_k, xi)) e
     variant "s":  nabla_k (xi + f e) = (nabla^g_k xi + f d_k) + (d_k f - g(d_k, xi)) e
 
-where nabla^g is the Levi-Civita derivative.  Both preserve the fiber pairing
+where nabla^g is the Levi-Civita derivative (cartan.levi_civita_derivative).
+Both preserve the fiber pairing
 
     <xi + f e, eta + k e> = g(xi, eta) -+ f k     ("h": minus, "s": plus).
 
@@ -35,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cartan import g_pair
+from .cartan import g_pair, levi_civita_derivative
 from .errors import DimensionError, StepSizeError
 from .exprlang import (
     Const,
@@ -136,20 +137,12 @@ def covariant_derivative(
     n = metric.dim
     if not 0 <= direction < n:
         raise DimensionError(f"direction must index a coordinate axis, got {direction}")
-    name = metric.chart.names[direction]
-    gamma = metric.christoffel_entries
-    g = metric.entries
-    new_vector = []
-    for a in range(n):
-        total = differentiate(section.vector[a], name)
-        for c in range(n):
-            total = add(total, mul(gamma[a][direction][c], section.vector[c]))
-        if a == direction:
-            total = add(total, section.scalar)
-        new_vector.append(total)
-    new_scalar = differentiate(section.scalar, name)
+    new_vector = list(levi_civita_derivative(metric, section.vector, direction))
+    new_vector[direction] = add(new_vector[direction], section.scalar)
+    g_row = metric.entries[direction]
+    new_scalar = differentiate(section.scalar, metric.chart.names[direction])
     for c in range(n):
-        new_scalar = add(new_scalar, mul(Const(sign), mul(g[direction][c], section.vector[c])))
+        new_scalar = add(new_scalar, mul(Const(sign), mul(g_row[c], section.vector[c])))
     return _derived_section(metric.chart, tuple(new_vector), new_scalar)
 
 

@@ -11,8 +11,10 @@ seeded with 0.0 and added left to right.
 Conventions, fixed once and used everywhere downstream:
 
     frame matrix      E[a][j] = component of e_j along d_a   (columns = frame)
-    coframe matrix    Theta[i][k] = dx^k-coefficient of omega^i,  Theta = E^T g (= E^-1)
-    connection forms  omega_i^j(X) = g(nabla_X e_i, e_j)
+    coframe matrix    Theta[i][k] = dx^k-coefficient of omega^i (= theta^i),
+                      Theta = E^T g (= E^-1)
+    connection forms  omega_i^j(X) = g(nabla_X e_i, e_j) = theta^j(nabla_X e_i),
+                      with nabla_k v = d_k v + Gamma_k v (levi_civita_derivative)
     phi := omega_2^1  with  d omega^1 = omega^2 ^ phi,
                             d omega^2 = -omega^1 ^ phi,
                             d phi     = K omega^1 ^ omega^2.
@@ -61,6 +63,7 @@ __all__ = [
     "ConnectionForms",
     "orthonormal_frame",
     "g_pair",
+    "levi_civita_derivative",
     "structure_forms",
     "structural_residual",
     "gauss_curvature",
@@ -186,6 +189,18 @@ def g_pair(metric: ChartMetric, u: Sequence[Expression], v: Sequence[Expression]
     return _sum(mul(mul(metric.entries[a][b], u[a]), v[b]) for a in range(n) for b in range(n))
 
 
+def levi_civita_derivative(
+    metric: ChartMetric, v: Sequence[Expression], k: int
+) -> tuple[Expression, ...]:
+    """nabla_k v = d_k v + Gamma_k v for a vector field in coordinate
+    components: entry a is d_k v^a, then + Gamma^a_kc v^c in order of c."""
+    name, gamma, n = metric.chart.names[k], metric.christoffel_entries, metric.dim
+    return tuple(
+        reduce(add, (mul(gamma[a][k][c], v[c]) for c in range(n)), differentiate(v[a], name))
+        for a in range(n)
+    )
+
+
 class FrameField:
     """An orthonormal frame with its dual coframe, both symbolic."""
 
@@ -251,7 +266,8 @@ class FrameField:
 class ConnectionForms:
     """Matrix of connection 1-forms omega[i][j] = omega_i^j; antisymmetry in
     (i, j) is a verified property, not a construction shortcut: every entry is
-    assembled independently from g(nabla e_i, e_j)."""
+    assembled independently as theta^j(nabla e_i), the coframe applied to the
+    Levi-Civita derivative of a frame vector."""
 
     frame: FrameField
     omega: tuple[tuple[OneForm, ...], ...]
@@ -283,28 +299,15 @@ def orthonormal_frame(metric: ChartMetric) -> FrameField:
 
 
 def _build_connection(f: FrameField) -> ConnectionForms:
-    metric = f.metric
-    names = f.chart.names
-    n = f.dim
-    gamma = metric.christoffel_entries
-    g = metric.entries
-    e = f.frame_entries
+    """omega[i][j](d_k) = theta^j(nabla_k e_i) = sum_a Theta[j][a] (nabla_k e_i)^a."""
+    n, theta, e = f.dim, f.coframe_entries, f.frame_entries
     table = []
     for i in range(n):
-        row = []
-        for j in range(n):
-            comps = []
-            for k in range(n):
-                total: Expression = Const(0.0)
-                for a in range(n):
-                    covariant = differentiate(e[a][i], names[k])
-                    for c in range(n):
-                        covariant = add(covariant, mul(gamma[a][k][c], e[c][i]))
-                    for b in range(n):
-                        total = add(total, mul(mul(g[a][b], covariant), e[b][j]))
-                comps.append(total)
-            row.append(OneForm(f.chart, tuple(comps)))
-        table.append(tuple(row))
+        nablas = [levi_civita_derivative(f.metric, [e[a][i] for a in range(n)], k) for k in range(n)]
+        table.append(tuple(
+            OneForm(f.chart, tuple(_sum(mul(theta[j][a], v[a]) for a in range(n)) for v in nablas))
+            for j in range(n)
+        ))
     return ConnectionForms(f, tuple(table))
 
 

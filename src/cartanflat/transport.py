@@ -401,14 +401,15 @@ def develop(variant: str, metric: ChartMetric, path) -> DevelopedPath:
     segments = _as_segments(path)
     n = metric.dim
     base = segments[0].point_at(segments[0].t0)
-    normalizer = np.eye(n + 1)
-    normalizer[:n, :n] = orthonormal_frame(metric).coframe_at(base)
     record: list = []
     u = np.eye(n + 1)[None]
     for segment in segments:
         if record:
             record.pop()  # the join node starts the next segment's record
         u = _rk4_transport(variant, metric, _CurveStack((segment,)), u, False, record)
+    # read after the integrator, whose first block guards g at the base
+    normalizer = np.eye(n + 1)
+    normalizer[:n, :n] = orthonormal_frame(metric).coframe_at(base)
     states = np.array(record)[:, 0]
     return DevelopedPath(variant, np.matmul(normalizer, states[:, :, n, None])[:, :, 0])
 
@@ -448,9 +449,9 @@ def _developed_ends(variant: str, metric: ChartMetric, segments) -> np.ndarray:
     # d*t, so a zero base coordinate starts at -0.0 where d < 0
     starts = metric.chart.require_stack(curves.at([curves.t0])[0, 0])
     identities = np.tile(np.eye(n + 1), (len(segments), 1, 1))
-    normalizers = identities.copy()
-    normalizers[:, :n, :n] = orthonormal_frame(metric).coframe_at(starts)
     ends = _rk4_transport(variant, metric, curves, identities, False)
+    normalizers = identities.copy()  # read after the integrator has guarded g
+    normalizers[:, :n, :n] = orthonormal_frame(metric).coframe_at(starts)
     return np.matmul(normalizers, ends[:, :, n, None])[:, :, 0]
 
 

@@ -130,6 +130,34 @@ def test_connection_antisymmetry_random_3d():
             assert np.allclose(omega[i][j].at(point) + omega[j][i].at(point), 0.0, atol=1e-10)
 
 
+def _torsion(m, points) -> float:
+    """max |d theta^j + sum_i omega_i^j /\\ theta^i| over j, the coefficients
+    and the points: Cartan's first structure equation, in any dimension."""
+    f = orthonormal_frame(m)
+    omega, n = f.connection.omega, m.dim
+    worst = 0.0
+    for j in range(n):
+        torsion = exterior_derivative(f.coframe_form(j))
+        for i in range(n):
+            torsion = torsion + wedge(omega[i][j], f.coframe_form(i))
+        worst = max(worst, float(np.abs(torsion.at(points)).max()))
+    return worst
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_first_structure_equation_random_metrics(dim):
+    for seed in range(3):
+        m = random_metric(dim, seed)
+        points = np.array(m.chart.random_points(np.random.default_rng(seed), 8))
+        assert _torsion(m, points) <= 1e-15
+
+
+@pytest.mark.parametrize("name", ["euclidean3", "sphere3", "hyperbolic3"])
+def test_first_structure_equation_3d_presets(name):
+    m = preset_metric(name)
+    assert _torsion(m, np.array(list(m.chart.grid(5)))) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # exterior derivative and wedge
 # ---------------------------------------------------------------------------

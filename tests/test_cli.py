@@ -280,6 +280,20 @@ def test_develop_refuses_a_path_through_an_indefinite_dip(tmp_path, capsys):
     assert 1.2 - 2 * math.exp(-100 * ((x - 0.6) ** 2 + (y - 0.6) ** 2)) <= 1e-10
 
 
+def test_develop_from_an_indefinite_base_names_the_metric_and_the_point(tmp_path, capsys):
+    # g_yy = 1.2 - 2 = -0.8 at the base: the base fiber's normaliser (the
+    # coframe, a square root of g) is read only after the integrator's
+    # first block has guarded g there
+    config = tmp_path / "job.json"
+    path = [{"start": [0.6, 0.6], "end": [0.9, 0.6]}]
+    config.write_text(json.dumps({"metric": _DIPPING_METRIC, "variant": "h", "path": path}))
+    code, report, err = _run(capsys, "develop", "--config", str(config))
+    assert (code, report) == (2, None)
+    assert err == (
+        "error: metric is not positive definite (min eigenvalue -8.000e-01) at point (0.6, 0.6)\n"
+    )
+
+
 def test_flatness_over_the_grid_point_budget_exits_2_at_once(capsys):
     started = time.perf_counter()
     code, report, err = _run(

@@ -1,12 +1,15 @@
 """Lie bases, matrix-valued forms, the two bundle connections, and flatness."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cartanflat.cartan import gauss_curvature, orthonormal_frame, wedge
 from cartanflat.errors import DimensionError
 from cartanflat.exprlang import Const, add, differentiate, mul, neg, sub
-from cartanflat import metricspace
+from cartanflat import exprlang, metricspace
 from cartanflat.presets import PRESET_NAMES, preset_metric, random_metric
 from cartanflat.sasaki import (
     MatrixOneForm,
@@ -455,3 +458,17 @@ def test_flatness_scan_random_metric_h_vs_s_spread():
     report_s = flatness_scan(m, "s", 6)
     assert 0.5 <= report_h.max_residual <= 1.5
     assert 0.5 <= report_s.max_residual <= 1.5
+
+
+def test_readme_omega_node_counts_match_the_build():
+    # the README's cost paragraph quotes the distinct nodes (leaves included)
+    # of the "h" curvature form of random_metric(n, 0) for n = 2 to 6; the
+    # first three are cheap enough to rebuild here
+    text = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    quoted = re.search(r"`random_metric\(n, 0\)` has ([\d, and]+) distinct nodes for n = 2 to 6", text)
+    assert quoted, "the README's Omega node counts are missing"
+    counts = [int(c.replace(",", "")) for c in re.findall(r"\d[\d,]*\d|\d", quoted.group(1))]
+    assert len(counts) == 5, counts
+    for n, count in zip((2, 3, 4), counts):
+        roots = list(metricspace._leaves(_curvature_of(random_metric(n, 0), "h").comps))
+        assert len(exprlang._post_order(roots)) == count, n

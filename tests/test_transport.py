@@ -597,6 +597,17 @@ def _cloud_and_in_turn_errors(base, targets, steps_per_unit):
     return in_turn.value
 
 
+def test_develop_and_develop_cloud_from_an_indefinite_base_name_the_base():
+    # g_yy = -0.8 at the base: both refuse the metric there, not the square
+    # root of the base fiber's normaliser
+    base = (0.6, 0.6)
+    error = _cloud_and_in_turn_errors(base, [(0.9, 0.6), (0.6, 0.9)], 16)
+    assert error.point == base
+    assert str(error) == (
+        "metric is not positive definite (min eigenvalue -8.000e-01) at point (0.6, 0.6)"
+    )
+
+
 def test_develop_cloud_raises_the_first_error_of_developing_in_turn():
     # the 3rd and the 5th segment cross the dip where g stops being positive
     # definite; the 5th, being longer, reaches it at a smaller t, so the
